@@ -6,11 +6,11 @@ __version__ = "0.1.0"
 from .errors import DivergenceDetected, NonConvergence
 from .grid import (Field, GridSpec, boundary_decay, from_spectral,
                    gaussian_field, h1_norm, inner, l2_norm, laplacian, lp_norm,
-                   make_grid, norm, random_band_limited, scaled_gaussian,
-                   to_spectral, zero_field)
-from .kernel import (KernelSpec, apply_kernel, coulomb_multiplier,
-                     default_radius, direct_convolution_oracle, kernel_table,
-                     tail_norm_bound, tail_norm_estimate)
+                   make_grid, random_band_limited, scaled_gaussian, to_spectral,
+                   zero_field)
+from .kernel import (KernelSpec, apply_kernel, default_radius,
+                     direct_convolution_oracle, kernel_table, tail_norm_bound,
+                     tail_norm_estimate)
 from .nonlinear import (PhysParams, big_g1, density, g1, g2, lipschitz_growth,
                         lipschitz_probe, nonlinear_part, potential, rhs)
 from .propagate import free_evolve, free_gaussian_exact, free_trajectory
@@ -21,5 +21,4 @@ from .stepper import RunReport, StepConfig, evolve, ifrk4_step
 from .experiments import VerifyPlan, VerifyResult, verify_battery
 from .config import (ConfigError, ExperimentConfig, build_initial, config_hash,
                      parse_config, serialize_config)
-from .io import (read_csv, read_field, read_kernel_table, write_csv,
-                 write_field, write_kernel_table, write_manifest)
+from .io import read_csv, read_field, write_csv, write_field, write_manifest

@@ -3,9 +3,11 @@
 Every run gets its own timestamped directory under the output root
 (--out > config [output].dir > $FRNSE_OUT > ./runs), an INCOMPLETE marker
 that is cleared only after the manifest lands, and filenames prefixed with
-the first 8 hex digits of the config hash.
+the first 8 hex digits of the config hash. A command that raises still
+writes its manifest, with status "crashed" and the exception in "errors".
 
-Exit codes: 0 ok, 1 failed assertions or solver errors, 2 config problems.
+Exit codes: 0 ok, 1 failed assertions, solver errors or a crash, 2 config
+problems.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import itertools
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -78,6 +81,10 @@ class RunContext:
         self.errors.append({"type": type(exc).__name__, "message": str(exc)})
         self.status = "failed"
 
+    def fail_checks(self, names):
+        self.errors += [{"type": "CheckFailed", "message": n} for n in names]
+        self.status = "failed"
+
     def finish(self):
         manifest = {
             "format": "frnse-run-manifest v1",
@@ -111,7 +118,7 @@ def _print_rows(rows):
             print(f"  {mark} {r.check}: measured {r.measured:.6g} vs {r.threshold:.6g}")
 
 
-def cmd_solve(ctx, jobs):
+def cmd_solve(ctx):
     cfg = ctx.cfg
     phi = build_initial(cfg)
     scfg = cfg.stepper.build(cfg.kernel, cfg.params)
@@ -145,7 +152,7 @@ def cmd_solve(ctx, jobs):
     return 0
 
 
-def cmd_picard(ctx, jobs):
+def cmd_picard(ctx):
     cfg = ctx.cfg
     phi = build_initial(cfg)
     pcfg = cfg.picard.build(cfg.kernel, cfg.params)
@@ -206,7 +213,7 @@ def _plan_from_config(cfg):
     return plan
 
 
-def cmd_verify(ctx, jobs):
+def cmd_verify(ctx):
     result = verify_battery(_plan_from_config(ctx.cfg))
     for name in sorted(result.tables):
         header, rows = result.tables[name]
@@ -219,9 +226,7 @@ def cmd_verify(ctx, jobs):
         "scale": ctx.cfg.experiment.scale,
     }
     if failing:
-        ctx.status = "failed"
-        for name in failing:
-            ctx.errors.append({"type": "CheckFailed", "message": name})
+        ctx.fail_checks(failing)
         print(f"{len(failing)} of {len(result.rows)} checks failed: "
               f"{', '.join(failing)}")
         return 1
@@ -229,7 +234,7 @@ def cmd_verify(ctx, jobs):
     return 0
 
 
-def cmd_kernel_norms(ctx, jobs):
+def cmd_kernel_norms(ctx):
     cfg = ctx.cfg
     e = cfg.experiment
     table, rows = kernel_norm_study(cfg.grid, e.a_list, p=e.p, trials=e.trials,
@@ -241,21 +246,25 @@ def cmd_kernel_norms(ctx, jobs):
     failing = [r.check for r in rows if not r.passed]
     ctx.summary = {"a_list": list(e.a_list), "failed": failing}
     if failing:
-        ctx.status = "failed"
-        for name in failing:
-            ctx.errors.append({"type": "CheckFailed", "message": name})
+        ctx.fail_checks(failing)
         return 1
     return 0
 
 
 def _sweep_worker(task):
+    """Run one sweep point; returns (index, hash8, exit code) and never
+    raises for a bad config (hash8 None, code 2) or a crashed command."""
     index, text, overrides, parent_dir, command = task
-    cfg = parse_config(text, overrides)
+    try:
+        cfg = parse_config(text, overrides)
+    except ConfigError as e:
+        print(f"sweep point {index} ({', '.join(overrides)}): config error: {e}",
+              file=sys.stderr)
+        return index, None, 2
     h8 = config_hash(cfg)[:8]
     sub = os.path.join(parent_dir, f"run-{index:03d}-{h8}")
     os.makedirs(sub, exist_ok=False)
-    code = _execute(command, cfg, sub, jobs=1)
-    return index, h8, code
+    return index, h8, _execute(command, cfg, sub)
 
 
 def cmd_sweep(ctx, jobs):
@@ -282,12 +291,12 @@ def cmd_sweep(ctx, jobs):
     for i, _, overrides, _, _ in tasks:
         h8, code = by_index[i]
         entries.append({
-            "run": f"run-{i:03d}-{h8}",
+            "run": f"run-{i:03d}-{h8}" if h8 else f"run-{i:03d} (not started)",
             "config_hash8": h8,
             "overrides": list(overrides),
             "exit": code,
         })
-    entries.sort(key=lambda r: r["config_hash8"])
+    entries.sort(key=lambda r: r["config_hash8"] or "")
     ctx.summary = {"command": sw.command, "runs": entries}
     worst = max(code for _, _, code in results)
     if worst != 0:
@@ -305,14 +314,24 @@ _COMMANDS = {
     "picard": cmd_picard,
     "verify": cmd_verify,
     "kernel-norms": cmd_kernel_norms,
-    "sweep": cmd_sweep,
 }
 
 
 def _execute(command, cfg, run_dir, jobs=1):
+    """Run one command in run_dir; every exception still leaves a manifest."""
     ctx = RunContext(command, cfg, run_dir)
     mark_incomplete(run_dir)
-    code = _COMMANDS[command](ctx, jobs)
+    try:
+        if command == "sweep":
+            code = cmd_sweep(ctx, jobs)
+        else:
+            code = _COMMANDS[command](ctx)
+    except Exception as e:  # the run boundary: record, report, exit 1
+        ctx.fail(e)
+        ctx.status = "crashed"
+        ctx.errors[-1]["traceback"] = traceback.format_exc()
+        print(f"{command} crashed: {type(e).__name__}: {e}", file=sys.stderr)
+        code = 1
     ctx.finish()
     return code
 
@@ -398,8 +417,8 @@ def build_parser():
                         help="override experiment.seed")
         sp.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="override a config key")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers (sweep only)")
+        if name == "sweep":
+            sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
     pp = sub.add_parser("plot", help="render CSV columns to an SVG line chart")
     pp.add_argument("csvs", nargs="+", help="CSV files to render")
     pp.add_argument("--out", default=None, help="directory for the SVGs")
@@ -426,12 +445,12 @@ def main(argv=None):
         for issue in e.issues:
             print(f"  {issue}", file=sys.stderr)
         print("usage: frnse <command> --config FILE [--out DIR] [--seed N] "
-              "[--set SECTION.KEY=VALUE] [--jobs N]", file=sys.stderr)
+              "[--set SECTION.KEY=VALUE] [--jobs N (sweep)]", file=sys.stderr)
         return 2
     root = _out_root(args.out, cfg)
     run_dir = _make_run_dir(root, config_hash(cfg)[:8])
     print(f"run directory: {run_dir}")
-    return _execute(args.command, cfg, run_dir, jobs=args.jobs)
+    return _execute(args.command, cfg, run_dir, jobs=getattr(args, "jobs", 1))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridSpec, gaussian_field, l2_norm, h1_norm, make_grid, scaled_gaussian, Field
+from .grid import GridSpec, l2_norm, h1_norm, make_grid, scaled_gaussian, Field
 from .io import read_field
 from .kernel import KernelSpec, default_radius
 from .nonlinear import PhysParams

@@ -33,7 +33,7 @@ from .kernel import (
     tail_norm_bound,
     tail_norm_estimate,
 )
-from .nonlinear import PhysParams, ball_field, g1, lipschitz_growth
+from .nonlinear import PhysParams, ball_field, big_g1, density, g1, lipschitz_growth
 from .picard import PicardConfig, contraction_report, picard_solve
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
@@ -198,6 +198,14 @@ def contraction_rows(report):
     return rows, ana
 
 
+def _order_and_budget(diffs):
+    """Observed order from self-convergence differences under successive
+    refinement by 2, and the Richardson error budget of the finest
+    solution (factor-2 safety)."""
+    order = float(np.log2(diffs[0] / diffs[-1]) / (len(diffs) - 1))
+    return order, 2.0 * diffs[-1] / (2.0**order - 1.0)
+
+
 def quadrature_order_study(phi, cfg, ms=(32, 64, 128)):
     """Self-convergence of the fixed-point solution under node doubling.
 
@@ -211,11 +219,9 @@ def quadrature_order_study(phi, cfg, ms=(32, 64, 128)):
     for m in ms:
         traj, _ = picard_solve(phi, replace(cfg, m=m))
         sols[m] = traj
-    diffs = []
-    for m1, m2 in zip(ms, ms[1:]):
-        diffs.append(sup_h1_distance(sols[m1].fields, sols[m2].fields[::2]))
-    order = float(np.log2(diffs[0] / diffs[-1]) / (len(diffs) - 1))
-    budget = 2.0 * diffs[-1] / (2.0**order - 1.0)
+    diffs = [sup_h1_distance(sols[m1].fields, sols[m2].fields[::2])
+             for m1, m2 in zip(ms, ms[1:])]
+    order, budget = _order_and_budget(diffs)
     return order, budget, sols
 
 
@@ -230,12 +236,11 @@ def stepper_order_study(phi, cfg, steps=(64, 128, 256)):
             raise RuntimeError(f"reference run with {s} steps did not complete")
         finals[s] = traj.final()
     diffs = [h1_norm(finals[s1] - finals[s2]) for s1, s2 in zip(steps, steps[1:])]
-    order = float(np.log2(diffs[0] / diffs[-1]) / (len(diffs) - 1))
-    budget = 2.0 * diffs[-1] / (2.0**order - 1.0)
+    order, budget = _order_and_budget(diffs)
     return order, budget, finals
 
 
-def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256), h1_cap=1e3):
+def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
     """Fixed-point vs time-stepper agreement within measured error budgets.
 
     Runs node-doubling studies for both quadrature rules and dt-halving for
@@ -253,7 +258,7 @@ def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256), h1_cap
     rows.append(_row("trapezoid-order", "scaling-law", trap_order, 2.0,
                      0.8 * 2.0 <= trap_order <= 1.2 * 2.0, "tolerance 20%"))
     scfg = StepConfig(dt=pcfg.T / steps[0], T=pcfg.T, kspec=pcfg.kspec,
-                      params=pcfg.params, h1_cap=h1_cap, snapshot_every=10**9)
+                      params=pcfg.params, snapshot_every=10**9)
     step_order, step_budget, finals = stepper_order_study(phi, scfg, steps)
     rows.append(_row("ifrk4-order", "scaling-law", step_order, 4.0,
                      0.8 * 4.0 <= step_order <= 1.2 * 4.0, "tolerance 20%"))
@@ -275,10 +280,9 @@ def norm_law_check(traj, params, kspec):
 
     Central-differences the node norms of the trajectory; needs >= 3 nodes.
     """
-    t, l2, _, g1v = traj.diagnostics(kspec)
-    res = norm_law_residuals(t, l2, g1v, params)
-    if len(res) < 3:
-        raise ValueError("need at least 3 nodes")
+    l2 = [l2_norm(f) for f in traj.fields]
+    g1v = [big_g1(f, kspec) for f in traj.fields]
+    res = norm_law_residuals(traj.times, l2, g1v, params)
     return float(np.max(np.abs(res[1:-1])))
 
 
@@ -399,7 +403,7 @@ RIESZ_P = 1.125
 RIESZ_Q = 4.5  # 3p/(3-2p) at p = 1.125
 
 
-def inequality_battery(gspec, samples=60, seed=0, kspec=None):
+def inequality_battery(gspec, samples=60, seed=0):
     """Empirical suprema for the embedding and potential inequalities.
 
     For each inequality the battery reports the supremum of LHS/RHS over
@@ -412,8 +416,7 @@ def inequality_battery(gspec, samples=60, seed=0, kspec=None):
     """
     if samples < 50:
         raise ValueError(f"need at least 50 samples, got {samples}")
-    if kspec is None:
-        kspec = KernelSpec("full", R=default_radius(gspec.L))
+    kspec = KernelSpec("full", R=default_radius(gspec.L))
 
     def sample_fields(count, M=1.0):
         return [
@@ -448,8 +451,8 @@ def inequality_battery(gspec, samples=60, seed=0, kspec=None):
         )
     family(
         "riesz",
-        lambda f: lp_norm(apply_kernel(kspec, _abs2(f)), RIESZ_Q)
-        / lp_norm(_abs2(f), RIESZ_P),
+        lambda f: lp_norm(apply_kernel(kspec, density(f)), RIESZ_Q)
+        / lp_norm(density(f), RIESZ_P),
         detail=f"||K rho||_q / ||rho||_p at p={RIESZ_P}, q={RIESZ_Q}",
     )
     family(
@@ -470,12 +473,7 @@ def inequality_battery(gspec, samples=60, seed=0, kspec=None):
     return rows, data
 
 
-def _abs2(f):
-    v = f.values
-    return Field(f.spec, (v.real**2 + v.imag**2).astype(np.complex128))
-
-
-def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec, kspec=None):
+def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec):
     """Lipschitz-ratio growth of the nonlinearities across ball radii.
 
     Fits log(max ratio) vs log(M) for g1 (plain and mixed-norm) and g2 and
@@ -485,8 +483,7 @@ def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec, kspec=
     it is kept as a negative control for the cubic-growth hypothesis.
     Returns (rows, probe_reports).
     """
-    if kspec is None:
-        kspec = KernelSpec("full", R=default_radius(gspec.L))
+    kspec = KernelSpec("full", R=default_radius(gspec.L))
     rows = []
     all_reports = []
     slopes = {}
@@ -507,10 +504,9 @@ def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec, kspec=
     return rows, all_reports
 
 
-def domination_rows(gspec, a, samples=200, seed=0, kspec_full=None):
+def domination_rows(gspec, a, samples=200, seed=0):
     """Pointwise |g1 with truncated kernel| <= |g1 full| + 1e-10 on samples."""
-    if kspec_full is None:
-        kspec_full = KernelSpec("full", R=default_radius(gspec.L))
+    kspec_full = KernelSpec("full", R=default_radius(gspec.L))
     kspec_inner = KernelSpec("inner", R=kspec_full.R, a=a)
     worst = -np.inf
     for i in range(samples):

@@ -44,14 +44,12 @@ class Grid:
 
     def __init__(self, spec):
         self.spec = spec
-        n, L = spec.n, spec.L
-        self.h = spec.h
-        self.volume = spec.volume
-        self.x = np.arange(n) * self.h
+        n, h = spec.n, spec.h
+        self.x = np.arange(n) * h
         # wavenumbers (2*pi/L)*m with m in {0,..,n/2-1, -n/2,..,-1}
-        self.k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.h)
-        kx, ky, kz = np.meshgrid(self.k, self.k, self.k, indexing="ij")
-        self.ksq = kx**2 + ky**2 + kz**2
+        self.k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+        k2 = self.k**2
+        self.ksq = k2[:, None, None] + k2[None, :, None] + k2[None, None, :]
         self.ksq.setflags(write=False)
 
 
@@ -122,38 +120,24 @@ def from_spectral(spec, coeffs):
     return Field(spec, np.fft.ifftn(np.asarray(coeffs)) * n**3)
 
 
-def norm(f, which="L2", p=None):
-    """Grid norm: which in {"L2", "H1", "Lp"}; Lp requires p >= 1.
-
-    L2 and Lp use the h^3-weighted sample sum; H1 adds the spectral gradient,
-    ||f||_H1^2 = ||f||_L2^2 + ||grad f||_L2^2.
-    """
-    h3 = f.spec.h**3
-    if which == "L2":
-        return float(np.sqrt(h3 * np.sum(np.abs(f.values) ** 2)))
-    if which == "Lp":
-        if p is None or p < 1:
-            raise ValueError(f"Lp norm requires p >= 1, got {p}")
-        return float((h3 * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-    if which == "H1":
-        g = make_grid(f.spec)
-        coeffs = to_spectral(f)
-        return float(
-            np.sqrt(f.spec.volume * np.sum((1.0 + g.ksq) * np.abs(coeffs) ** 2))
-        )
-    raise ValueError(f"unknown norm {which!r}")
-
-
 def l2_norm(f):
-    return norm(f, "L2")
+    """Grid L2 norm from the h^3-weighted sample sum."""
+    return float(np.sqrt(f.spec.h**3 * np.sum(np.abs(f.values) ** 2)))
 
 
 def h1_norm(f):
-    return norm(f, "H1")
+    """Grid H1 norm with the spectral gradient,
+    ||f||_H1^2 = ||f||_L2^2 + ||grad f||_L2^2."""
+    g = make_grid(f.spec)
+    coeffs = to_spectral(f)
+    return float(np.sqrt(f.spec.volume * np.sum((1.0 + g.ksq) * np.abs(coeffs) ** 2)))
 
 
 def lp_norm(f, p):
-    return norm(f, "Lp", p=p)
+    """Grid L^p norm (p >= 1) from the h^3-weighted sample sum."""
+    if p < 1:
+        raise ValueError(f"Lp norm requires p >= 1, got {p}")
+    return float((f.spec.h**3 * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
 def inner(f, g):
@@ -186,25 +170,28 @@ def random_band_limited(spec, rng, band_fraction=2.0 / 3.0):
     return from_spectral(spec, coeffs)
 
 
-def gaussian_field(spec, sigma, center=None, amplitude=1.0):
+def min_image_r2(spec, center=None):
+    """Squared minimum-image distance of every grid point to center.
+
+    Default center is the middle of the box.
+    """
+    L = spec.L
+    if center is None:
+        center = (L / 2.0, L / 2.0, L / 2.0)
+    x = make_grid(spec).x
+    dx, dy, dz = ((x - c + L / 2.0) % L - L / 2.0 for c in center)
+    return dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
+
+
+def gaussian_field(spec, sigma, center=None):
     """Gaussian bump exp(-|x-c|^2 / (2 sigma^2)) with minimum-image distance.
 
     Default center is the middle of the box.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    g = make_grid(spec)
-    L = spec.L
-    if center is None:
-        center = (L / 2.0, L / 2.0, L / 2.0)
-    r2 = 0.0
-    axes = []
-    for c in center:
-        d = (g.x - c + L / 2.0) % L - L / 2.0
-        axes.append(d)
-    dx, dy, dz = np.meshgrid(*axes, indexing="ij")
-    r2 = dx**2 + dy**2 + dz**2
-    return Field(spec, amplitude * np.exp(-r2 / (2.0 * sigma**2)).astype(complex))
+    r2 = min_image_r2(spec, center)
+    return Field(spec, np.exp(-r2 / (2.0 * sigma**2)).astype(complex))
 
 
 def scaled_gaussian(spec, sigma, center=None, l2_target=None, h1_target=None):
@@ -225,9 +212,9 @@ def scaled_gaussian(spec, sigma, center=None, l2_target=None, h1_target=None):
             stacklevel=2,
         )
     if l2_target is not None:
-        return f * (l2_target / norm(f, "L2"))
+        return f * (l2_target / l2_norm(f))
     if h1_target is not None:
-        return f * (h1_target / norm(f, "H1"))
+        return f * (h1_target / h1_norm(f))
     return f
 
 
@@ -241,8 +228,8 @@ def boundary_decay(f):
     if peak == 0.0:
         return 0.0
     edge = max(
-        a[0, :, :].max(),
-        a[:, 0, :].max(),
-        a[:, :, 0].max(),
+        a[0, :, :].max(), a[-1, :, :].max(),
+        a[:, 0, :].max(), a[:, -1, :].max(),
+        a[:, :, 0].max(), a[:, :, -1].max(),
     )
     return float(edge / peak)

@@ -1,16 +1,11 @@
-"""On-disk formats: field snapshots, kernel tables, CSVs, manifests.
+"""On-disk formats: field snapshots, CSVs, manifests.
 
 Field snapshot (binary): one ASCII header line
 
     FRNSE-FIELD v1 n=<int> L=<repr float> t=<repr float>\n
 
 followed by n^3 C-order samples as little-endian float64 (re, im) pairs.
-Kernel table (binary): header
-
-    FRNSE-KERNEL v1 n=<int> L=<repr float> variant=<str> a=<repr> R=<repr>\n
-
-followed by the (2n)^3 padded real-space table as little-endian float64.
-Both round-trip bit-exactly (repr round-trips Python floats exactly).
+It round-trips bit-exactly (repr round-trips Python floats exactly).
 
 CSVs are RFC-4180 style: comma separated, '"' quoting only where needed
 (doubled inner quotes), '\n' line endings, '.' decimal separator, floats
@@ -24,10 +19,8 @@ import os
 import numpy as np
 
 from .grid import Field, GridSpec
-from .kernel import KernelSpec, kernel_table
 
 FIELD_MAGIC = "FRNSE-FIELD"
-KERNEL_MAGIC = "FRNSE-KERNEL"
 FORMAT_VERSION = "v1"
 
 
@@ -70,34 +63,6 @@ def read_field(path):
     data = np.frombuffer(payload, dtype="<f8").reshape(n**3, 2)
     values = (data[:, 0] + 1j * data[:, 1]).reshape(n, n, n)
     return Field(GridSpec(n, L), values), t
-
-
-def write_kernel_table(path, gspec, kspec):
-    """Cache the padded real-space kernel table to disk."""
-    table = np.asarray(kernel_table(gspec, kspec))
-    header = (
-        f"{KERNEL_MAGIC} {FORMAT_VERSION} n={gspec.n} L={gspec.L!r} "
-        f"variant={kspec.variant} a={kspec.a!r} R={kspec.R!r}\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(table.astype("<f8").tobytes())
-
-
-def read_kernel_table(path):
-    """Read a cached table; returns (gspec, kspec, table)."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").rstrip("\n")
-        meta = _parse_header(header, KERNEL_MAGIC, ("n", "L", "variant", "a", "R"))
-        n, L = int(meta["n"]), float(meta["L"])
-        kspec = KernelSpec(meta["variant"], R=float(meta["R"]), a=float(meta["a"]))
-        payload = fh.read()
-    N = 2 * n
-    expected = N**3 * 8
-    if len(payload) != expected:
-        raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
-    table = np.frombuffer(payload, dtype="<f8").reshape(N, N, N)
-    return GridSpec(n, L), kspec, table
 
 
 def _cell(value):

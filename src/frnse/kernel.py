@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, l2_norm, lp_norm, make_grid, random_band_limited
+from .grid import Field, l2_norm, lp_norm, random_band_limited
 
 #: Average of 1/|u| over the unit cube centered at the origin; the self-cell
 #: of the sampled kernel is CUBE_AVG * h^2 = h^3 * (CUBE_AVG / h).
@@ -77,35 +77,6 @@ def default_radius(L):
     return math.sqrt(3.0) * L
 
 
-def coulomb_multiplier(kspec, k):
-    """Fourier transform of the radially truncated kernel at wavenumber k.
-
-    Closed forms (radial integral of 4*pi*sin(kr)/k over the support):
-
-        full:   4*pi*(1 - cos kR)/k^2,        k=0 -> 2*pi*R^2
-        inner:  4*pi*(cos ka - cos kR)/k^2,   k=0 -> 2*pi*(R^2 - a^2)
-        tail:   4*pi*(1 - cos ka)/k^2,        k=0 -> 2*pi*a^2
-
-    Accepts scalar or array k; returns matching shape.
-    """
-    k = np.asarray(k, dtype=float)
-    R, a = kspec.R, kspec.a
-    ksq = np.where(k == 0.0, 1.0, k * k)
-    if kspec.variant == "full":
-        num = 4.0 * np.pi * (1.0 - np.cos(k * R))
-        at0 = 2.0 * np.pi * R**2
-    elif kspec.variant == "inner":
-        num = 4.0 * np.pi * (np.cos(k * a) - np.cos(k * R))
-        at0 = 2.0 * np.pi * (R**2 - a**2)
-    else:
-        num = 4.0 * np.pi * (1.0 - np.cos(k * a))
-        at0 = 2.0 * np.pi * a**2
-    out = np.where(k == 0.0, at0, num / ksq)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _tail_self_weight(a, h):
     """Integral of 1/|x| over (cell of side h) ∩ (ball of radius a), centered.
 
@@ -128,14 +99,13 @@ def _tail_self_weight(a, h):
     return float(min(max(val, 0.0), min(2.0 * np.pi * a**2, CUBE_AVG * h**2)))
 
 
-@lru_cache(maxsize=16)
 def kernel_table(gspec, kspec):
     """Sampled real-space kernel on the 2x padded grid, FFT index layout.
 
     Entry [jx, jy, jz] is the convolution weight for the centered displacement
     d = (((j + n) mod 2n) - n) * h per axis, i.e. index = displacement mod 2n.
     Weights: h^3/|d| inside the variant's radial support, the split cell
-    average at d = 0, zero elsewhere. Read-only array of shape (2n,)*3.
+    average at d = 0, zero elsewhere. Array of shape (2n,)*3.
     """
     n, h, L = gspec.n, gspec.h, gspec.L
     if kspec.R < default_radius(L) * (1.0 - 1e-12):
@@ -153,23 +123,21 @@ def kernel_table(gspec, kspec):
     w_full[0, 0, 0] = CUBE_AVG * h**2
     w_full = np.where(r <= kspec.R * (1.0 + 1e-12), w_full, 0.0)
     if kspec.variant == "full":
-        out = w_full
-    else:
-        a = kspec.a
-        w_tail = np.where((r > 0.0) & (r <= a), w_full, 0.0)
-        w_tail[0, 0, 0] = _tail_self_weight(a, h)
-        if kspec.variant == "tail":
-            out = w_tail
-        else:
-            out = w_full - w_tail
-    out.setflags(write=False)
-    return out
+        return w_full
+    a = kspec.a
+    w_tail = np.where((r > 0.0) & (r <= a), w_full, 0.0)
+    w_tail[0, 0, 0] = _tail_self_weight(a, h)
+    return w_tail if kspec.variant == "tail" else w_full - w_tail
 
 
 @lru_cache(maxsize=16)
 def kernel_multiplier(gspec, kspec):
-    """DFT of kernel_table (the multiplier the FFT apply path uses)."""
-    mult = np.fft.fftn(np.asarray(kernel_table(gspec, kspec)))
+    """DFT of kernel_table (the multiplier the FFT apply path uses).
+
+    The table is even modulo 2n, so its DFT is real: the imaginary part is
+    round-off and is dropped, leaving a read-only float64 array.
+    """
+    mult = np.fft.fftn(kernel_table(gspec, kspec)).real.copy()
     mult.setflags(write=False)
     return mult
 
@@ -194,18 +162,18 @@ def apply_kernel(kspec, density):
     return Field(spec, conv)
 
 
-def direct_convolution_oracle(kspec, density, force=False):
+def direct_convolution_oracle(kspec, density):
     """Brute-force O(n^6) free-space convolution over the same sampled table.
 
     Reference implementation for apply_kernel: sums the identical per-cell
     weights pair by pair, so agreement is limited only by FFT round-off.
-    Guarded to n <= 16 unless force=True.
+    Guarded to n <= 16.
     """
     spec = density.spec
     n = spec.n
-    if n > 16 and not force:
-        raise ValueError(f"direct oracle is O(n^6); n={n} > 16 (pass force=True)")
-    table = np.asarray(kernel_table(spec, kspec))
+    if n > 16:
+        raise ValueError(f"direct oracle is O(n^6); n={n} > 16")
+    table = kernel_table(spec, kspec)
     rho = density.values
     idx = np.arange(n)
     dmod = (idx[:, None] - idx[None, :]) % (2 * n)  # (x, y) -> displacement index
@@ -225,7 +193,7 @@ def tail_norm_bound(a):
     return 2.0 * np.pi * a**2
 
 
-def tail_norm_estimate(gspec, a, p=2.0, trials=32, seed=0, R=None, iters=200):
+def tail_norm_estimate(gspec, a, p=2.0, trials=32, seed=0, iters=200):
     """Empirical lower estimate of the L^p operator norm of the tail kernel.
 
     For p = 2 runs power iteration on the (symmetric, positivity-preserving)
@@ -242,9 +210,7 @@ def tail_norm_estimate(gspec, a, p=2.0, trials=32, seed=0, R=None, iters=200):
             "the discrete tail operator is degenerate and the estimate is vacuous",
             stacklevel=2,
         )
-    if R is None:
-        R = default_radius(gspec.L)
-    kspec = KernelSpec("tail", R=R, a=a)
+    kspec = KernelSpec("tail", R=default_radius(gspec.L), a=a)
     rng = np.random.default_rng(seed)
     if p == 2.0:
         f = Field(gspec, np.abs(rng.standard_normal((gspec.n,) * 3)) + 0.1)

@@ -8,7 +8,7 @@ the phase exp(-i * alpha1 * |k0|^2 * t).
 
 import numpy as np
 
-from .grid import Field, from_spectral, make_grid, to_spectral
+from .grid import Field, from_spectral, make_grid, min_image_r2, to_spectral
 
 
 def free_evolve(psi, t, alpha1):
@@ -29,26 +29,19 @@ def free_trajectory(phi, times, alpha1):
     return [free_evolve(phi, float(t), alpha1) for t in times]
 
 
-def free_gaussian_exact(spec, sigma, t, alpha1, center=None, amplitude=1.0):
+def free_gaussian_exact(spec, sigma, t, alpha1):
     """Closed-form free evolution of a Gaussian packet (analytic reference).
 
-    The initial state amplitude * exp(-|x-c|^2 / (2 sigma^2)) evolves under
-    i psi_t = -alpha1 Lap psi into
+    The initial state exp(-|x-c|^2 / (2 sigma^2)), c the middle of the box,
+    evolves under i psi_t = -alpha1 Lap psi into
 
-        amplitude * (sigma^2 / s)^{3/2} * exp(-|x-c|^2 / (2 s)),
+        (sigma^2 / s)^{3/2} * exp(-|x-c|^2 / (2 s)),
         s = sigma^2 + 2 i alpha1 t,
 
     obtained from the Fourier representation (Gaussian integrals only).
     Valid as a grid reference while the packet stays far from the box
     boundary; distances use the minimum image convention.
     """
-    g = make_grid(spec)
-    L = spec.L
-    if center is None:
-        center = (L / 2.0, L / 2.0, L / 2.0)
     s = sigma**2 + 2j * alpha1 * t
-    axes = [(g.x - c + L / 2.0) % L - L / 2.0 for c in center]
-    dx, dy, dz = np.meshgrid(*axes, indexing="ij")
-    r2 = dx**2 + dy**2 + dz**2
-    vals = amplitude * (sigma**2 / s) ** 1.5 * np.exp(-r2 / (2.0 * s))
+    vals = (sigma**2 / s) ** 1.5 * np.exp(-min_image_r2(spec) / (2.0 * s))
     return Field(spec, vals)

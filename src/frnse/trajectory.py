@@ -1,11 +1,10 @@
-"""Time-sampled solutions: node fields, diagnostics, norm-law residuals."""
+"""Time-sampled solutions: node fields, node distances, norm-law residuals."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import h1_norm, l2_norm
-from .nonlinear import big_g1
+from .grid import h1_norm
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,6 @@ class Trajectory:
 
     def is_finite(self):
         return all(f.is_finite() for f in self.fields)
-
-    def diagnostics(self, kspec):
-        """Per-node (t, l2, h1, G1) arrays."""
-        t = np.array(self.times)
-        l2 = np.array([l2_norm(f) for f in self.fields])
-        h1 = np.array([h1_norm(f) for f in self.fields])
-        g1v = np.array([big_g1(f, kspec) for f in self.fields])
-        return t, l2, h1, g1v
 
 
 def sup_h1_distance(fields_a, fields_b):

@@ -30,20 +30,6 @@ def unit_cube_average():
     return 8.0 * box_integral(0.5, 0.5, 0.5)
 
 
-def radial_multiplier_oracle(k, r_lo, r_hi, samples=200001):
-    """Numeric integral of e^{-ik.x}/|x| over the shell r_lo < |x| <= r_hi.
-
-    Uses the radial reduction int = (4 pi / k) * int_{r_lo}^{r_hi} sin(kr) dr
-    evaluated by composite trapezoid on a fine grid — deliberately naive and
-    independent of the closed forms in the package.
-    """
-    r = np.linspace(r_lo, r_hi, samples)
-    if k == 0.0:
-        return float(np.trapezoid(4.0 * np.pi * r, r))
-    vals = 4.0 * np.pi * np.sin(k * r) / k
-    return float(np.trapezoid(vals, r))
-
-
 @pytest.fixture
 def gspec8():
     return GridSpec(8, 1.6)

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from frnse.cli import main
+from frnse import cli
+from frnse.cli import build_parser, main
 
 BASE = """
 [grid]
@@ -180,3 +181,63 @@ def test_plot_bad_csv_exits_1(tmp_path, capsys):
     bad.write_text("")
     assert main(["plot", str(bad)]) == 1
     assert capsys.readouterr().err
+
+
+VERIFY = BASE + """
+[experiment]
+scale = quick
+"""
+
+
+def test_crash_still_writes_manifest(tmp_path, monkeypatch, capsys):
+    def boom(plan):
+        raise RuntimeError("battery exploded")
+
+    monkeypatch.setattr(cli, "verify_battery", boom)
+    cfg = _write(tmp_path, VERIFY)
+    out = tmp_path / "runs"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    (run_dir,) = _run_dirs(out)
+    assert not os.path.exists(os.path.join(run_dir, "INCOMPLETE"))
+    man = _manifest(run_dir)
+    assert man["status"] == "crashed"
+    (error,) = man["errors"]
+    assert error["type"] == "RuntimeError"
+    assert error["message"] == "battery exploded"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["verify crashed: RuntimeError: battery exploded"]
+
+
+def test_sweep_records_crashed_and_invalid_points(tmp_path, monkeypatch):
+    real = cli.picard_solve
+
+    def flaky(phi, pcfg):
+        if pcfg.m == 8:
+            raise RuntimeError("node count 8 rejected")
+        return real(phi, pcfg)
+
+    monkeypatch.setattr(cli, "picard_solve", flaky)
+    text = PICARD + """
+[sweep]
+command = picard
+picard.m = 4; 8; 1
+"""
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "runs"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    (run_dir,) = _run_dirs(out)
+    man = _manifest(run_dir)
+    assert man["status"] == "failed"
+    exits = {r["overrides"][0]: r["exit"] for r in man["summary"]["runs"]}
+    # m=1 is below the two-node minimum, so that point never starts
+    assert exits == {"picard.m=4": 0, "picard.m=8": 1, "picard.m=1": 2}
+    crashed = [r for r in man["summary"]["runs"] if r["exit"] == 1]
+    sub = _manifest(os.path.join(run_dir, crashed[0]["run"]))
+    assert sub["status"] == "crashed"
+
+
+def test_jobs_only_on_sweep():
+    args = build_parser().parse_args(["sweep", "--config", "x.cfg", "--jobs", "3"])
+    assert args.jobs == 3
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "--config", "x.cfg", "--jobs", "3"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from frnse.grid import (Field, GridSpec, boundary_decay, from_spectral,
                         gaussian_field, h1_norm, inner, l2_norm, laplacian,
-                        lp_norm, make_grid, norm, random_band_limited,
+                        lp_norm, make_grid, random_band_limited,
                         scaled_gaussian, to_spectral, zero_field)
 
 
@@ -75,15 +75,11 @@ def test_parseval(gspec16, rng):
     assert l2_norm(f) == pytest.approx(quadrature, rel=1e-12)
 
 
-def test_norm_dispatch(gspec8, rng):
+def test_lp_norm(gspec8, rng):
     f = random_band_limited(gspec8, rng)
-    assert norm(f) == l2_norm(f)
-    assert norm(f, "H1") == h1_norm(f)
-    assert norm(f, "Lp", p=2.0) == pytest.approx(l2_norm(f), rel=1e-12)
+    assert lp_norm(f, 2.0) == pytest.approx(l2_norm(f), rel=1e-12)
     with pytest.raises(ValueError):
-        norm(f, "Lp", p=0.5)
-    with pytest.raises(ValueError):
-        norm(f, "L3")
+        lp_norm(f, 0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,6 +129,18 @@ def test_scaled_gaussian_targets(gspec32):
     assert h1_norm(g) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValueError):
         scaled_gaussian(gspec32, 0.12, l2_target=1.0, h1_target=1.0)
+
+
+def test_boundary_decay_reads_all_six_faces(gspec32):
+    # one cell off centre toward the index-(n-1) faces: those sit 14 h from
+    # the peak, the index-0 faces 15 h away across the periodic seam
+    h, sigma = gspec32.h, 0.12
+    center = (gspec32.L / 2.0 + h,) * 3
+    f = gaussian_field(gspec32, sigma, center=center)
+    expected = np.exp(-((14 * h) ** 2) / (2.0 * sigma**2))
+    assert boundary_decay(f) == pytest.approx(expected, rel=1e-9)
+    with pytest.warns(UserWarning):
+        scaled_gaussian(gspec32, sigma, center=center, l2_target=1.0)
 
 
 def test_scaled_gaussian_warns_when_cramped():

@@ -6,9 +6,7 @@ import pytest
 
 from frnse.grid import GridSpec, random_band_limited
 from frnse.io import (clear_incomplete, mark_incomplete, read_csv, read_field,
-                      read_kernel_table, write_csv, write_field,
-                      write_kernel_table, write_manifest)
-from frnse.kernel import KernelSpec, default_radius, kernel_table
+                      write_csv, write_field, write_manifest)
 
 
 def test_field_round_trip_bit_exact(tmp_path, gspec8, rng):
@@ -45,16 +43,6 @@ def test_field_payload_length_enforced(tmp_path, gspec8, rng):
         fh.write(blob[:-16])
     with pytest.raises(ValueError):
         read_field(trunc)
-
-
-def test_kernel_table_round_trip(tmp_path, gspec8):
-    kspec = KernelSpec("inner", R=default_radius(1.6), a=0.3)
-    path = str(tmp_path / "k.table")
-    write_kernel_table(path, gspec8, kspec)
-    gspec2, kspec2, table = read_kernel_table(path)
-    assert gspec2 == gspec8
-    assert kspec2 == kspec
-    assert np.array_equal(table, np.asarray(kernel_table(gspec8, kspec)))
 
 
 def test_csv_round_trip_quoting(tmp_path):

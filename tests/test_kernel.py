@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import radial_multiplier_oracle, unit_cube_average
-from frnse.grid import Field, GridSpec, l2_norm, random_band_limited
-from frnse.kernel import (CUBE_AVG, KernelSpec, apply_kernel,
-                          coulomb_multiplier, default_radius,
-                          direct_convolution_oracle, kernel_table,
-                          tail_norm_bound, tail_norm_estimate)
+from conftest import unit_cube_average
+from frnse.grid import Field, l2_norm, random_band_limited
+from frnse.kernel import (CUBE_AVG, KernelSpec, apply_kernel, default_radius,
+                          direct_convolution_oracle, kernel_multiplier,
+                          kernel_table, tail_norm_bound, tail_norm_estimate)
 
 R16 = default_radius(1.6)
 
@@ -30,35 +28,18 @@ def test_cube_average_constant():
     assert CUBE_AVG == pytest.approx(unit_cube_average(), rel=1e-14)
 
 
-def test_multiplier_against_radial_quadrature():
-    full = KernelSpec("full", R=2.8)
-    inner = KernelSpec("inner", R=2.8, a=0.3)
-    tail = KernelSpec("tail", R=2.8, a=0.3)
-    for k in (0.4, 2.0, 9.0):
-        assert coulomb_multiplier(full, np.array(k)) == pytest.approx(
-            radial_multiplier_oracle(k, 0.0, 2.8), rel=1e-7)
-        assert coulomb_multiplier(inner, np.array(k)) == pytest.approx(
-            radial_multiplier_oracle(k, 0.3, 2.8), rel=1e-7)
-        assert coulomb_multiplier(tail, np.array(k)) == pytest.approx(
-            radial_multiplier_oracle(k, 0.0, 0.3), rel=1e-7)
-
-
-def test_multiplier_k_zero_limits():
-    full = KernelSpec("full", R=2.0)
-    inner = KernelSpec("inner", R=2.0, a=0.5)
-    tail = KernelSpec("tail", R=2.0, a=0.5)
-    assert coulomb_multiplier(full, np.array(0.0)) == pytest.approx(2 * np.pi * 4.0)
-    assert coulomb_multiplier(inner, np.array(0.0)) == pytest.approx(
-        2 * np.pi * (4.0 - 0.25))
-    assert coulomb_multiplier(tail, np.array(0.0)) == pytest.approx(2 * np.pi * 0.25)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=1e-6, max_value=80.0))
-def test_full_multiplier_nonnegative(k):
-    # 4 pi (1 - cos kR)/k^2 >= 0 for every wavenumber
-    spec = KernelSpec("full", R=2.8)
-    assert coulomb_multiplier(spec, np.array(k)) >= 0.0
+def test_multiplier_is_real_dft_of_table(gspec8, gspec16):
+    # the table is even modulo 2n, so its DFT is real up to round-off and
+    # the cached multiplier keeps only the real part
+    for gspec in (gspec8, gspec16):
+        for kspec in (KernelSpec("full", R=R16),
+                      KernelSpec("inner", R=R16, a=0.3),
+                      KernelSpec("tail", R=R16, a=0.3)):
+            dft = np.fft.fftn(kernel_table(gspec, kspec))
+            assert np.max(np.abs(dft.imag)) <= 1e-14 * np.max(np.abs(dft.real))
+            mult = kernel_multiplier(gspec, kspec)
+            assert mult.dtype == np.float64 and not mult.flags.writeable
+            assert np.array_equal(mult, dft.real)
 
 
 def test_table_additivity(gspec16):

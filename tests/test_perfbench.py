@@ -1,0 +1,65 @@
+"""Guards for the benchmark's entry points into the package.
+
+perfbench/ drives the real CLI and wraps package functions by name; a name
+that disappears makes its traced metrics read 0 silently, so these tests
+fail loudly instead.
+"""
+
+import ast
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUN = _load_run()
+
+
+@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
+def test_setup_probe_accepts_workload_arguments(name):
+    argv = RUN.seeded_argv(RUN.WORKLOADS[name], 0)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py")] + argv,
+        cwd=ROOT, env=RUN.child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _traced_targets():
+    """TARGETS of perfbench/traced.py, read without importing it."""
+    tree = ast.parse((PERFBENCH / "traced.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "TARGETS":
+            table = node.value
+            break
+    else:
+        raise AssertionError("traced.py defines no TARGETS")
+    for key, value in zip(table.keys, table.values):
+        names = eval(compile(ast.Expression(value), "traced.py", "eval"),
+                     {"SECTIONS": RUN.SECTIONS})
+        yield key.id, names
+
+
+def test_traced_targets_exist():
+    targets = list(_traced_targets())
+    assert targets
+    for module_name, names in targets:
+        module = importlib.import_module(f"frnse.{module_name}")
+        missing = [n for n in names if not callable(getattr(module, n, None))]
+        assert not missing, f"frnse.{module_name} lacks {missing}"
+    # the traced run reads the multiplier cache's hit and miss counts
+    from frnse.kernel import kernel_multiplier
+    assert hasattr(kernel_multiplier, "cache_info")

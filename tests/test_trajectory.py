@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from frnse.grid import GridSpec, random_band_limited, zero_field
-from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
 from frnse.trajectory import (Trajectory, dot_values, norm_law_residuals,
                               sup_h1_distance)
@@ -21,15 +20,6 @@ def test_trajectory_validation(gspec8, rng):
     assert len(traj) == 3
     assert traj.final() is traj.fields[-1]
     assert traj.is_finite()
-
-
-def test_diagnostics_shapes(gspec8, rng, kfull):
-    f = random_band_limited(gspec8, rng)
-    traj = Trajectory([0.0, 1.0], [f, 2.0 * f])
-    t, l2, h1, g1v = traj.diagnostics(kfull)
-    assert len(t) == len(l2) == len(h1) == len(g1v) == 2
-    assert l2[1] == pytest.approx(2.0 * l2[0], rel=1e-12)
-    assert g1v[1] == pytest.approx(16.0 * g1v[0], rel=1e-10)
 
 
 def test_sup_h1_distance(gspec8, rng):
