@@ -11,6 +11,13 @@ so full = inner + tail identically. R must cover the box diameter
 FFT convolution agree with the free-space convolution for sources inside the
 box, with no periodic images.
 
+The padded array is never formed. The apply is a pruned real transform: an
+rfft of length 2n along z over the n^2 nonzero lines, then length-2n ffts
+along y (n planes) and x, a product with the table's real half-spectrum
+(shape (2n, 2n, n+1)), and the inverse steps in reverse order, each one
+cropped back to n. Complex densities are convolved as their real and
+imaginary parts, by linearity.
+
 The discrete operator is defined by a sampled real-space table: cell j gets
 weight h^3 / |d_j| at the centered displacement d_j, and the singular
 self-cell gets the exact cell average of 1/|x| (CUBE_AVG * h^2).  The tail
@@ -132,34 +139,53 @@ def kernel_table(gspec, kspec):
 
 @lru_cache(maxsize=16)
 def kernel_multiplier(gspec, kspec):
-    """DFT of kernel_table (the multiplier the FFT apply path uses).
+    """Real half-spectrum of kernel_table: the multiplier apply_kernel uses.
 
-    The table is even modulo 2n, so its DFT is real: the imaginary part is
-    round-off and is dropped, leaving a read-only float64 array.
+    The table is even modulo 2n, so its DFT is real: the rfftn's imaginary
+    part is round-off and is dropped, leaving a read-only float64 array of
+    shape (2n, 2n, n+1), the z half-spectrum of the full (2n)^3 DFT.
     """
-    mult = np.fft.fftn(kernel_table(gspec, kspec)).real.copy()
+    mult = np.fft.rfftn(kernel_table(gspec, kspec)).real.copy()
     mult.setflags(write=False)
     return mult
+
+
+def _convolve_real(mult, vals):
+    """Zero-padded circular convolution of real (..., n, n, n) arrays.
+
+    Forward: rfft along z over the n^2 lines, fft along y over n planes,
+    fft along x; inverse in reverse order, cropping to n after each step.
+    Every step works in place on one (..., 2n, 2n, n+1) spectrum buffer.
+    """
+    n = vals.shape[-1]
+    N = 2 * n
+    s = np.zeros(vals.shape[:-3] + (N, N, n + 1), dtype=np.complex128)
+    low = s[..., :n, :, :]  # the n x-planes the density occupies
+    np.fft.rfft(vals, n=N, axis=-1, out=low[..., :n, :])
+    np.fft.fft(low, axis=-2, out=low)
+    np.fft.fft(s, axis=-3, out=s)
+    s *= mult
+    np.fft.ifft(s, axis=-3, out=s)
+    np.fft.ifft(low, axis=-2, out=low)
+    return np.fft.irfft(low[..., :n, :], n=N, axis=-1)[..., :n]
 
 
 def apply_kernel(kspec, density):
     """Free-space convolution of the density with the selected kernel.
 
-    Pads the grid 2x per axis, multiplies in Fourier space by the table's
-    DFT, and crops back. Linear in the density; real densities give real
-    output (the round-off imaginary part is dropped).
+    Convolves on the 2x padded grid by the pruned real transform of
+    _convolve_real against kernel_multiplier, without forming the padded
+    array. Linear in the density: a complex density is convolved as its
+    stacked real and imaginary parts in one call; a real density gives
+    real output.
     """
     spec = density.spec
-    n = spec.n
     mult = kernel_multiplier(spec, kspec)
     vals = density.values
-    real_in = bool(np.all(vals.imag == 0.0))
-    padded = np.zeros((2 * n,) * 3, dtype=np.complex128)
-    padded[:n, :n, :n] = vals
-    conv = np.fft.ifftn(np.fft.fftn(padded) * mult)[:n, :n, :n]
-    if real_in:
-        conv = conv.real.astype(np.complex128)
-    return Field(spec, conv)
+    if not np.any(vals.imag):
+        return Field(spec, _convolve_real(mult, vals.real))
+    re, im = _convolve_real(mult, np.stack((vals.real, vals.imag)))
+    return Field(spec, re + 1j * im)
 
 
 def direct_convolution_oracle(kspec, density):

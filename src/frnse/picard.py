@@ -172,14 +172,15 @@ def picard_solve(phi, cfg, init="free"):
     excursion = 0.0
     converged = False
     for _ in range(cfg.max_iter):
-        # overflow on a diverging iterate is expected and reported below
+        # overflow on a diverging iterate (in the map or in the H^1 norms of
+        # a huge but finite one) is expected and reported below
         with np.errstate(over="ignore", invalid="ignore"):
             new = duhamel_map(cur, phi, cfg)
-        if not new.is_finite():
-            raise DivergenceDetected("non-finite field during fixed-point iteration")
-        delta = sup_h1_distance(new.fields, cur.fields)
+            if not new.is_finite():
+                raise DivergenceDetected("non-finite field during fixed-point iteration")
+            delta = sup_h1_distance(new.fields, cur.fields)
+            excursion = max(excursion, sup_h1_distance(new.fields, free_fields))
         increments.append(float(delta))
-        excursion = max(excursion, sup_h1_distance(new.fields, free_fields))
         cur = new
         if delta < cfg.tol:
             converged = True

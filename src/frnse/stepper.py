@@ -124,9 +124,9 @@ class RunReport:
         return self.status == COMPLETED
 
 
-def _diag_row(psi, cfg):
+def _diag_row(psi, h1, cfg):
     pot = potential(psi, cfg.kspec)
-    return l2_norm(psi), h1_norm(psi), _big_g1_value(psi, pot)
+    return l2_norm(psi), h1, _big_g1_value(psi, pot)
 
 
 def evolve(phi, cfg):
@@ -142,7 +142,7 @@ def evolve(phi, cfg):
     if not phi.is_finite():
         raise DivergenceDetected("initial datum is not finite")
     times, l2s, h1s, g1s, dts = [0.0], [], [], [], [0.0]
-    l2v, h1v, g1v = _diag_row(phi, cfg)
+    l2v, h1v, g1v = _diag_row(phi, h1_norm(phi), cfg)
     l2s.append(l2v)
     h1s.append(h1v)
     g1s.append(g1v)
@@ -182,7 +182,8 @@ def evolve(phi, cfg):
             # overflow inside a rejected trial step is expected and handled
             with np.errstate(over="ignore", invalid="ignore"):
                 cand = ifrk4_step(cur, step, cfg)
-            ok = h1_norm(cand) <= cfg.h1_cap
+            cand_h1 = h1_norm(cand)
+            ok = cand_h1 <= cfg.h1_cap
         except DivergenceDetected:
             if step / 2.0 < cfg.dt_min:
                 raise
@@ -199,7 +200,7 @@ def evolve(phi, cfg):
         steps += 1
         times.append(t)
         dts.append(step)
-        l2v, h1v, g1v = _diag_row(cur, cfg)
+        l2v, h1v, g1v = _diag_row(cur, cand_h1, cfg)
         l2s.append(l2v)
         h1s.append(h1v)
         g1s.append(g1v)

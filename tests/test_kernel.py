@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_cube_average
-from frnse.grid import Field, l2_norm, random_band_limited
+from frnse.grid import Field, GridSpec, l2_norm, random_band_limited
 from frnse.kernel import (CUBE_AVG, KernelSpec, apply_kernel, default_radius,
                           direct_convolution_oracle, kernel_multiplier,
                           kernel_table, tail_norm_bound, tail_norm_estimate)
@@ -30,16 +30,21 @@ def test_cube_average_constant():
 
 def test_multiplier_is_real_dft_of_table(gspec8, gspec16):
     # the table is even modulo 2n, so its DFT is real up to round-off and
-    # the cached multiplier keeps only the real part
+    # the cached multiplier keeps only the real part of the z half-spectrum
     for gspec in (gspec8, gspec16):
+        n = gspec.n
         for kspec in (KernelSpec("full", R=R16),
                       KernelSpec("inner", R=R16, a=0.3),
                       KernelSpec("tail", R=R16, a=0.3)):
-            dft = np.fft.fftn(kernel_table(gspec, kspec))
+            table = kernel_table(gspec, kspec)
+            dft = np.fft.fftn(table)
             assert np.max(np.abs(dft.imag)) <= 1e-14 * np.max(np.abs(dft.real))
             mult = kernel_multiplier(gspec, kspec)
+            assert mult.shape == (2 * n, 2 * n, n + 1)
             assert mult.dtype == np.float64 and not mult.flags.writeable
-            assert np.array_equal(mult, dft.real)
+            assert np.array_equal(mult, np.fft.rfftn(table).real)
+            half = dft.real[..., :n + 1]
+            assert np.max(np.abs(mult - half)) <= 1e-14 * np.max(np.abs(half))
 
 
 def test_table_additivity(gspec16):
@@ -100,6 +105,38 @@ def test_apply_matches_direct_oracle(gspec8, rng):
         slow = direct_convolution_oracle(kspec, dens)
         rel = l2_norm(fast - slow) / l2_norm(slow)
         assert rel < 1e-10
+
+
+def _padded_reference(gspec, kspec, values):
+    # the unpruned apply: full complex DFT of the 2x zero-padded density
+    # times the full real DFT of the table, cropped back to n
+    n = gspec.n
+    padded = np.zeros((2 * n,) * 3, dtype=np.complex128)
+    padded[:n, :n, :n] = values
+    mult = np.fft.fftn(kernel_table(gspec, kspec)).real
+    return np.fft.ifftn(np.fft.fftn(padded) * mult)[:n, :n, :n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 16])
+def test_pruned_apply_matches_padded_reference(n, rng):
+    gspec = GridSpec(n, 1.6)
+    # tail: the self cell and its 6 face neighbours; inner: everything beyond
+    a = 1.2 * gspec.h
+    re = rng.standard_normal((n, n, n))
+    im = rng.standard_normal((n, n, n))
+    for kspec in (KernelSpec("full", R=R16),
+                  KernelSpec("inner", R=R16, a=a),
+                  KernelSpec("tail", R=R16, a=a)):
+        for values in (re, re + 1j * im):
+            ref = _padded_reference(gspec, kspec, values)
+            out = apply_kernel(kspec, Field(gspec, values)).values
+            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+        # linearity: the complex apply is the real apply of re and im
+        out_re = apply_kernel(kspec, Field(gspec, re)).values
+        out_im = apply_kernel(kspec, Field(gspec, im)).values
+        assert not np.any(out_re.imag) and not np.any(out_im.imag)
+        out = apply_kernel(kspec, Field(gspec, re + 1j * im)).values
+        assert np.array_equal(out, out_re + 1j * out_im)
 
 
 def test_apply_real_and_positive(gspec16, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import warnings
 
-from frnse.errors import NonConvergence
+from frnse.errors import DivergenceDetected, NonConvergence
 from frnse.grid import GridSpec, h1_norm, scaled_gaussian, random_band_limited
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
@@ -147,6 +147,20 @@ def test_nonconvergence_carries_report(gspec8, kfull):
     assert report.iterations == 2
     with pytest.raises(ValueError):
         contraction_report(report)  # too few increments to fit
+
+
+def test_divergence_raises_without_overflow_warnings(gspec8, kfull):
+    # a huge but finite iterate overflows in the H^1 distances before the
+    # next map goes non-finite; only DivergenceDetected may reach the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec8, 0.15, h1_target=0.5)
+    cfg = PicardConfig(T=0.25, m=4, kspec=kfull, params=PhysParams(1.0, 1000.0),
+                       quad="trapezoid", max_iter=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceDetected):
+            picard_solve(phi, cfg)
 
 
 def test_contraction_report_shape(gspec16, kfull):

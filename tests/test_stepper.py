@@ -67,6 +67,9 @@ def test_evolve_diagnostics_aligned(gspec8, kfull):
     assert rep.times[-1] == pytest.approx(0.05, abs=1e-12)
     # snapshots: node 0, every 3rd accepted step, and the final state
     assert np.allclose(traj.times, [0.0, 0.015, 0.03, 0.045, 0.05])
+    # the recorded H^1 series is the norm of each accepted state, bitwise
+    assert np.array_equal(rep.h1[[0, 3, 6, 9, 10]],
+                          [h1_norm(f) for f in traj.fields])
 
 
 def test_evolve_free_case_matches_propagator(gspec8, rng, kfull):
