@@ -10,6 +10,7 @@ and serves as the battery's negative control.
 import filecmp
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from frnse.experiments import (VerifyPlan, contraction_rows,
                                oracle_equivalence_rows, propagator_rows,
                                truncation_convergence, verify_battery)
 from frnse.grid import GridSpec, random_band_limited, scaled_gaussian
-from frnse.io import read_field, write_csv, write_field
+from frnse.io import read_csv, read_field, write_csv, write_field
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
 from frnse.picard import PicardConfig, picard_solve
@@ -32,6 +33,7 @@ G16 = GridSpec(16, 1.6)
 KFULL = KernelSpec("full", R=default_radius(1.6))
 PARAMS = PhysParams(1.0, 1.0)
 SMOOTH = PhysParams(0.05, 1.0)
+GOLDEN = Path(__file__).resolve().parent / "data" / "verify_quick_golden.csv"
 
 
 def _verdict(num, name, ok, detail=""):
@@ -160,11 +162,20 @@ def test_criterion_09c_g1_ratio_stability():
              "homogeneous growth", bool(g1_rows) and all(r.passed for r in g1_rows))
 
 
-def test_criterion_10_determinism(tmp_path):
+def _quick_battery():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r1 = verify_battery(VerifyPlan.default().quick())
-        r2 = verify_battery(VerifyPlan.default().quick())
+        return verify_battery(VerifyPlan.default().quick())
+
+
+@pytest.fixture(scope="module")
+def quick_battery():
+    """One quick battery run, shared by criterion 10 and the drift guard."""
+    return _quick_battery()
+
+
+def test_criterion_10_determinism(tmp_path, quick_battery):
+    r1, r2 = quick_battery, _quick_battery()
     dirs = [tmp_path / "one", tmp_path / "two"]
     for d, res in zip(dirs, (r1, r2)):
         os.makedirs(d)
@@ -184,3 +195,25 @@ def test_criterion_10_determinism(tmp_path):
     _verdict("10", "verify battery byte-deterministic and snapshots "
              "round-trip bit-exactly", same and round_trip,
              f"{len(names)} tables compared")
+
+
+def test_quick_verify_drift_guard(quick_battery):
+    # every quick-verify row against the values the battery measured before
+    # the solver core moved to spectral space; verdicts must not change and
+    # measured values may move by round-off only
+    header, golden = read_csv(str(GOLDEN))
+    col = {name: j for j, name in enumerate(header)}
+    rows = quick_battery.rows
+    assert [r.check for r in rows] == [g[col["check"]] for g in golden]
+    moved = []
+    for r, g in zip(rows, golden):
+        assert r.passed == (g[col["passed"]] == "true"), r.check
+        if r.check == "picard-ratios-decreasing":
+            # a ratio of successive increments that reach the 1e-13 floor:
+            # any reordering of round-off moves it by percents, so only its
+            # verdict is pinned
+            continue
+        want = float(g[col["measured"]])
+        if not abs(r.measured - want) <= 1e-5 * abs(want) + 1e-12:
+            moved.append(f"{r.check}: {r.measured!r} vs golden {want!r}")
+    assert not moved, "; ".join(moved)
