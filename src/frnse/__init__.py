@@ -13,7 +13,7 @@ from .kernel import (KernelSpec, apply_kernel, default_radius,
                      tail_norm_estimate)
 from .nonlinear import (PhysParams, big_g1, density, g1, g2, lipschitz_growth,
                         lipschitz_probe, nonlinear_part, potential, rhs)
-from .propagate import free_evolve, free_gaussian_exact, free_trajectory
+from .propagate import free_evolve, free_gaussian_exact
 from .trajectory import Trajectory, norm_law_residuals, sup_h1_distance
 from .picard import (ContractionReport, ConvergenceReport, PicardConfig,
                      contraction_report, duhamel_map, picard_solve)

@@ -391,6 +391,15 @@ def parse_config(text, overrides=()):
             _constraint(issues, exp_l.get("seed", 0), "experiment.seed must be >= 0")
         if exp_v["samples"] is not None and exp_v["samples"] < 50:
             _constraint(issues, exp_l.get("samples", 0), "experiment.samples must be >= 50")
+        if exp_v["p"] is not None and exp_v["p"] <= 1:
+            _constraint(issues, exp_l.get("p", 0), "experiment.p must be > 1")
+        if exp_v["a_list"] is not None and min(exp_v["a_list"]) <= 0:
+            _constraint(issues, exp_l.get("a_list", 0),
+                        "experiment.a_list entries must be positive")
+        deltas = exp_v["deltas"]
+        if deltas is not None and any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+            _constraint(issues, exp_l.get("deltas", 0),
+                        "experiment.deltas must be strictly decreasing")
         experiment = ExperimentSection(
             battery=exp_v["battery"], seed=exp_v["seed"], samples=exp_v["samples"],
             pairs=exp_v["pairs"], scale=exp_v["scale"], a_list=exp_v["a_list"],

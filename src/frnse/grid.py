@@ -125,12 +125,16 @@ def l2_norm(f):
     return float(np.sqrt(f.spec.h**3 * np.sum(np.abs(f.values) ** 2)))
 
 
+def spectral_h1_norm(spec, coeffs):
+    """H1 norm of the field with spectral coefficients coeffs, by Parseval."""
+    ksq = make_grid(spec).ksq
+    return float(np.sqrt(spec.volume * np.sum((1.0 + ksq) * np.abs(coeffs) ** 2)))
+
+
 def h1_norm(f):
     """Grid H1 norm with the spectral gradient,
     ||f||_H1^2 = ||f||_L2^2 + ||grad f||_L2^2."""
-    g = make_grid(f.spec)
-    coeffs = to_spectral(f)
-    return float(np.sqrt(f.spec.volume * np.sum((1.0 + g.ksq) * np.abs(coeffs) ** 2)))
+    return spectral_h1_norm(f.spec, to_spectral(f))
 
 
 def lp_norm(f, p):

@@ -95,6 +95,15 @@ def g2(psi, kspec):
     return big_g1(psi, kspec) * psi
 
 
+def _nonlinear_and_g1(psi, params, kspec):
+    """nonlinear_part(psi) and G1(psi) from one kernel application, which is
+    made even when alpha2 = 0."""
+    pot = potential(psi, kspec)
+    g1v = _big_g1_value(psi, pot)
+    v = psi.values
+    return Field(psi.spec, params.alpha2 * (v * pot.values - g1v * v)), g1v
+
+
 def nonlinear_part(psi, params, kspec):
     """alpha2*(g1(psi) - g2(psi)) with a single kernel application.
 
@@ -103,10 +112,7 @@ def nonlinear_part(psi, params, kspec):
     """
     if params.alpha2 == 0.0:
         return Field(psi.spec, np.zeros_like(psi.values))
-    pot = potential(psi, kspec)
-    g1v = _big_g1_value(psi, pot)
-    v = psi.values
-    return Field(psi.spec, params.alpha2 * (v * pot.values - g1v * v))
+    return _nonlinear_and_g1(psi, params, kspec)[0]
 
 
 def rhs(psi, params, kspec):

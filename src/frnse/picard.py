@@ -11,10 +11,13 @@ Iterating this map from the free trajectory converges, for small horizons,
 at the super-geometric rate delta_k ~ (C T)^k / k!; contraction_report fits
 C from successive increments and checks the factorial envelope.
 
-All integrals are computed in the interaction picture: the integrand is
-pulled back to s = 0 (W(s) = e^{-i a1 s Lap} N(psi(s))), prefix-integrated
-once per node, then pushed forward, so each node costs two propagator
-applications regardless of m.
+The iteration runs in the interaction picture, on the spectral coefficients
+U_j = to_spectral(e^{-i a1 t_j Lap} psi_j), where the map reads
+U_j -> phi_hat + integral_0^{t_j} e^{-i a1 s Lap} N(psi(s)) ds and the free
+trajectory is phi_hat at every node. A map costs each node two transforms
+(to psi_j and back) and one phase, regardless of m. The propagator is
+unitary, so both sup-node H^1 distances are Parseval sums on coefficients
+in hand; a Trajectory is built once, when the solve returns.
 """
 
 import math
@@ -24,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, NonConvergence
-from .grid import Field, h1_norm, zero_field
+from .grid import from_spectral, spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
 from .nonlinear import PhysParams, nonlinear_part
-from .propagate import free_evolve, free_trajectory
-from .trajectory import Trajectory, sup_h1_distance
+from .propagate import free_phase
+from .trajectory import Trajectory
 
 QUAD_RULES = ("trapezoid", "simpson")
 
@@ -94,31 +97,30 @@ def _prefix_integrals(W, dt, quad):
     return P
 
 
-def duhamel_map(traj, phi, cfg):
-    """One application of the Duhamel map to a trajectory.
+def duhamel_map(spec, coeffs, phi_hat, cfg):
+    """One application of the Duhamel map in the interaction picture.
 
-    Node 0 of the output is phi itself (zero integral, identity propagator).
-    With alpha2 = 0 the integrand vanishes and the output is the free
-    trajectory of phi regardless of the input.
+    coeffs holds the m+1 node coefficients U_j and phi_hat the coefficients
+    of the initial datum; returns the m+1 coefficients of the image. Node 0
+    of the image is phi_hat plus a zero integral.
     """
-    times = cfg.times
-    if len(traj) != cfg.m + 1 or not np.allclose(traj.times, times, atol=1e-12):
-        raise ValueError("trajectory nodes do not match the configuration")
-    if phi.spec != traj.spec:
-        raise ValueError("grid mismatch between phi and trajectory")
+    if len(coeffs) != cfg.m + 1:
+        raise ValueError("node count does not match the configuration")
     a1 = cfg.params.alpha1
-    if cfg.params.alpha2 == 0.0:
-        return Trajectory(times, free_trajectory(phi, times, a1))
-    W = [
-        free_evolve(nonlinear_part(f, cfg.params, cfg.kspec), -t, a1).values
-        for t, f in zip(times, traj.fields)
-    ]
+    W = []
+    for t, u in zip(cfg.times, coeffs):
+        e = free_phase(spec, t, a1)
+        psi = from_spectral(spec, u * e)
+        W.append(to_spectral(nonlinear_part(psi, cfg.params, cfg.kspec)) * e.conj())
     P = _prefix_integrals(W, cfg.T / cfg.m, cfg.quad)
-    out = [
-        free_evolve(Field(phi.spec, phi.values + Pj), t, a1)
-        for t, Pj in zip(times, P)
-    ]
-    return Trajectory(times, out)
+    for p in P:
+        p += phi_hat
+    return P
+
+
+def _sup_h1_distance(spec, coeffs_a, coeffs_b):
+    """Sup-node H^1 distance of two coefficient lists, by Parseval."""
+    return max(spectral_h1_norm(spec, a - b) for a, b in zip(coeffs_a, coeffs_b))
 
 
 @dataclass(frozen=True)
@@ -146,40 +148,40 @@ def picard_solve(phi, cfg, init="free"):
 
     init: "free" (default) starts from the free trajectory of phi — the
     center of the contraction ball; "zero" starts from the zero trajectory;
-    a Trajectory instance is used as given.
+    a Trajectory on the configuration's nodes is used as given.
 
-    Returns (trajectory, report). Raises NonConvergence (with the report
-    attached) when max_iter is exhausted with the increment still above tol
-    — the standard signal that the horizon T is too large for contraction —
-    and DivergenceDetected on NaN/overflow.
+    Returns (trajectory, report); node 0 of the trajectory is phi itself.
+    Raises NonConvergence (with the report attached) when max_iter is
+    exhausted with the increment still above tol — the standard signal that
+    the horizon T is too large for contraction — and DivergenceDetected on
+    NaN/overflow.
     """
-    times = cfg.times
-    a1 = cfg.params.alpha1
-    free_fields = free_trajectory(phi, times, a1)
+    spec, times, a1 = phi.spec, cfg.times, cfg.params.alpha1
+    phi_hat = to_spectral(phi)
     if isinstance(init, Trajectory):
-        cur = init
-        if len(cur) != cfg.m + 1 or cur.spec != phi.spec:
+        if (len(init) != cfg.m + 1 or init.spec != spec
+                or not np.allclose(init.times, times, atol=1e-12)):
             raise ValueError("given initializer does not match the configuration")
+        cur = [to_spectral(f) * free_phase(spec, -t, a1)
+               for t, f in zip(times, init.fields)]
     elif init == "free":
-        cur = Trajectory(times, free_fields)
+        cur = [phi_hat] * len(times)
     elif init == "zero":
-        cur = Trajectory(times, [zero_field(phi.spec) for _ in times])
+        cur = [np.zeros_like(phi_hat)] * len(times)
     else:
         raise ValueError(f"unknown initializer {init!r}")
 
-    phi_h1 = h1_norm(phi)
-    increments = []
-    excursion = 0.0
-    converged = False
+    phi_h1 = spectral_h1_norm(spec, phi_hat)
+    increments, excursion, converged = [], 0.0, False
     for _ in range(cfg.max_iter):
         # overflow on a diverging iterate (in the map or in the H^1 norms of
         # a huge but finite one) is expected and reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            new = duhamel_map(cur, phi, cfg)
-            if not new.is_finite():
+            new = duhamel_map(spec, cur, phi_hat, cfg)
+            if not all(np.isfinite(u).all() for u in new):
                 raise DivergenceDetected("non-finite field during fixed-point iteration")
-            delta = sup_h1_distance(new.fields, cur.fields)
-            excursion = max(excursion, sup_h1_distance(new.fields, free_fields))
+            delta = _sup_h1_distance(spec, new, cur)
+            excursion = max(excursion, _sup_h1_distance(spec, new, [phi_hat] * len(new)))
         increments.append(float(delta))
         cur = new
         if delta < cfg.tol:
@@ -194,7 +196,7 @@ def picard_solve(phi, cfg, init="free"):
             stacklevel=2,
         )
     if converged:
-        residual = float(sup_h1_distance(duhamel_map(cur, phi, cfg).fields, cur.fields))
+        residual = _sup_h1_distance(spec, duhamel_map(spec, cur, phi_hat, cfg), cur)
     else:
         residual = increments[-1]
     report = ConvergenceReport(
@@ -202,7 +204,7 @@ def picard_solve(phi, cfg, init="free"):
         residual=residual,
         converged=converged,
         iterations=len(increments),
-        phi_h1=float(phi_h1),
+        phi_h1=phi_h1,
         ball_excursion=float(excursion),
         left_ball=left_ball,
         T=cfg.T,
@@ -213,7 +215,9 @@ def picard_solve(phi, cfg, init="free"):
             f"{cfg.max_iter} iterations; horizon T={cfg.T} too large for contraction?",
             report=report,
         )
-    return cur, report
+    fields = [phi] + [from_spectral(spec, u * free_phase(spec, t, a1))
+                      for t, u in zip(times[1:], cur[1:])]
+    return Trajectory(times, fields), report
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ import numpy as np
 from .grid import Field, from_spectral, make_grid, min_image_r2, to_spectral
 
 
+def free_phase(spec, t, alpha1):
+    """The spectral multiplier exp(-i alpha1 t |k|^2) of e^{i alpha1 t Lap}."""
+    return np.exp(-1j * alpha1 * t * make_grid(spec).ksq)
+
+
 def free_evolve(psi, t, alpha1):
     """Evolve psi for time t under the free equation (t may be negative).
 
@@ -19,14 +24,7 @@ def free_evolve(psi, t, alpha1):
     """
     if t == 0.0:
         return psi
-    g = make_grid(psi.spec)
-    mult = np.exp(-1j * alpha1 * t * g.ksq)
-    return from_spectral(psi.spec, to_spectral(psi) * mult)
-
-
-def free_trajectory(phi, times, alpha1):
-    """Free evolution of phi sampled at the given times."""
-    return [free_evolve(phi, float(t), alpha1) for t in times]
+    return from_spectral(psi.spec, to_spectral(psi) * free_phase(psi.spec, t, alpha1))
 
 
 def free_gaussian_exact(spec, sigma, t, alpha1):

@@ -6,6 +6,11 @@ linear part; classical RK4 on u gives fourth-order steps that reduce
 *exactly* to the free propagator when alpha2 = 0 (the exp(-i a1 |k|^2 dt)
 multiplier is computed directly, not squared from the half step).
 
+Stepping is first same as last: the potential of each accepted state is
+computed once and gives both its G1 diagnostic and the first stage of the
+step that leaves it, so a run without rejections makes 1 + 4 * steps
+kernel applications.
+
 Blow-up is operationalized as a monitor: when the H^1 norm of a candidate
 step exceeds h1_cap the step is rejected and dt halved; hitting dt_min with
 the cap still exceeded ends the run with status "BlowupSuspected" and an
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected
-from .grid import Field, h1_norm, l2_norm, make_grid, to_spectral
+from .grid import from_spectral, h1_norm, l2_norm, to_spectral
 from .kernel import KernelSpec
-from .nonlinear import PhysParams, _big_g1_value, nonlinear_part, potential
+from .nonlinear import PhysParams, _nonlinear_and_g1, nonlinear_part
+from .propagate import free_phase
 from .trajectory import Trajectory, norm_law_residuals
 
 COMPLETED = "Completed"
@@ -55,45 +61,34 @@ class StepConfig:
         object.__setattr__(self, "T", float(self.T))
 
 
-def ifrk4_step(psi, dt, cfg):
-    """One integrating-factor RK4 step of size dt.
+def ifrk4_step(psi, dt, cfg, first):
+    """One integrating-factor RK4 step of size dt from psi.
 
-    RK4 stage derivatives of u(t) = e^{-i a1 t Lap} psi(t) are evaluated by
-    pushing each stage back to the physical variable; only four nonlinearity
-    evaluations and a handful of diagonal multipliers are needed. Raises
-    DivergenceDetected if the result is not finite.
+    first is the first stage nonlinear_part(psi); evolve computes it once
+    per accepted state, together with that state's G1, and reuses it when a
+    step is rejected and retried. The other RK4 stage derivatives of
+    u(t) = e^{-i a1 t Lap} psi(t) are evaluated by pushing each stage back
+    to the physical variable: three more nonlinearity evaluations and a
+    handful of diagonal multipliers. Raises DivergenceDetected if the
+    result is not finite.
     """
     spec = psi.spec
-    g = make_grid(spec)
     a1 = cfg.params.alpha1
-    e = np.exp(-1j * a1 * (dt / 2.0) * g.ksq)
-    e2 = np.exp(-1j * a1 * dt * g.ksq)
-    n3 = spec.n**3
+    e = free_phase(spec, dt / 2.0, a1)
+    e2 = free_phase(spec, dt, a1)
 
-    def to_k(values):
-        return np.fft.fftn(values) / n3
-
-    def to_x(coeffs):
-        return np.fft.ifftn(coeffs) * n3
-
-    def N(values):
-        return nonlinear_part(Field(spec, values), cfg.params, cfg.kspec).values
+    def stage(coeffs):
+        state = from_spectral(spec, coeffs)
+        return to_spectral(nonlinear_part(state, cfg.params, cfg.kspec))
 
     psi_k = to_spectral(psi)
-    na = N(psi.values)
-    na_k = to_k(na)
-    psi2 = to_x((psi_k + (dt / 2.0) * na_k) * e)
-    nb = N(psi2)
-    nb_k = to_k(nb)
-    psi3 = to_x(psi_k * e + (dt / 2.0) * nb_k)
-    nc = N(psi3)
-    nc_k = to_k(nc)
-    psi4 = to_x(psi_k * e2 + dt * (nc_k * e))
-    nd = N(psi4)
-    nd_k = to_k(nd)
+    na_k = to_spectral(first)
+    nb_k = stage((psi_k + (dt / 2.0) * na_k) * e)
+    nc_k = stage(psi_k * e + (dt / 2.0) * nb_k)
+    nd_k = stage(psi_k * e2 + dt * (nc_k * e))
     # operand order matches free_evolve so the alpha2 = 0 case is bitwise free
     out_k = psi_k * e2 + (dt / 6.0) * (na_k * e2 + 2.0 * (nb_k * e) + 2.0 * (nc_k * e) + nd_k)
-    out = Field(spec, to_x(out_k))
+    out = from_spectral(spec, out_k)
     if not out.is_finite():
         raise DivergenceDetected(f"non-finite field after step dt={dt}")
     return out
@@ -124,11 +119,6 @@ class RunReport:
         return self.status == COMPLETED
 
 
-def _diag_row(psi, h1, cfg):
-    pot = potential(psi, cfg.kspec)
-    return l2_norm(psi), h1, _big_g1_value(psi, pot)
-
-
 def evolve(phi, cfg):
     """Step from 0 to T, recording diagnostics every step.
 
@@ -141,11 +131,9 @@ def evolve(phi, cfg):
     """
     if not phi.is_finite():
         raise DivergenceDetected("initial datum is not finite")
-    times, l2s, h1s, g1s, dts = [0.0], [], [], [], [0.0]
-    l2v, h1v, g1v = _diag_row(phi, h1_norm(phi), cfg)
-    l2s.append(l2v)
-    h1s.append(h1v)
-    g1s.append(g1v)
+    first, g1v = _nonlinear_and_g1(phi, cfg.params, cfg.kspec)
+    h1v = h1_norm(phi)
+    times, l2s, h1s, g1s, dts = [0.0], [l2_norm(phi)], [h1v], [g1v], [0.0]
     snap_times, snap_fields = [0.0], [phi]
 
     def report(status, escape_time, steps, rejections):
@@ -181,7 +169,7 @@ def evolve(phi, cfg):
         try:
             # overflow inside a rejected trial step is expected and handled
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = ifrk4_step(cur, step, cfg)
+                cand = ifrk4_step(cur, step, cfg, first)
             cand_h1 = h1_norm(cand)
             ok = cand_h1 <= cfg.h1_cap
         except DivergenceDetected:
@@ -200,9 +188,9 @@ def evolve(phi, cfg):
         steps += 1
         times.append(t)
         dts.append(step)
-        l2v, h1v, g1v = _diag_row(cur, cand_h1, cfg)
-        l2s.append(l2v)
-        h1s.append(h1v)
+        first, g1v = _nonlinear_and_g1(cur, cfg.params, cfg.kspec)
+        l2s.append(l2_norm(cur))
+        h1s.append(cand_h1)
         g1s.append(g1v)
         if steps % cfg.snapshot_every == 0:
             snap_times.append(t)

@@ -45,9 +45,6 @@ class Trajectory:
     def final(self):
         return self.fields[-1]
 
-    def is_finite(self):
-        return all(f.is_finite() for f in self.fields)
-
 
 def sup_h1_distance(fields_a, fields_b):
     """max over nodes of ||a_j - b_j||_H1 (the discretized X-norm distance)."""

@@ -29,6 +29,9 @@ m = 4
 quad = trapezoid
 """
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+
 SOLVE = BASE + """
 [stepper]
 T = 0.02
@@ -95,6 +98,19 @@ def test_config_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "alpha1" in err
+
+
+@pytest.mark.parametrize("command, config, override", [
+    ("kernel-norms", "kernel-norms.cfg", "experiment.p=1"),
+    ("kernel-norms", "kernel-norms.cfg", "experiment.a_list=0.4,-0.2"),
+    ("verify", "verify-quick.cfg", "experiment.deltas=0.01,0.02"),
+])
+def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
+    path = os.path.join(CONFIGS, config)
+    out = tmp_path / "r"
+    assert main([command, "--config", path, "--set", override, "--out", str(out)]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run directory exists
 
 
 def test_missing_required_section_exits_2(tmp_path, capsys):

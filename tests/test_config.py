@@ -44,6 +44,22 @@ def test_constraint_violation_cites_key():
     assert any("alpha1" in i.message for i in err.value.issues)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("p = 1", "experiment.p"),
+    ("a_list = 0.4, -0.2", "experiment.a_list"),
+    ("deltas = 0.01, 0.02", "experiment.deltas"),
+])
+def test_bad_experiment_value_cites_line(line, key):
+    # each of these crashed the command that reads it, after the run began
+    text = MINIMAL + "\n[experiment]\n" + line + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (issue,) = err.value.issues
+    assert issue.kind == "constraint"
+    assert key in issue.message
+    assert issue.line == text.splitlines().index(line) + 1
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "\n[grid]\nn = 32\n")

@@ -8,6 +8,7 @@ fail loudly instead.
 import ast
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,52 @@ def test_traced_targets_exist():
     # the traced run reads the multiplier cache's hit and miss counts
     from frnse.kernel import kernel_multiplier
     assert hasattr(kernel_multiplier, "cache_info")
+
+
+TINY = """
+[grid]
+n = 8
+L = 1.6
+
+[physics]
+alpha1 = 1.0
+alpha2 = 1.0
+
+[initial]
+type = gaussian
+sigma = 0.15
+h1_norm = 0.4
+
+[picard]
+T = 0.2
+m = 4
+quad = trapezoid
+
+[stepper]
+T = 0.01
+dt = 5e-3
+"""
+
+SHARED = ("nonlinear.nonlinear_part", "kernel.apply_kernel", "grid.to_spectral")
+
+
+@pytest.mark.parametrize("command, names", [
+    ("picard", ("picard.picard_solve", "picard.duhamel_map") + SHARED),
+    ("solve", ("stepper.evolve", "stepper.ifrk4_step") + SHARED),
+])
+def test_traced_run_records_hot_path(tmp_path, command, names):
+    # a solver refactor that routes around a traced name must fail here
+    # rather than read 0 in the benchmark's per-layer metrics
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY, encoding="utf-8")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced.py"), str(spans), "--", command,
+         "--config", str(cfg), "--out", str(tmp_path / "runs")],
+        cwd=ROOT, env=RUN.child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    recorded = {trace["names"][span[0]] for span in trace["spans"]}
+    missing = [n for n in names if n not in recorded]
+    assert not missing, f"{command} recorded no span for {missing}"

@@ -3,7 +3,8 @@ import pytest
 import warnings
 
 from frnse.errors import DivergenceDetected, NonConvergence
-from frnse.grid import GridSpec, h1_norm, scaled_gaussian, random_band_limited
+from frnse.grid import (GridSpec, h1_norm, random_band_limited, scaled_gaussian,
+                        to_spectral)
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
 from frnse.picard import (PicardConfig, _prefix_integrals, contraction_report,
@@ -77,31 +78,47 @@ def test_simpson_fourth_order_convergence():
 
 
 def test_duhamel_free_case(gspec8, rng, kfull):
+    # with alpha2 = 0 the integrand vanishes: whatever the input, the image
+    # is phi_hat at every node, i.e. the free trajectory of phi
     phi = random_band_limited(gspec8, rng)
     cfg = PicardConfig(T=0.4, m=4, kspec=kfull, params=PhysParams(1.0, 0.0))
-    start = Trajectory(cfg.times, [phi for _ in cfg.times])
-    out = duhamel_map(start, phi, cfg)
-    for t, f in zip(out.times, out.fields):
+    phi_hat = to_spectral(phi)
+    start = [to_spectral(random_band_limited(gspec8, rng)) for _ in cfg.times]
+    for u in duhamel_map(gspec8, start, phi_hat, cfg):
+        assert np.array_equal(u, phi_hat)
+    traj, _ = picard_solve(phi, cfg, init="zero")
+    for t, f in zip(traj.times, traj.fields):
         ref = free_evolve(phi, float(t), 1.0)
         assert np.max(np.abs(f.values - ref.values)) < 1e-14
 
 
 def test_duhamel_node_zero_is_phi(gspec8, rng, kfull):
     phi = random_band_limited(gspec8, rng)
+    phi = phi * (0.3 / h1_norm(phi))  # inside the contraction regime
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
-    start = Trajectory(cfg.times, [free_evolve(phi, float(t), 1.0)
-                                   for t in cfg.times])
-    out = duhamel_map(start, phi, cfg)
-    assert np.array_equal(out.fields[0].values, phi.values)
-    assert np.allclose(out.times, cfg.times)
+    phi_hat = to_spectral(phi)
+    out = duhamel_map(gspec8, [phi_hat] * (cfg.m + 1), phi_hat, cfg)
+    assert len(out) == cfg.m + 1
+    assert np.array_equal(out[0], phi_hat)
+    traj, _ = picard_solve(phi, cfg)
+    assert traj.fields[0] is phi
+    assert np.allclose(traj.times, cfg.times)
 
 
 def test_duhamel_validates_nodes(gspec8, rng, kfull):
     phi = random_band_limited(gspec8, rng)
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
-    wrong = Trajectory([0.0, 0.1], [phi, phi])
+    phi_hat = to_spectral(phi)
     with pytest.raises(ValueError):
-        duhamel_map(wrong, phi, cfg)
+        duhamel_map(gspec8, [phi_hat, phi_hat], phi_hat, cfg)
+
+
+def test_picard_init_trajectory_at_wrong_times(gspec8, rng, kfull):
+    phi = random_band_limited(gspec8, rng)
+    cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
+    shifted = Trajectory(cfg.times + 0.01, [phi for _ in cfg.times])
+    with pytest.raises(ValueError):
+        picard_solve(phi, cfg, init=shifted)
 
 
 def test_picard_converges_small_data(gspec16, kfull):
@@ -132,6 +149,25 @@ def test_picard_init_variants_agree(gspec8, kfull):
     assert sup_h1_distance(t3.fields, t1.fields) < 1e-10
     with pytest.raises(ValueError):
         picard_solve(phi, cfg, init="bogus")
+
+
+def test_picard_transform_counts(gspec8, kfull, monkeypatch):
+    # each map sends every node through one inverse and one forward n^3
+    # transform; phi is transformed once and nodes 1..m once more on return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
+    cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0),
+                       quad="trapezoid", tol=1e-12, max_iter=40)
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    _, report = picard_solve(phi, cfg)
+    maps, nodes = report.iterations + 1, cfg.m + 1
+    assert calls == {"fftn": 1 + maps * nodes, "ifftn": maps * nodes + cfg.m}
 
 
 def test_nonconvergence_carries_report(gspec8, kfull):

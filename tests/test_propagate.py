@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from frnse.grid import (GridSpec, gaussian_field, h1_norm, l2_norm, make_grid,
                         random_band_limited, Field)
-from frnse.propagate import free_evolve, free_gaussian_exact, free_trajectory
+from frnse.propagate import free_evolve, free_gaussian_exact
 
 
 def test_zero_time_is_identity(gspec16, rng):
@@ -63,13 +63,3 @@ def test_gaussian_exact_at_zero(gspec32):
     ref = free_gaussian_exact(gspec32, 0.12, 0.0, 1.0)
     phi = gaussian_field(gspec32, 0.12)
     assert np.max(np.abs(ref.values - phi.values)) < 1e-14
-
-
-def test_trajectory_sampling(gspec8, rng):
-    psi = random_band_limited(gspec8, rng)
-    times = [0.0, 0.1, 0.25]
-    fields = free_trajectory(psi, times, 1.0)
-    assert len(fields) == 3
-    assert fields[0] is psi
-    assert np.allclose(fields[2].values,
-                       free_evolve(psi, 0.25, 1.0).values)

@@ -6,7 +6,8 @@ from frnse.errors import DivergenceDetected
 from frnse.grid import (Field, GridSpec, h1_norm, scaled_gaussian,
                         random_band_limited, zero_field)
 from frnse.kernel import KernelSpec, default_radius
-from frnse.nonlinear import PhysParams
+from frnse import nonlinear
+from frnse.nonlinear import PhysParams, nonlinear_part
 from frnse.propagate import free_evolve
 from frnse.stepper import StepConfig, evolve, ifrk4_step
 
@@ -35,7 +36,7 @@ def test_config_validation(kfull):
 def test_free_step_is_bitwise_free_propagator(gspec8, rng, kfull):
     psi = random_band_limited(gspec8, rng)
     cfg = StepConfig(dt=1e-2, T=1.0, kspec=kfull, params=PhysParams(0.7, 0.0))
-    out = ifrk4_step(psi, 3e-3, cfg)
+    out = ifrk4_step(psi, 3e-3, cfg, nonlinear_part(psi, cfg.params, kfull))
     ref = free_evolve(psi, 3e-3, 0.7)
     assert np.array_equal(out.values, ref.values)
 
@@ -70,6 +71,28 @@ def test_evolve_diagnostics_aligned(gspec8, kfull):
     # the recorded H^1 series is the norm of each accepted state, bitwise
     assert np.array_equal(rep.h1[[0, 3, 6, 9, 10]],
                           [h1_norm(f) for f in traj.fields])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    real = nonlinear.apply_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(nonlinear, "apply_kernel", counted)
+    return calls
+
+
+def test_evolve_kernel_applies_per_step(gspec8, kfull, kernel_calls):
+    # first same as last: one kernel application per accepted state gives
+    # its G1 and the next step's first stage; each step adds three stages
+    cfg = StepConfig(dt=5e-3, T=0.05, kspec=kfull, params=PhysParams(1.0, 1.0))
+    _, rep = evolve(_gaussian(gspec8), cfg)
+    assert rep.rejections == 0
+    assert len(kernel_calls) == 1 + 4 * rep.steps
 
 
 def test_evolve_free_case_matches_propagator(gspec8, rng, kfull):
@@ -107,7 +130,7 @@ def test_immediate_blowup_flag(gspec8, kfull):
     assert len(traj) == 1
 
 
-def test_cap_escalation_reports_escape_time(gspec16, kfull):
+def test_cap_escalation_reports_escape_time(gspec16, kfull, kernel_calls):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = scaled_gaussian(gspec16, 0.12, l2_target=1.0)
@@ -121,6 +144,8 @@ def test_cap_escalation_reports_escape_time(gspec16, kfull):
     assert not rep.completed()
     # trajectory still ends at the last accepted state
     assert traj.times[-1] == rep.times[-1]
+    # a rejected trial reuses the first stage: three kernel applies each
+    assert len(kernel_calls) == 1 + 4 * rep.steps + 3 * rep.rejections
 
 
 def test_nonfinite_initial_raises(gspec8, kfull):

@@ -19,7 +19,6 @@ def test_trajectory_validation(gspec8, rng):
     traj = Trajectory([0.0, 0.5, 1.0], [f, f, f])
     assert len(traj) == 3
     assert traj.final() is traj.fields[-1]
-    assert traj.is_finite()
 
 
 def test_sup_h1_distance(gspec8, rng):
