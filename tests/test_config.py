@@ -1,11 +1,19 @@
+import json
+import os
+import warnings
+
 import numpy as np
 import pytest
-import warnings
 
 from frnse.config import (ConfigError, build_initial, config_hash,
                           parse_config, serialize_config)
 from frnse.grid import l2_norm
 from frnse.io import write_field
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
+with open(os.path.join(TESTS, "data", "config_pins.json"), encoding="utf-8") as _fh:
+    PINS = json.load(_fh)
 
 MINIMAL = """
 [grid]
@@ -107,6 +115,21 @@ def test_round_trip_and_hash():
     again = parse_config(text)
     assert serialize_config(again) == text
     assert config_hash(again) == config_hash(cfg)
+
+
+def test_every_shipped_config_is_pinned():
+    assert {pin["config"] for pin in PINS.values()} == set(os.listdir(CONFIGS))
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_shipped_config_canonical_form_and_hash_pinned(name):
+    # run manifests record config_hash: a change to the canonical form
+    # orphans every manifest written before it
+    pin = PINS[name]
+    with open(os.path.join(CONFIGS, pin["config"]), encoding="utf-8") as fh:
+        cfg = parse_config(fh.read(), tuple(pin["overrides"]))
+    assert serialize_config(cfg).splitlines() == pin["text"]
+    assert config_hash(cfg) == pin["hash"]
 
 
 def test_hash_ignores_output_section():
