@@ -121,9 +121,8 @@ def _print_rows(rows):
 def cmd_solve(ctx):
     cfg = ctx.cfg
     phi = build_initial(cfg)
-    scfg = cfg.stepper.build(cfg.kernel, cfg.params)
     try:
-        traj, report = evolve(phi, scfg)
+        traj, report = evolve(phi, cfg.stepper)
     except DivergenceDetected as e:
         print(f"solver diverged: {e}")
         ctx.fail(e)
@@ -155,11 +154,10 @@ def cmd_solve(ctx):
 def cmd_picard(ctx):
     cfg = ctx.cfg
     phi = build_initial(cfg)
-    pcfg = cfg.picard.build(cfg.kernel, cfg.params)
     code = 0
     traj = None
     try:
-        traj, report = picard_solve(phi, pcfg)
+        traj, report = picard_solve(phi, cfg.picard)
     except NonConvergence as e:
         report = e.report
         print(f"did not converge: {e}")
@@ -195,7 +193,7 @@ def cmd_picard(ctx):
     except ValueError as e:
         ctx.summary["contraction"] = {"skipped": str(e)}
     if traj is not None:
-        write_field(ctx.path(f"{ctx.hash8}-final.field"), traj.final(), t=pcfg.T)
+        write_field(ctx.path(f"{ctx.hash8}-final.field"), traj.final(), t=cfg.picard.T)
     print(f"converged={report.converged} after {report.iterations} iterations, "
           f"residual={report.residual:.3e}")
     for k, inc in enumerate(report.increments):
@@ -349,6 +347,13 @@ def _require_sections(command, cfg):
             issues.append(ConfigIssue("missing", 0, "sweep over solve needs a [stepper] section"))
         elif cfg.sweep.command == "picard" and cfg.picard is None:
             issues.append(ConfigIssue("missing", 0, "sweep over picard needs a [picard] section"))
+    e = cfg.experiment
+    if command == "verify" and e.scale == "full" and min(e.a_list) <= cfg.grid.h:
+        # truncation_convergence resolves every truncation radius on the grid
+        issues.append(ConfigIssue(
+            "constraint", 0,
+            f"verify at full scale needs every experiment.a_list entry > h = {cfg.grid.h:g}",
+        ))
     if issues:
         raise ConfigError(issues)
 
@@ -414,7 +419,7 @@ def build_parser():
         sp.add_argument("--config", required=True, help="path to a config file")
         sp.add_argument("--out", default=None, help="output root directory")
         sp.add_argument("--seed", type=int, default=None,
-                        help="override experiment.seed")
+                        help="same as --set experiment.seed=N, and wins over it")
         sp.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="override a config key")
         if name == "sweep":
@@ -436,9 +441,8 @@ def main(argv=None):
         print(f"cannot read config: {e}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text, tuple(args.overrides))
-        if args.seed is not None:
-            cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
+        seed = () if args.seed is None else (f"experiment.seed={args.seed}",)
+        cfg = parse_config(text, tuple(args.overrides) + seed)
         _require_sections(args.command, cfg)
     except ConfigError as e:
         print("config error:", file=sys.stderr)

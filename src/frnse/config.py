@@ -1,19 +1,24 @@
-"""Strict run configuration: sectioned key=value text, canonical round trip.
+"""Strict run configuration: one schema, one check table, one canonical form.
 
 Format: `[section]` headers, `key = value` lines, `#` full-line comments,
-blank lines ignored. Parsing is strict — unknown sections or keys, duplicate
-keys, type errors, and constraint violations are all collected with their
-line numbers and raised together as ConfigError (no silent defaults for
-typos, no last-wins).
+blank lines ignored. SCHEMA is the only list of each section's keys, types
+and defaults. Parsing is strict — unknown sections or keys, duplicate keys,
+type errors and constraint violations are all collected with their line
+numbers and raised together as ConfigError (no silent defaults for typos, no
+last-wins). [grid], [physics], [kernel], [picard] and [stepper] are built
+straight into the solvers' own validating GridSpec, PhysParams, KernelSpec,
+PicardConfig and StepConfig; [initial] and [experiment] into records
+generated from their SCHEMA keys, which the rows of CHECKS validate.
 
-serialize_config produces a canonical form (fixed section and key order,
-repr floats, resolved kernel radius) that re-parses to an equal config;
-config_hash is the SHA-256 of that canonical form minus the [output]
-section, so relocating output never changes the hash.
+serialize_config walks SECTION_ORDER and SCHEMA to produce a canonical form
+(fixed section and key order, repr floats, resolved kernel radius) that
+re-parses to an equal config; config_hash is the SHA-256 of that canonical
+form minus the [output] section, so relocating output never changes the hash.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -108,56 +113,47 @@ class ConfigError(Exception):
         super().__init__("\n".join(str(i) for i in self.issues))
 
 
-@dataclass(frozen=True)
-class InitialSpec:
-    type: str
-    sigma: float
-    center: tuple
-    l2_norm: float
-    h1_norm: float
-    amplitude: float
-    k: tuple
-    path: str
+#: Sections left None unless the text or an override names them.
+OPTIONAL_SECTIONS = ("picard", "stepper", "output")
+
+#: ExperimentConfig fields whose name differs from their section's.
+_FIELD = {"physics": "params", "output": "outdir"}
+
+# __module__ makes the records picklable like every other config part
+InitialSpec = make_dataclass("InitialSpec", list(SCHEMA["initial"]), frozen=True,
+                             namespace={"__module__": __name__})
+ExperimentSection = make_dataclass("ExperimentSection", list(SCHEMA["experiment"]),
+                                   frozen=True, namespace={"__module__": __name__})
 
 
-@dataclass(frozen=True)
-class PicardSection:
-    T: float
-    m: int
-    quad: str
-    tol: float
-    max_iter: int
-
-    def build(self, kspec, params):
-        return PicardConfig(T=self.T, m=self.m, kspec=kspec, params=params,
-                            quad=self.quad, max_iter=self.max_iter, tol=self.tol)
+def _decreasing(values):
+    return all(b < a for a, b in zip(values, values[1:]))
 
 
-@dataclass(frozen=True)
-class StepperSection:
-    T: float
-    dt: float
-    h1_cap: float
-    dt_min: float
-    snapshot_every: int
-
-    def build(self, kspec, params):
-        return StepConfig(dt=self.dt, T=self.T, kspec=kspec, params=params,
-                          h1_cap=self.h1_cap, dt_min=self.dt_min,
-                          snapshot_every=self.snapshot_every)
+def _not_quick(value, section):
+    return section["scale"] != "quick"
 
 
-@dataclass(frozen=True)
-class ExperimentSection:
-    battery: str
-    seed: int
-    samples: int
-    pairs: int
-    scale: str
-    a_list: tuple
-    deltas: tuple
-    p: float
-    trials: int
+#: (section, key, predicate, message) rows. A key that the text or an
+#: override sets must satisfy predicate(value, typed values of its section),
+#: or "section.key message" is reported at that key's line. Every default
+#: satisfies every row.
+CHECKS = (
+    ("initial", "type", lambda v, s: v != "file" or s["path"], "= file needs initial.path"),
+    ("initial", "sigma", lambda v, s: v > 0, "must be positive"),
+    ("initial", "center", lambda v, s: len(v) == 3, "needs exactly 3 values"),
+    ("initial", "l2_norm", lambda v, s: s["h1_norm"] is None, "excludes initial.h1_norm"),
+    ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers"),
+    ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0"),
+    ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50"),
+    ("experiment", "samples", _not_quick, "is fixed by scale = quick"),
+    ("experiment", "pairs", _not_quick, "is fixed by scale = quick"),
+    ("experiment", "a_list", lambda v, s: min(v) > 0, "entries must be positive"),
+    ("experiment", "a_list", lambda v, s: _decreasing(v), "must be strictly decreasing"),
+    ("experiment", "a_list", _not_quick, "is fixed by scale = quick"),
+    ("experiment", "deltas", lambda v, s: _decreasing(v), "must be strictly decreasing"),
+    ("experiment", "p", lambda v, s: v > 1, "must be > 1"),
+)
 
 
 @dataclass(frozen=True)
@@ -172,8 +168,8 @@ class ExperimentConfig:
     params: PhysParams
     kernel: KernelSpec
     initial: InitialSpec
-    picard: PicardSection
-    stepper: StepperSection
+    picard: PicardConfig
+    stepper: StepConfig
     experiment: ExperimentSection
     sweep: SweepSection
     outdir: str
@@ -246,32 +242,50 @@ def _convert(opt, text, section, key, line, issues):
     return text
 
 
-def _section_values(name, raw, section_lines, issues, forced=False):
-    """Typed values + source lines for one section, or None if absent."""
-    present = name in section_lines or forced or any(s == name for s, _ in raw)
-    if not present:
-        return None, {}
-    out, lines = {}, {}
+def _section_values(name, raw, section_lines, issues):
+    """Typed values of one section with defaults filled in, and the source
+    line of each key that the text or an override sets."""
+    values, lines = {}, {}
     for key, opt in SCHEMA[name].items():
         if (name, key) in raw:
-            text, line = raw[(name, key)]
-            out[key] = _convert(opt, text, name, key, line, issues)
-            lines[key] = line
+            text, lines[key] = raw[(name, key)]
+            values[key] = _convert(opt, text, name, key, lines[key], issues)
+        elif opt.default is _REQUIRED:
+            values[key] = None
+            issues.append(ConfigIssue("missing", section_lines.get(name, 0),
+                                      f"{name}.{key} is required"))
         else:
-            if opt.default is _REQUIRED:
-                issues.append(ConfigIssue(
-                    "missing", section_lines.get(name, 0),
-                    f"{name}.{key} is required",
-                ))
-                out[key] = None
-            else:
-                out[key] = opt.default
-            lines[key] = section_lines.get(name, 0)
-    return out, lines
+            values[key] = opt.default
+    return values, lines
 
 
 def _constraint(issues, line, message):
     issues.append(ConfigIssue("constraint", line, message))
+
+
+def _kernel(values, built):
+    """KernelSpec with the auto radius resolved; R must cover the box."""
+    if built["grid"] is None:
+        return None  # the [grid] issue is already reported
+    cover = default_radius(built["grid"].L)
+    R = cover if values["R"] is None else values["R"]
+    kernel = KernelSpec(**dict(values, R=R))
+    if kernel.R < cover * (1 - 1e-12):
+        raise ValueError(f"R={kernel.R} must cover the box diameter >= {cover:.6g}")
+    return kernel
+
+
+#: How each section is built from its typed values and the sections before it.
+_BUILD = {
+    "grid": lambda v, built: GridSpec(**v),
+    "physics": lambda v, built: PhysParams(**v),
+    "kernel": _kernel,
+    "initial": lambda v, built: InitialSpec(**v),
+    "picard": lambda v, built: PicardConfig(kspec=built["kernel"], params=built["physics"], **v),
+    "stepper": lambda v, built: StepConfig(kspec=built["kernel"], params=built["physics"], **v),
+    "experiment": lambda v, built: ExperimentSection(**v),
+    "output": lambda v, built: v["dir"],
+}
 
 
 def apply_overrides(raw, overrides, issues):
@@ -299,161 +313,67 @@ def parse_config(text, overrides=()):
     """Parse (and fully validate) a config; raises ConfigError on problems."""
     issues = []
     raw, section_lines = _tokenize(text, issues)
-    forced = apply_overrides(raw, overrides, issues) if overrides else set()
+    forced = apply_overrides(raw, overrides, issues)
 
-    grid_v, grid_l = _section_values("grid", raw, section_lines, issues, "grid" in forced)
-    phys_v, phys_l = _section_values("physics", raw, section_lines, issues, "physics" in forced)
-    if grid_v is None:
-        issues.append(ConfigIssue("missing", 0, "section [grid] is required"))
-    if phys_v is None:
-        issues.append(ConfigIssue("missing", 0, "section [physics] is required"))
-
-    grid = params = kernel = None
-    if grid_v and None not in (grid_v["n"], grid_v["L"]):
+    built = {}
+    for name, build in _BUILD.items():
+        built[name] = None
+        required = any(opt.default is _REQUIRED for opt in SCHEMA[name].values())
+        if name not in section_lines and name not in forced:
+            if required:
+                issues.append(ConfigIssue("missing", 0, f"section [{name}] is required"))
+            if required or name in OPTIONAL_SECTIONS:
+                continue
+        before = len(issues)
+        values, lines = _section_values(name, raw, section_lines, issues)
+        for section, key, ok, message in CHECKS:
+            if section == name and key in lines and values[key] is not None \
+                    and not ok(values[key], values):
+                _constraint(issues, lines[key], f"{name}.{key} {message}")
+        if len(issues) > before:
+            continue  # building would only repeat what is reported
         try:
-            grid = GridSpec(grid_v["n"], grid_v["L"])
+            built[name] = build(values, built)
         except ValueError as e:
-            _constraint(issues, grid_l.get("n", 0), f"grid: {e}")
-    if phys_v and None not in (phys_v["alpha1"], phys_v["alpha2"]):
-        try:
-            params = PhysParams(phys_v["alpha1"], phys_v["alpha2"])
-        except ValueError as e:
-            _constraint(issues, phys_l.get("alpha1", 0), f"physics: {e}")
-
-    kern_v, kern_l = _section_values("kernel", raw, section_lines, issues, True)
-    if grid is not None and kern_v and kern_v["variant"] is not None:
-        R = kern_v["R"]
-        if R is None:
-            R = default_radius(grid.L)
-        try:
-            kernel = KernelSpec(kern_v["variant"], R=R, a=kern_v["a"] or 0.0)
-        except (ValueError, TypeError) as e:
-            _constraint(issues, kern_l.get("a", kern_l.get("variant", 0)), f"kernel: {e}")
-        if kernel is not None and kernel.R < default_radius(grid.L) * (1 - 1e-12):
-            _constraint(issues, kern_l.get("R", 0),
-                        f"kernel: R={kernel.R} must cover the box diameter "
-                        f">= {default_radius(grid.L):.6g}")
-            kernel = None
-
-    init_v, init_l = _section_values("initial", raw, section_lines, issues, True)
-    initial = None
-    if init_v and init_v["type"] is not None:
-        center = init_v["center"]
-        if center is not None and len(center) != 3:
-            _constraint(issues, init_l.get("center", 0), "initial.center needs exactly 3 values")
-            center = None
-        k = init_v["k"]
-        if k is not None and len(k) != 3:
-            _constraint(issues, init_l.get("k", 0), "initial.k needs exactly 3 integers")
-            k = (1, 0, 0)
-        if init_v["sigma"] is not None and init_v["sigma"] <= 0:
-            _constraint(issues, init_l.get("sigma", 0), "initial.sigma must be positive")
-        if init_v["l2_norm"] is not None and init_v["h1_norm"] is not None:
-            _constraint(issues, init_l.get("l2_norm", 0),
-                        "give at most one of initial.l2_norm / initial.h1_norm")
-        if init_v["type"] == "file" and not init_v["path"]:
-            _constraint(issues, init_l.get("path", 0), "initial.path is required for type=file")
-        initial = InitialSpec(
-            type=init_v["type"], sigma=init_v["sigma"], center=center,
-            l2_norm=init_v["l2_norm"], h1_norm=init_v["h1_norm"],
-            amplitude=init_v["amplitude"], k=k, path=init_v["path"],
-        )
-
-    picard = None
-    pic_v, pic_l = _section_values("picard", raw, section_lines, issues, "picard" in forced)
-    if pic_v is not None and None not in pic_v.values():
-        picard = PicardSection(T=pic_v["T"], m=pic_v["m"], quad=pic_v["quad"],
-                               tol=pic_v["tol"], max_iter=pic_v["max_iter"])
-        if kernel is not None and params is not None:
-            try:
-                picard.build(kernel, params)
-            except ValueError as e:
-                _constraint(issues, pic_l.get("T", 0), f"picard: {e}")
-                picard = None
-
-    stepper = None
-    st_v, st_l = _section_values("stepper", raw, section_lines, issues, "stepper" in forced)
-    if st_v is not None and None not in st_v.values():
-        stepper = StepperSection(T=st_v["T"], dt=st_v["dt"], h1_cap=st_v["h1_cap"],
-                                 dt_min=st_v["dt_min"],
-                                 snapshot_every=st_v["snapshot_every"])
-        if kernel is not None and params is not None:
-            try:
-                stepper.build(kernel, params)
-            except ValueError as e:
-                _constraint(issues, st_l.get("dt", 0), f"stepper: {e}")
-                stepper = None
-
-    exp_v, exp_l = _section_values("experiment", raw, section_lines, issues, True)
-    experiment = None
-    if exp_v and None not in (exp_v["battery"], exp_v["seed"]):
-        if exp_v["seed"] is not None and exp_v["seed"] < 0:
-            _constraint(issues, exp_l.get("seed", 0), "experiment.seed must be >= 0")
-        if exp_v["samples"] is not None and exp_v["samples"] < 50:
-            _constraint(issues, exp_l.get("samples", 0), "experiment.samples must be >= 50")
-        if exp_v["p"] is not None and exp_v["p"] <= 1:
-            _constraint(issues, exp_l.get("p", 0), "experiment.p must be > 1")
-        if exp_v["a_list"] is not None and min(exp_v["a_list"]) <= 0:
-            _constraint(issues, exp_l.get("a_list", 0),
-                        "experiment.a_list entries must be positive")
-        deltas = exp_v["deltas"]
-        if deltas is not None and any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-            _constraint(issues, exp_l.get("deltas", 0),
-                        "experiment.deltas must be strictly decreasing")
-        experiment = ExperimentSection(
-            battery=exp_v["battery"], seed=exp_v["seed"], samples=exp_v["samples"],
-            pairs=exp_v["pairs"], scale=exp_v["scale"], a_list=exp_v["a_list"],
-            deltas=exp_v["deltas"], p=exp_v["p"], trials=exp_v["trials"],
-        )
+            # cite the first key the message names, else the section header
+            line = next((lines[k] for k in lines if re.search(rf"\b{k}\b", str(e))),
+                        section_lines.get(name, 0))
+            _constraint(issues, line, f"{name}: {e}")
 
     sweep = None
-    sweep_keys = [(s, k) for (s, k) in raw if s == "sweep"]
-    if "sweep" in section_lines or sweep_keys:
-        command = None
-        axes = []
-        for (_, key) in sweep_keys:
-            text, line = raw[("sweep", key)]
+    if "sweep" in section_lines:
+        command, axes = None, []
+        for (section, key), (text, line) in raw.items():
+            if section != "sweep":
+                continue
             if key == "command":
-                if text not in SWEEP_COMMANDS:
+                if text in SWEEP_COMMANDS:
+                    command = text
+                else:
                     _constraint(issues, line,
                                 f"sweep.command must be one of {', '.join(SWEEP_COMMANDS)}")
-                else:
-                    command = text
-                continue
-            if "." not in key:
-                issues.append(ConfigIssue("unknown-key", line,
-                                          f"sweep key {key!r} must be section.key"))
                 continue
             sec, _, subkey = key.partition(".")
-            if sec not in SCHEMA or SCHEMA[sec] is None or subkey not in SCHEMA[sec]:
-                issues.append(ConfigIssue("unknown-key", line, f"unknown sweep axis {key!r}"))
+            if subkey not in (SCHEMA.get(sec) or {}):
+                issues.append(ConfigIssue("unknown-key", line,
+                                          f"unknown sweep axis {key!r}, expected section.key"))
                 continue
-            opt = SCHEMA[sec][subkey]
-            values = tuple(
-                _convert(replace(opt, default=None), p.strip(), sec, subkey, line, issues)
-                for p in text.split(";")
-            )
-            if None in values or not values:
-                continue
-            axes.append((key, values))
+            values = tuple(_convert(SCHEMA[sec][subkey], p.strip(), sec, subkey, line, issues)
+                           for p in text.split(";"))
+            if None not in values:
+                axes.append((key, values))
         if command is None:
-            _constraint(issues, section_lines.get("sweep", 0), "sweep.command is required")
+            _constraint(issues, section_lines["sweep"], "sweep.command is required")
         if not axes:
-            _constraint(issues, section_lines.get("sweep", 0), "sweep needs at least one axis")
+            _constraint(issues, section_lines["sweep"], "sweep needs at least one axis")
         if command is not None and axes:
             sweep = SweepSection(command=command, axes=tuple(sorted(axes)))
-
-    out_v, _ = _section_values("output", raw, section_lines, issues, "output" in forced)
-    outdir = out_v["dir"] if out_v else None
 
     if issues:
         issues.sort(key=lambda i: i.line if i.line else 10**9)
         raise ConfigError(issues)
-    return ExperimentConfig(
-        grid=grid, params=params, kernel=kernel, initial=initial,
-        picard=picard, stepper=stepper, experiment=experiment,
-        sweep=sweep, outdir=outdir,
-    )
+    return ExperimentConfig(sweep=sweep, **{_FIELD.get(name, name): section
+                                            for name, section in built.items()})
 
 
 def _fmt_value(v):
@@ -471,43 +391,22 @@ def _fmt_value(v):
 def serialize_config(cfg, include_output=True):
     """Canonical text form; re-parses to an equal config."""
     parts = []
-
-    def emit(name, pairs):
+    for name in SECTION_ORDER:
+        section = getattr(cfg, _FIELD.get(name, name))
+        if section is None or (name == "output" and not include_output):
+            continue
+        if name == "sweep":
+            pairs = [("command", section.command)]
+            pairs += [(key, "; ".join(_fmt_value(v) for v in values))
+                      for key, values in section.axes]
+        elif name == "output":
+            pairs = [("dir", section)]
+        else:
+            pairs = [(key, getattr(section, key)) for key in SCHEMA[name]
+                     if not (name == "kernel" and key == "a" and section.variant == "full")]
         parts.append(f"[{name}]")
-        for key, value in pairs:
-            if value is None:
-                continue
-            parts.append(f"{key} = {_fmt_value(value)}")
+        parts += [f"{key} = {_fmt_value(value)}" for key, value in pairs if value is not None]
         parts.append("")
-
-    emit("grid", [("n", cfg.grid.n), ("L", cfg.grid.L)])
-    emit("physics", [("alpha1", cfg.params.alpha1), ("alpha2", cfg.params.alpha2)])
-    emit("kernel", [("variant", cfg.kernel.variant),
-                    ("a", cfg.kernel.a if cfg.kernel.variant != "full" else None),
-                    ("R", cfg.kernel.R)])
-    ini = cfg.initial
-    emit("initial", [("type", ini.type), ("sigma", ini.sigma), ("center", ini.center),
-                     ("l2_norm", ini.l2_norm), ("h1_norm", ini.h1_norm),
-                     ("amplitude", ini.amplitude), ("k", ini.k), ("path", ini.path)])
-    if cfg.picard is not None:
-        p = cfg.picard
-        emit("picard", [("T", p.T), ("m", p.m), ("quad", p.quad), ("tol", p.tol),
-                        ("max_iter", p.max_iter)])
-    if cfg.stepper is not None:
-        s = cfg.stepper
-        emit("stepper", [("T", s.T), ("dt", s.dt), ("h1_cap", s.h1_cap),
-                         ("dt_min", s.dt_min), ("snapshot_every", s.snapshot_every)])
-    e = cfg.experiment
-    emit("experiment", [("battery", e.battery), ("seed", e.seed), ("samples", e.samples),
-                        ("pairs", e.pairs), ("scale", e.scale), ("a_list", e.a_list),
-                        ("deltas", e.deltas), ("p", e.p), ("trials", e.trials)])
-    if cfg.sweep is not None:
-        pairs = [("command", cfg.sweep.command)]
-        pairs += [(key, "; ".join(_fmt_value(v) for v in values))
-                  for key, values in cfg.sweep.axes]
-        emit("sweep", pairs)
-    if include_output and cfg.outdir is not None:
-        emit("output", [("dir", cfg.outdir)])
     return "\n".join(parts)
 
 

@@ -104,6 +104,7 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("kernel-norms", "kernel-norms.cfg", "experiment.p=1"),
     ("kernel-norms", "kernel-norms.cfg", "experiment.a_list=0.4,-0.2"),
     ("verify", "verify-quick.cfg", "experiment.deltas=0.01,0.02"),
+    ("verify", "verify.cfg", "experiment.a_list=0.1,0.2,0.4"),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     path = os.path.join(CONFIGS, config)
@@ -111,6 +112,25 @@ def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, over
     assert main([command, "--config", path, "--set", override, "--out", str(out)]) == 2
     assert override.split("=")[0] in capsys.readouterr().err
     assert not out.exists()  # rejected before any run directory exists
+
+
+def test_full_verify_needs_a_list_above_h(tmp_path, capsys):
+    # truncation_convergence needs every radius resolved on the grid; the
+    # default a_list ends at 0.1, which is h at n=16
+    path = os.path.join(CONFIGS, "verify.cfg")
+    out = tmp_path / "r"
+    assert main(["verify", "--config", path, "--set", "grid.n=16", "--out", str(out)]) == 2
+    assert "experiment.a_list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_seed_flag_exits_2(tmp_path, capsys):
+    # --seed N is --set experiment.seed=N, so it is validated the same way
+    path = os.path.join(CONFIGS, "kernel-norms.cfg")
+    out = tmp_path / "r"
+    assert main(["kernel-norms", "--config", path, "--seed", "-1", "--out", str(out)]) == 2
+    assert "experiment.seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_section_exits_2(tmp_path, capsys):
@@ -129,6 +149,15 @@ def test_set_and_seed_land_in_manifest(tmp_path):
     man = _manifest(run_dir)
     assert "m = 6" in man["config"]
     assert "seed = 7" in man["config"]
+
+
+def test_seed_flag_wins_over_set(tmp_path):
+    cfg = _write(tmp_path, PICARD)
+    out = tmp_path / "runs"
+    assert main(["picard", "--config", cfg, "--out", str(out),
+                 "--seed", "7", "--set", "experiment.seed=3"]) == 0
+    (run_dir,) = _run_dirs(out)
+    assert "seed = 7" in _manifest(run_dir)["config"]
 
 
 def test_out_env_fallback(tmp_path, monkeypatch):

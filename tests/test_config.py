@@ -1,11 +1,13 @@
 import json
 import os
+import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frnse.config import (ConfigError, build_initial, config_hash,
+from frnse.config import (SCHEMA, ConfigError, build_initial, config_hash,
                           parse_config, serialize_config)
 from frnse.grid import l2_norm
 from frnse.io import write_field
@@ -56,6 +58,7 @@ def test_constraint_violation_cites_key():
     ("p = 1", "experiment.p"),
     ("a_list = 0.4, -0.2", "experiment.a_list"),
     ("deltas = 0.01, 0.02", "experiment.deltas"),
+    ("a_list = 0.1, 0.2, 0.4", "experiment.a_list"),
 ])
 def test_bad_experiment_value_cites_line(line, key):
     # each of these crashed the command that reads it, after the run began
@@ -66,6 +69,20 @@ def test_bad_experiment_value_cites_line(line, key):
     assert issue.kind == "constraint"
     assert key in issue.message
     assert issue.line == text.splitlines().index(line) + 1
+
+
+@pytest.mark.parametrize("line", ["a_list = 0.4, 0.2", "samples = 80", "pairs = 6"])
+def test_quick_scale_rejects_the_keys_it_fixes(line):
+    # VerifyPlan.quick() sets its own a_list, samples and pairs
+    text = MINIMAL + "\n[experiment]\nscale = quick\n" + line + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (issue,) = err.value.issues
+    assert issue.kind == "constraint"
+    assert "experiment." + line.split(" =")[0] in issue.message
+    assert issue.line == text.splitlines().index(line) + 1
+    # the same key at full scale is honoured
+    parse_config(text.replace("scale = quick", "scale = full"))
 
 
 def test_duplicate_key_rejected():
@@ -115,6 +132,93 @@ def test_round_trip_and_hash():
     again = parse_config(text)
     assert serialize_config(again) == text
     assert config_hash(again) == config_hash(cfg)
+
+
+# Every SCHEMA key set, in canonical form. Each differs from its default
+# except battery (a single choice), scale (quick would fix a_list, samples
+# and pairs) and h1_norm (excluded by l2_norm).
+EVERY_KEY = """[grid]
+n = 12
+L = 2.0
+
+[physics]
+alpha1 = 0.5
+alpha2 = 0.25
+
+[kernel]
+variant = inner
+a = 0.3
+R = 4.0
+
+[initial]
+type = plane_wave
+sigma = 0.2
+center = 0.9, 1.0, 1.1
+l2_norm = 2.0
+amplitude = 1.5
+k = 0, 2, 1
+path = start.field
+
+[picard]
+T = 0.125
+m = 8
+quad = trapezoid
+tol = 1e-09
+max_iter = 7
+
+[stepper]
+T = 0.25
+dt = 0.005
+h1_cap = 500.0
+dt_min = 1e-07
+snapshot_every = 3
+
+[experiment]
+battery = verify
+seed = 5
+samples = 80
+pairs = 6
+scale = full
+a_list = 0.8, 0.5
+deltas = 0.1, 0.05
+p = 3.0
+trials = 9
+
+[sweep]
+command = picard
+picard.m = 8; 16
+
+[output]
+dir = out
+"""
+
+
+def _other(opt, value):
+    """A valid value of the option's type that differs from value."""
+    choices = [c for c in opt.choices if c != value]
+    if choices:
+        return choices[-1]
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return tuple(2 * x for x in value)
+    return 1.0 if value is None else 2 * value
+
+
+def test_every_key_round_trips_and_moves_the_hash():
+    cfg = parse_config(EVERY_KEY)
+    assert serialize_config(cfg) == EVERY_KEY
+    assert parse_config(serialize_config(cfg)) == cfg
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    for section, options in SCHEMA.items():
+        if section in ("sweep", "output"):
+            continue  # no typed record; output never enters the hash
+        attr = "params" if section == "physics" else section
+        for key, opt in options.items():
+            record = getattr(cfg, attr)
+            changed = replace(record, **{key: _other(opt, getattr(record, key))})
+            moved = replace(cfg, **{attr: changed})
+            assert config_hash(moved) != config_hash(cfg), f"{section}.{key}"
 
 
 def test_every_shipped_config_is_pinned():
