@@ -17,7 +17,6 @@ form minus the [output] section, so relocating output never changes the hash.
 """
 
 import hashlib
-import re
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
@@ -130,8 +129,9 @@ def _decreasing(values):
     return all(b < a for a, b in zip(values, values[1:]))
 
 
-def _not_quick(value, section):
-    return section["scale"] != "quick"
+def _fixed_by_quick(key):
+    default = SCHEMA["experiment"][key].default  # VerifyPlan.quick() replaces it
+    return lambda v, s: s["scale"] != "quick" or v == default
 
 
 #: (section, key, predicate, message) rows. A key that the text or an
@@ -146,11 +146,11 @@ CHECKS = (
     ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers"),
     ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0"),
     ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50"),
-    ("experiment", "samples", _not_quick, "is fixed by scale = quick"),
-    ("experiment", "pairs", _not_quick, "is fixed by scale = quick"),
+    ("experiment", "samples", _fixed_by_quick("samples"), "keeps its default at scale = quick"),
+    ("experiment", "pairs", _fixed_by_quick("pairs"), "keeps its default at scale = quick"),
     ("experiment", "a_list", lambda v, s: min(v) > 0, "entries must be positive"),
     ("experiment", "a_list", lambda v, s: _decreasing(v), "must be strictly decreasing"),
-    ("experiment", "a_list", _not_quick, "is fixed by scale = quick"),
+    ("experiment", "a_list", _fixed_by_quick("a_list"), "keeps its default at scale = quick"),
     ("experiment", "deltas", lambda v, s: _decreasing(v), "must be strictly decreasing"),
     ("experiment", "p", lambda v, s: v > 1, "must be > 1"),
 )
@@ -335,9 +335,9 @@ def parse_config(text, overrides=()):
         try:
             built[name] = build(values, built)
         except ValueError as e:
-            # cite the first key the message names, else the section header
-            line = next((lines[k] for k in lines if re.search(rf"\b{k}\b", str(e))),
-                        section_lines.get(name, 0))
+            # cite the section's last setting: an override, its last text line or header
+            line = max(lines.values(), key=lambda l: l or 10**9,
+                       default=section_lines.get(name, 0))
             _constraint(issues, line, f"{name}: {e}")
 
     sweep = None

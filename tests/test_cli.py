@@ -209,6 +209,23 @@ picard.m = 4; 8
         assert os.path.exists(os.path.join(run_dir, sub, "manifest.json"))
 
 
+def test_sweep_at_quick_scale(tmp_path):
+    # each point re-parses the canonical form, which writes out the
+    # a_list, samples and pairs that quick scale keeps at their defaults
+    text = PICARD + """
+[experiment]
+scale = quick
+
+[sweep]
+command = picard
+picard.m = 4
+"""
+    out = tmp_path / "runs"
+    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    (run_dir,) = _run_dirs(out)
+    assert [r["exit"] for r in _manifest(run_dir)["summary"]["runs"]] == [0]
+
+
 def test_plot_deterministic_svg(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("t,l2,h1\n0.0,1.0,2.0\n0.1,0.9,1.9\n0.2,0.8,1.7\n")

@@ -83,6 +83,23 @@ def test_quick_scale_rejects_the_keys_it_fixes(line):
     assert issue.line == text.splitlines().index(line) + 1
     # the same key at full scale is honoured
     parse_config(text.replace("scale = quick", "scale = full"))
+    # the defaults, which the canonical form writes out, are accepted
+    cfg = parse_config(MINIMAL + "\n[experiment]\nscale = quick\n")
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_constructor_error_cites_the_sections_last_setting():
+    # KernelSpec rejects a truncation radius on the full kernel
+    text = MINIMAL + "\n[kernel]\nvariant = full\na = 0.3\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (issue,) = err.value.issues
+    assert issue.kind == "constraint"
+    assert issue.line == text.splitlines().index("a = 0.3") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "\n[kernel]\nvariant = full\n", ("kernel.a=0.3",))
+    (issue,) = err.value.issues
+    assert issue.line == 0  # cited as the override
 
 
 def test_duplicate_key_rejected():
@@ -234,6 +251,7 @@ def test_shipped_config_canonical_form_and_hash_pinned(name):
         cfg = parse_config(fh.read(), tuple(pin["overrides"]))
     assert serialize_config(cfg).splitlines() == pin["text"]
     assert config_hash(cfg) == pin["hash"]
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_hash_ignores_output_section():
