@@ -21,7 +21,8 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .grid import GridSpec, l2_norm, h1_norm, make_grid, scaled_gaussian, Field
+from .grid import (GridSpec, l2_norm, h1_norm, make_grid, scaled_gaussian,
+                   warn_if_cramped, Field)
 from .io import read_field
 from .kernel import KernelSpec, default_radius
 from .nonlinear import PhysParams
@@ -420,8 +421,8 @@ def build_initial(cfg):
     """Construct the initial datum described by the [initial] section."""
     ini, spec = cfg.initial, cfg.grid
     if ini.type == "gaussian":
-        f = scaled_gaussian(spec, ini.sigma, center=ini.center,
-                            l2_target=ini.l2_norm, h1_target=ini.h1_norm)
+        f = warn_if_cramped(scaled_gaussian(spec, ini.sigma, center=ini.center,
+                                            l2_target=ini.l2_norm, h1_target=ini.h1_norm))
         if ini.l2_norm is None and ini.h1_norm is None and ini.amplitude != 1.0:
             f = f * ini.amplitude
         return f

@@ -24,6 +24,7 @@ from .grid import (
     make_grid,
     random_band_limited,
     scaled_gaussian,
+    warn_if_cramped,
 )
 from .kernel import (
     KernelSpec,
@@ -34,7 +35,7 @@ from .kernel import (
     tail_norm_estimate,
 )
 from .nonlinear import PhysParams, ball_field, big_g1, density, g1, lipschitz_growth
-from .picard import PicardConfig, contraction_report, picard_solve
+from .picard import PicardConfig, contraction_report, picard_solve, refine_trajectory
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
 from .trajectory import dot_values, norm_law_residuals, sup_h1_distance
@@ -118,7 +119,7 @@ def propagator_rows(gspec, alpha1, seed=0, sigma=0.12, gauss_times=(1e-3, 2e-3))
     back = h1_norm(free_evolve(moved, -t, alpha1) - psi) / h1_norm(psi)
     rows.append(_row("propagator-inverse", "identity", back, 1e-12, back < 1e-12))
 
-    phi = scaled_gaussian(gspec, sigma)
+    phi = warn_if_cramped(scaled_gaussian(gspec, sigma))
     for tg in gauss_times:
         ref = free_gaussian_exact(gspec, sigma, tg, alpha1)
         rel = l2_norm(free_evolve(phi, tg, alpha1) - ref) / l2_norm(ref)
@@ -206,18 +207,22 @@ def _order_and_budget(diffs):
     return order, 2.0 * diffs[-1] / (2.0**order - 1.0)
 
 
-def quadrature_order_study(phi, cfg, ms=(32, 64, 128)):
+def quadrature_order_study(phi, cfg, ms=(32, 64, 128), inits=None):
     """Self-convergence of the fixed-point solution under node doubling.
 
     Solves at each m, measures sup-node H1 differences on common nodes, and
     returns (order, budget, solutions): the observed order, plus a
     Richardson error budget for the finest solve (factor-2 safety).
+    Each solve starts from inits[m] if given, else from the refined rung
+    below; the first rung then starts from the free trajectory.
     """
     if len(ms) < 3 or any(m2 != 2 * m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("ms must be at least 3 doubling node counts")
     sols = {}
     for m in ms:
-        traj, _ = picard_solve(phi, replace(cfg, m=m))
+        init = inits[m] if inits else (
+            refine_trajectory(sols[m // 2], cfg.params.alpha1) if sols else "free")
+        traj, _ = picard_solve(phi, replace(cfg, m=m), init)
         sols[m] = traj
     diffs = [sup_h1_distance(sols[m1].fields, sols[m2].fields[::2])
              for m1, m2 in zip(ms, ms[1:])]
@@ -246,7 +251,8 @@ def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
     Runs node-doubling studies for both quadrature rules and dt-halving for
     the stepper, checks each observed order against its nominal value
     (tolerance 20%), then requires the terminal H1 distance between the two
-    finest solutions to sit below the summed Richardson budgets.
+    finest solutions to sit below the summed Richardson budgets. The
+    trapezoid solve at each m starts from the Simpson solution there.
     """
     rows = []
     simpson_order, simpson_budget, simpson_sols = quadrature_order_study(
@@ -254,7 +260,8 @@ def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
     )
     rows.append(_row("simpson-order", "scaling-law", simpson_order, 4.0,
                      0.8 * 4.0 <= simpson_order <= 1.2 * 4.0, "tolerance 20%"))
-    trap_order, _, _ = quadrature_order_study(phi, replace(pcfg, quad="trapezoid"), ms)
+    trap_order, _, _ = quadrature_order_study(phi, replace(pcfg, quad="trapezoid"), ms,
+                                              inits=simpson_sols)
     rows.append(_row("trapezoid-order", "scaling-law", trap_order, 2.0,
                      0.8 * 2.0 <= trap_order <= 1.2 * 2.0, "tolerance 20%"))
     scfg = StepConfig(dt=pcfg.T / steps[0], T=pcfg.T, kspec=pcfg.kspec,
@@ -365,7 +372,9 @@ def continuous_dependence(phi, deltas, cfg, seed=0):
     to each delta, re-solves, and reports R(delta) = sup-node H1 distance /
     delta. Asserts R <= exp(C_fit T) * 1.25 with C_fit fitted from the
     unperturbed run's contraction report, and max/min R < 2 across the
-    ladder. Zero deltas are skipped. Returns (table, rows).
+    ladder. Zero deltas are skipped. The base solve starts from the free
+    trajectory, since its increments give C_fit; each perturbed solve starts
+    from the base solution. Returns (table, rows).
     """
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -381,7 +390,7 @@ def continuous_dependence(phi, deltas, cfg, seed=0):
     for d in deltas:
         if d == 0.0:
             continue
-        traj, _ = picard_solve(phi + d * direction, cfg)
+        traj, _ = picard_solve(phi + d * direction, cfg, base_traj)
         table.append((d, float(sup_h1_distance(traj.fields, base_traj.fields) / d)))
     ratios = [r for _, r in table]
     bound = float(np.exp(ana.C_fit * cfg.T) * 1.25)

@@ -9,7 +9,7 @@ of sample values, which makes Parseval exact up to round-off.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +51,15 @@ class Grid:
         k2 = self.k**2
         self.ksq = k2[:, None, None] + k2[None, :, None] + k2[None, None, :]
         self.ksq.setflags(write=False)
+
+    @cached_property
+    def ksq_levels(self):
+        """Distinct values u of ksq and index inv with u[inv] == ksq, read-only."""
+        u, inv = np.unique(self.ksq, return_inverse=True)
+        inv = inv.reshape(self.ksq.shape)
+        u.setflags(write=False)
+        inv.setflags(write=False)
+        return u, inv
 
 
 @lru_cache(maxsize=32)
@@ -199,22 +208,10 @@ def gaussian_field(spec, sigma, center=None):
 
 
 def scaled_gaussian(spec, sigma, center=None, l2_target=None, h1_target=None):
-    """Gaussian bump rescaled to a target L2 or H1 norm (at most one).
-
-    Warns when the bump has not decayed below 1e-8 (relative) at the box
-    boundary — the usual sign that the box is too small for free-space
-    comparisons.
-    """
+    """Gaussian bump rescaled to a target L2 or H1 norm (at most one)."""
     if l2_target is not None and h1_target is not None:
         raise ValueError("give at most one of l2_target / h1_target")
     f = gaussian_field(spec, sigma, center=center)
-    decay = boundary_decay(f)
-    if decay > 1e-8:
-        warnings.warn(
-            f"initial bump only decays to {decay:.2e} of its peak at the box "
-            "boundary; increase L or decrease sigma",
-            stacklevel=2,
-        )
     if l2_target is not None:
         return f * (l2_target / l2_norm(f))
     if h1_target is not None:
@@ -237,3 +234,17 @@ def boundary_decay(f):
         a[:, :, 0].max(), a[:, :, -1].max(),
     )
     return float(edge / peak)
+
+
+def warn_if_cramped(f):
+    """Warn when f has not decayed below 1e-8 of its peak at the box boundary,
+    the usual sign that the box is too small for free-space comparisons.
+    Call it where a free-space reading is made; returns f."""
+    decay = boundary_decay(f)
+    if decay > 1e-8:
+        warnings.warn(
+            f"initial bump only decays to {decay:.2e} of its peak at the box "
+            "boundary; increase L or decrease sigma",
+            stacklevel=2,
+        )
+    return f

@@ -12,8 +12,11 @@ from .grid import Field, from_spectral, make_grid, min_image_r2, to_spectral
 
 
 def free_phase(spec, t, alpha1):
-    """The spectral multiplier exp(-i alpha1 t |k|^2) of e^{i alpha1 t Lap}."""
-    return np.exp(-1j * alpha1 * t * make_grid(spec).ksq)
+    """The spectral multiplier exp(-i alpha1 t |k|^2) of e^{i alpha1 t Lap}:
+    one exp per distinct |k|^2, scattered back through the grid's cached
+    index, bitwise equal to np.exp(-1j * alpha1 * t * ksq)."""
+    u, inv = make_grid(spec).ksq_levels
+    return np.exp(-1j * alpha1 * t * u)[inv]
 
 
 def free_evolve(psi, t, alpha1):

@@ -9,12 +9,14 @@ and serves as the battery's negative control.
 
 import filecmp
 import os
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from frnse import experiments
 from frnse.experiments import (VerifyPlan, contraction_rows,
                                continuous_dependence, cross_method_check,
                                domination_rows, inequality_battery,
@@ -169,9 +171,47 @@ def _quick_battery():
 
 
 @pytest.fixture(scope="module")
-def quick_battery():
-    """One quick battery run, shared by criterion 10 and the drift guard."""
-    return _quick_battery()
+def quick_run():
+    """One quick battery run, shared by criterion 10, the drift guard and the
+    warning and cold-start guards. Records the caller and initializer of
+    every Picard solve, and every warning raised."""
+    solves = []
+
+    def recording(phi, cfg, init="free"):
+        solves.append((sys._getframe(1).f_code.co_name, init))
+        return picard_solve(phi, cfg, init)
+
+    with pytest.MonkeyPatch.context() as mp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(experiments, "picard_solve", recording)
+        result = verify_battery(VerifyPlan.default().quick())
+    return result, solves, caught
+
+
+@pytest.fixture(scope="module")
+def quick_battery(quick_run):
+    return quick_run[0]
+
+
+def test_quick_battery_emits_no_box_decay_warning(quick_run):
+    # the battery compares two solvers on one periodic grid; box decay is
+    # checked only where a free-space reading is made
+    caught = quick_run[2]
+    assert not [w for w in caught if "at the box boundary" in str(w.message)]
+
+
+def test_quick_battery_measured_solves_start_cold(quick_run):
+    kinds = [(caller, init if isinstance(init, str) else "warm")
+             for caller, init in quick_run[1]]
+    assert kinds == [
+        ("verify_battery", "free"),  # its increments feed contraction_rows
+        ("quadrature_order_study", "free"),  # first Simpson rung
+        *[("quadrature_order_study", "warm")] * 5,  # Simpson 2m, 4m; trapezoid
+        *[("truncation_convergence", "free")] * 3,
+        ("continuous_dependence", "free"),  # its increments give C_fit
+        *[("continuous_dependence", "warm")] * 3,
+    ]
 
 
 def test_criterion_10_determinism(tmp_path, quick_battery):

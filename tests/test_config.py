@@ -316,6 +316,19 @@ def test_build_initial_gaussian_l2_target():
     assert l2_norm(f) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_build_initial_warns_on_undecayed_gaussian():
+    # the off-centre datum of test_grid's six-face test: one cell toward the
+    # index-(n-1) faces, which then sit 14 h from the peak
+    h = 1.6 / 32
+    c = 0.8 + h
+    text = (MINIMAL.replace("n = 16", "n = 32")
+            + f"\n[initial]\ntype = gaussian\nsigma = 0.12\ncenter = {c!r}, {c!r}, {c!r}\n"
+            + "l2_norm = 1.0\n")
+    cfg = parse_config(text)
+    with pytest.warns(UserWarning):
+        build_initial(cfg)
+
+
 def test_build_initial_exclusive_targets():
     text = MINIMAL + "\n[initial]\nl2_norm = 1.0\nh1_norm = 1.0\n"
     with pytest.raises(ConfigError):

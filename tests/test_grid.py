@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from frnse.grid import (Field, GridSpec, boundary_decay, from_spectral,
                         gaussian_field, h1_norm, inner, l2_norm, laplacian,
                         lp_norm, make_grid, random_band_limited,
-                        scaled_gaussian, to_spectral, zero_field)
+                        scaled_gaussian, to_spectral, warn_if_cramped,
+                        zero_field)
 
 
 def test_spec_validation():
@@ -139,14 +140,15 @@ def test_boundary_decay_reads_all_six_faces(gspec32):
     f = gaussian_field(gspec32, sigma, center=center)
     expected = np.exp(-((14 * h) ** 2) / (2.0 * sigma**2))
     assert boundary_decay(f) == pytest.approx(expected, rel=1e-9)
-    with pytest.warns(UserWarning):
-        scaled_gaussian(gspec32, sigma, center=center, l2_target=1.0)
 
 
-def test_scaled_gaussian_warns_when_cramped():
+def test_warn_if_cramped_only_when_called():
     spec = GridSpec(16, 1.6)
-    with pytest.warns(UserWarning):
-        scaled_gaussian(spec, 0.3, l2_target=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = scaled_gaussian(spec, 0.3, l2_target=1.0)
+    with pytest.warns(UserWarning, match="box boundary"):
+        assert warn_if_cramped(f) is f
 
 
 def test_zero_field(gspec8):

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import warnings
 
 from frnse.errors import DivergenceDetected, NonConvergence
-from frnse.grid import (GridSpec, h1_norm, random_band_limited, scaled_gaussian,
-                        to_spectral)
+from frnse.grid import (GridSpec, from_spectral, h1_norm, random_band_limited,
+                        scaled_gaussian, to_spectral)
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
 from frnse.picard import (PicardConfig, _prefix_integrals, contraction_report,
-                          duhamel_map, picard_solve)
-from frnse.propagate import free_evolve
+                          duhamel_map, picard_solve, refine_trajectory)
+from frnse.propagate import free_evolve, free_phase
 from frnse.trajectory import Trajectory, sup_h1_distance
 
 R16 = default_radius(1.6)
@@ -221,3 +223,38 @@ def test_contraction_degenerate_free_case(gspec8, rng, kfull):
     con = contraction_report(report)
     assert con.degenerate
     assert con.C_fit == 0.0
+
+
+def test_refine_trajectory_exact_for_cubic_coefficients(gspec8, rng):
+    # interaction-picture coefficients cubic in t: the centred and the
+    # one-sided 4-point stencils reproduce every midpoint
+    a1, T, m = 1.0, 0.3, 5
+    A, B, C, D = (to_spectral(random_band_limited(gspec8, rng)) for _ in range(4))
+
+    def psi(t):
+        return from_spectral(gspec8, (A + t * (B + t * (C + t * D)))
+                             * free_phase(gspec8, t, a1))
+
+    times = np.linspace(0.0, T, m + 1)
+    coarse = Trajectory(times, [psi(t) for t in times])
+    fine = refine_trajectory(coarse, a1)
+    assert np.allclose(fine.times, np.linspace(0.0, T, 2 * m + 1), rtol=0, atol=1e-15)
+    assert all(f is g for f, g in zip(fine.fields[::2], coarse.fields))
+    for t, f in zip(fine.times[1::2], fine.fields[1::2]):
+        ref = psi(t)
+        assert h1_norm(f - ref) <= 1e-13 * h1_norm(ref)
+    with pytest.raises(ValueError):
+        refine_trajectory(Trajectory(times[:3], coarse.fields[:3]), a1)
+
+
+def test_warm_simpson_rung_lands_on_cold_fixed_point(gspec8, kfull):
+    phi = scaled_gaussian(gspec8, 0.15, l2_target=0.5)
+    params = PhysParams(0.05, 1.0)
+    cfg = PicardConfig(T=0.25, m=8, kspec=kfull, params=params, quad="simpson",
+                       tol=1e-12)
+    coarse, _ = picard_solve(phi, cfg)
+    cold, cold_report = picard_solve(phi, replace(cfg, m=16))
+    warm, warm_report = picard_solve(phi, replace(cfg, m=16),
+                                     refine_trajectory(coarse, params.alpha1))
+    assert sup_h1_distance(warm.fields, cold.fields) < 1e-12
+    assert warm_report.iterations < cold_report.iterations

@@ -4,7 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from frnse.grid import (GridSpec, gaussian_field, h1_norm, l2_norm, make_grid,
                         random_band_limited, Field)
-from frnse.propagate import free_evolve, free_gaussian_exact
+from frnse.propagate import free_evolve, free_gaussian_exact, free_phase
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
+def test_free_phase_bitwise_equals_direct_exp(n):
+    spec = GridSpec(n, 1.6)
+    g = make_grid(spec)
+    for t in (0.0, 1e-3, -1e-3, 0.25):
+        for a1 in (1.0, 0.05):
+            assert np.array_equal(free_phase(spec, t, a1), np.exp(-1j * a1 * t * g.ksq))
+    u, inv = g.ksq_levels
+    assert not u.flags.writeable and not inv.flags.writeable
+    assert np.array_equal(u[inv], g.ksq)
 
 
 def test_zero_time_is_identity(gspec16, rng):
