@@ -18,7 +18,7 @@ from .trajectory import Trajectory, norm_law_residuals, sup_h1_distance
 from .picard import (ContractionReport, ConvergenceReport, PicardConfig,
                      contraction_report, duhamel_map, picard_solve, refine_trajectory)
 from .stepper import RunReport, StepConfig, evolve, ifrk4_step
-from .experiments import VerifyPlan, VerifyResult, verify_battery
+from .experiments import VerifyResult, verify_battery
 from .config import (ConfigError, ExperimentConfig, build_initial, config_hash,
                      parse_config, serialize_config)
 from .io import read_csv, read_field, write_csv, write_field, write_manifest

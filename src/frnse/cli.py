@@ -24,7 +24,7 @@ from . import __version__
 from .config import (ConfigError, ConfigIssue, _fmt_value, build_initial,
                      config_hash, parse_config, serialize_config)
 from .errors import DivergenceDetected, NonConvergence
-from .experiments import VerifyPlan, kernel_norm_study, verify_battery
+from .experiments import kernel_norm_study, verify_battery
 from .io import (clear_incomplete, mark_incomplete, read_csv, write_csv,
                  write_field, write_manifest)
 from .picard import contraction_report, picard_solve
@@ -201,18 +201,8 @@ def cmd_picard(ctx):
     return code
 
 
-def _plan_from_config(cfg):
-    e = cfg.experiment
-    plan = VerifyPlan.default(cfg.grid, cfg.params, cfg.kernel, seed=e.seed)
-    plan = replace(plan, samples=e.samples, pairs=e.pairs, tail_a=e.a_list,
-                   trunc_a=e.a_list, dep_deltas=e.deltas)
-    if e.scale == "quick":
-        plan = plan.quick()
-    return plan
-
-
 def cmd_verify(ctx):
-    result = verify_battery(_plan_from_config(ctx.cfg))
+    result = verify_battery(ctx.cfg)
     for name in sorted(result.tables):
         header, rows = result.tables[name]
         write_csv(ctx.path(f"{ctx.hash8}-{name}.csv"), header, rows)
@@ -347,13 +337,17 @@ def _require_sections(command, cfg):
             issues.append(ConfigIssue("missing", 0, "sweep over solve needs a [stepper] section"))
         elif cfg.sweep.command == "picard" and cfg.picard is None:
             issues.append(ConfigIssue("missing", 0, "sweep over picard needs a [picard] section"))
-    e = cfg.experiment
-    if command == "verify" and e.scale == "full" and min(e.a_list) <= cfg.grid.h:
+    if command == "verify":
         # truncation_convergence resolves every truncation radius on the grid
-        issues.append(ConfigIssue(
-            "constraint", 0,
-            f"verify at full scale needs every experiment.a_list entry > h = {cfg.grid.h:g}",
-        ))
+        # and measures the truncated kernels against the full one
+        if min(cfg.experiment.a_list) <= cfg.grid.h:
+            issues.append(ConfigIssue(
+                "constraint", 0,
+                f"verify needs every experiment.a_list entry > h = {cfg.grid.h:g}"))
+        if cfg.kernel.variant != "full":
+            issues.append(ConfigIssue(
+                "constraint", 0,
+                f"verify needs kernel.variant = full, got {cfg.kernel.variant}"))
     if issues:
         raise ConfigError(issues)
 

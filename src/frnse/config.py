@@ -130,11 +130,6 @@ def _decreasing(values):
     return all(b < a for a, b in zip(values, values[1:]))
 
 
-def _fixed_by_quick(key):
-    default = SCHEMA["experiment"][key].default  # VerifyPlan.quick() replaces it
-    return lambda v, s: s["scale"] != "quick" or v == default
-
-
 #: (section, key, predicate, message) rows. A key that the text or an
 #: override sets must satisfy predicate(value, typed values of its section),
 #: or "section.key message" is reported at that key's line. Every default
@@ -147,11 +142,9 @@ CHECKS = (
     ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers"),
     ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0"),
     ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50"),
-    ("experiment", "samples", _fixed_by_quick("samples"), "keeps its default at scale = quick"),
-    ("experiment", "pairs", _fixed_by_quick("pairs"), "keeps its default at scale = quick"),
     ("experiment", "a_list", lambda v, s: min(v) > 0, "entries must be positive"),
     ("experiment", "a_list", lambda v, s: _decreasing(v), "must be strictly decreasing"),
-    ("experiment", "a_list", _fixed_by_quick("a_list"), "keeps its default at scale = quick"),
+    ("experiment", "deltas", lambda v, s: min(v) > 0, "entries must be positive"),
     ("experiment", "deltas", lambda v, s: _decreasing(v), "must be strictly decreasing"),
     ("experiment", "p", lambda v, s: v > 1, "must be > 1"),
 )

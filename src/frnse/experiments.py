@@ -9,6 +9,11 @@ No functional-inequality constant is ever assumed numerically: every check
 is a scaling law, a monotonicity statement, a stability test under sample
 doubling, or a self-consistency budget built from measured convergence
 orders.
+
+verify_battery runs the whole battery on a parsed config, the same one the
+run's manifest records: the config sets the grid, physics, kernel and every
+[experiment] key, and experiment.scale picks the remaining sizes from
+SCALES.
 """
 
 from dataclasses import dataclass, replace
@@ -365,31 +370,32 @@ def truncation_convergence(phi, base, a_list):
     return table, slope, rows
 
 
-def continuous_dependence(phi, deltas, cfg, seed=0):
+def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
     """Perturbation response of the fixed point against the exp(C T) budget.
 
     Perturbs phi along one fixed-seed H1-normalized random direction scaled
     to each delta, re-solves, and reports R(delta) = sup-node H1 distance /
     delta. Asserts R <= exp(C_fit T) * 1.25 with C_fit fitted from the
     unperturbed run's contraction report, and max/min R < 2 across the
-    ladder. Zero deltas are skipped. The base solve starts from the free
-    trajectory, since its increments give C_fit; each perturbed solve starts
-    from the base solution. Returns (table, rows).
+    ladder. The base solve starts from the free trajectory, since its
+    increments give C_fit; base, if given, is that solve's (trajectory,
+    report) for phi under cfg. Each perturbed solve starts from the base
+    solution. Returns (table, rows).
     """
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
+    if deltas and min(deltas) <= 0:
+        raise ValueError("deltas must be positive")
     phi_h1 = h1_norm(phi)
     if deltas and max(deltas) > 0.5 * phi_h1:
         raise ValueError("perturbations must be small against ||phi||_H1")
-    base_traj, base_report = picard_solve(phi, cfg)
+    base_traj, base_report = base or picard_solve(phi, cfg)
     ana = contraction_report(base_report)
     direction = random_band_limited(phi.spec, np.random.default_rng([seed, 7]))
     direction = direction * (1.0 / h1_norm(direction))
     table = []
     for d in deltas:
-        if d == 0.0:
-            continue
         traj, _ = picard_solve(phi + d * direction, cfg, base_traj)
         table.append((d, float(sup_h1_distance(traj.fields, base_traj.fields) / d)))
     ratios = [r for _, r in table]
@@ -532,68 +538,18 @@ def domination_rows(gspec, a, samples=200, seed=0):
 # the full battery
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifyPlan:
-    """Workload for the full battery; `quick()` shrinks everything for smoke
-    and determinism runs while keeping every code path covered."""
-
-    gspec: GridSpec
-    params: PhysParams
-    kspec: KernelSpec
-    seed: int = 0
-    samples: int = 60
-    pairs: int = 10
-    battery_n: int = 16
-    oracle_n: int = 8
-    prop_n: int = 32  # propagator exactness needs spectral headroom; cheap
-    sigma: float = 0.12
-    prop_sigma: float = 0.12
-    smooth_sigma: float = 0.13
-    smooth_alpha1: float = 0.05
-    picard_T: float = 0.25
-    picard_m: int = 64
-    picard_tol: float = 1e-12
-    order_ms: tuple = (32, 64, 128)
-    order_steps: tuple = (64, 128, 256)
-    trunc_a: tuple = (0.4, 0.2, 0.1)
-    trunc_T: float = 0.15
-    trunc_m: int = 32
-    dep_n: int = 16
-    dep_deltas: tuple = (1e-2, 1e-3, 1e-4)
-    dep_T: float = 0.25
-    dep_m: int = 32
-    norm_T: float = 0.5
-    norm_dt: float = 2.5e-3
-    tail_a: tuple = (0.4, 0.2, 0.1)
-    M_list: tuple = (0.5, 1.0, 2.0)
-    domination_samples: int = 200
-
-    @staticmethod
-    def default(gspec=None, params=None, kspec=None, seed=0):
-        gspec = gspec or GridSpec(32, 1.6)
-        params = params or PhysParams(1.0, 1.0)
-        kspec = kspec or KernelSpec("full", R=default_radius(gspec.L))
-        return VerifyPlan(gspec=gspec, params=params, kspec=kspec, seed=seed)
-
-    def quick(self):
-        g = GridSpec(16, self.gspec.L)
-        return replace(
-            self,
-            gspec=g,
-            samples=50,
-            pairs=4,
-            sigma=0.15,
-            smooth_sigma=0.15,
-            picard_m=16,
-            order_ms=(16, 32, 64),
-            order_steps=(32, 64, 128),
-            trunc_a=(0.4, 0.2),
-            trunc_m=16,
-            dep_m=16,
-            norm_dt=5e-3,
-            tail_a=(0.4, 0.2),
-            domination_samples=50,
-        )
+#: The sizes that differ between the full and the quick battery: the data
+#: widths, the Picard node counts, the stepper's step counts and dt, and the
+#: domination sample count. The config sets the grid, physics, kernel and the
+#: [experiment] keys; every other size is fixed at its use.
+SCALES = {
+    "full": dict(sigma=0.12, smooth_sigma=0.13, picard_m=64, order_ms=(32, 64, 128),
+                 order_steps=(64, 128, 256), trunc_m=32, dep_m=32, norm_dt=2.5e-3,
+                 domination_samples=200),
+    "quick": dict(sigma=0.15, smooth_sigma=0.15, picard_m=16, order_ms=(16, 32, 64),
+                  order_steps=(32, 64, 128), trunc_m=16, dep_m=16, norm_dt=5e-3,
+                  domination_samples=50),
+}
 
 
 @dataclass
@@ -610,29 +566,32 @@ class VerifyResult:
         return [r for r in self.rows if not r.passed]
 
 
-def verify_battery(plan):
-    """Run the whole battery per the plan; returns a VerifyResult.
+def verify_battery(cfg):
+    """Run the whole battery on a parsed config; returns a VerifyResult.
 
-    The g2-lipschitz-slope row fails by design (see lipschitz_battery), so a
-    full verify run exits red on exactly that row when everything else is
-    healthy.
+    cfg.experiment.scale picks the sizes in SCALES. The g2-lipschitz-slope
+    row fails by design (see lipschitz_battery), so a full verify run exits
+    red on exactly that row when everything else is healthy.
     """
+    e, gspec, params, kspec = cfg.experiment, cfg.grid, cfg.params, cfg.kernel
+    s = SCALES[e.scale]
+    L = gspec.L
     rows = []
     tables = {}
 
-    rows += oracle_equivalence_rows(L=plan.gspec.L, n=plan.oracle_n, seed=plan.seed)
-    prop_gspec = GridSpec(plan.prop_n, plan.gspec.L)
-    rows += propagator_rows(prop_gspec, plan.params.alpha1, seed=plan.seed,
-                            sigma=plan.prop_sigma)
+    rows += oracle_equivalence_rows(L=L, n=8, seed=e.seed)
+    # propagator exactness needs spectral headroom; cheap at n=32
+    rows += propagator_rows(GridSpec(32, L), params.alpha1, seed=e.seed, sigma=0.12)
 
-    tail_table, tail_rows = kernel_norm_study(plan.gspec, plan.tail_a, seed=plan.seed)
+    tail_table, tail_rows = kernel_norm_study(gspec, e.a_list, p=e.p, trials=e.trials,
+                                             seed=e.seed)
     rows += tail_rows
     tables["tail_norms"] = (("a", "bound", "estimate"), tail_table)
 
     # contraction at the reference coefficients
-    phi_small = scaled_gaussian(plan.gspec, plan.sigma, h1_target=0.5)
-    pcfg = PicardConfig(T=plan.picard_T, m=plan.picard_m, kspec=plan.kspec,
-                        params=plan.params, quad="simpson", tol=plan.picard_tol)
+    phi_small = scaled_gaussian(gspec, s["sigma"], h1_target=0.5)
+    pcfg = PicardConfig(T=0.25, m=s["picard_m"], kspec=kspec, params=params,
+                        quad="simpson", tol=1e-12)
     traj, report = picard_solve(phi_small, pcfg)
     crows, _ = contraction_rows(report)
     rows += crows
@@ -642,21 +601,18 @@ def verify_battery(plan):
     )
     rows.append(_info(
         "picard-fixed-point-balance",
-        norm_law_check(traj, plan.params, plan.kspec),
+        norm_law_check(traj, params, kspec),
         "balance defect finite-differenced on the fixed point's nodes",
     ))
 
     # smooth configuration for order studies and cross-validation
-    smooth_params = PhysParams(plan.smooth_alpha1, plan.params.alpha2)
-    phi_smooth = scaled_gaussian(plan.gspec, plan.smooth_sigma, l2_target=0.5)
-    pcfg_smooth = PicardConfig(T=plan.picard_T, m=plan.order_ms[0], kspec=plan.kspec,
-                               params=smooth_params, quad="simpson",
-                               tol=plan.picard_tol)
-    rows += cross_method_check(phi_smooth, pcfg_smooth, plan.order_ms, plan.order_steps)
+    smooth_params = PhysParams(0.05, params.alpha2)
+    phi_smooth = scaled_gaussian(gspec, s["smooth_sigma"], l2_target=0.5)
+    pcfg_smooth = replace(pcfg, m=s["order_ms"][0], params=smooth_params)
+    rows += cross_method_check(phi_smooth, pcfg_smooth, s["order_ms"], s["order_steps"])
 
-    nrows, nreports = normalization_study(plan.gspec, plan.kspec, plan.params,
-                                          T=plan.norm_T, dt=plan.norm_dt,
-                                          sigma=plan.sigma, seed=plan.seed)
+    nrows, nreports = normalization_study(gspec, kspec, params, T=0.5, dt=s["norm_dt"],
+                                          sigma=s["sigma"], seed=e.seed)
     rows += nrows
     unit = nreports["unit"]
     tables["diagnostics"] = (
@@ -665,31 +621,30 @@ def verify_battery(plan):
                  unit.balance_residual, unit.dts)),
     )
 
-    trunc_cfg = PicardConfig(T=plan.trunc_T, m=plan.trunc_m, kspec=plan.kspec,
-                             params=smooth_params, quad="simpson",
-                             tol=plan.picard_tol)
-    ttable, tslope, trows = truncation_convergence(phi_smooth, trunc_cfg, plan.trunc_a)
+    trunc_cfg = replace(pcfg_smooth, T=0.15, m=s["trunc_m"])
+    ttable, _, trows = truncation_convergence(phi_smooth, trunc_cfg, e.a_list)
     rows += trows
     tables["truncation"] = (("a", "error"), ttable)
 
-    dep_gspec = GridSpec(plan.dep_n, plan.gspec.L)
-    phi_dep = scaled_gaussian(dep_gspec, plan.sigma if plan.dep_n >= 32 else 0.15,
-                              h1_target=0.5)
-    dep_cfg = PicardConfig(T=plan.dep_T, m=plan.dep_m, kspec=plan.kspec,
-                           params=plan.params, quad="simpson", tol=plan.picard_tol)
-    dtable, drows = continuous_dependence(phi_dep, plan.dep_deltas, dep_cfg,
-                                          seed=plan.seed)
+    # on a 16^3 grid at quick scale the dependence problem is the
+    # contraction problem: its solve is reused, not repeated
+    dep_gspec = GridSpec(16, L)
+    dep_cfg = replace(pcfg, m=s["dep_m"])
+    same = (dep_gspec, 0.15, dep_cfg) == (gspec, s["sigma"], pcfg)
+    phi_dep = phi_small if same else scaled_gaussian(dep_gspec, 0.15, h1_target=0.5)
+    dtable, drows = continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
+                                          base=(traj, report) if same else None)
     rows += drows
     tables["dependence"] = (("delta", "ratio"), dtable)
 
-    bat_gspec = GridSpec(plan.battery_n, plan.gspec.L)
-    irows, _ = inequality_battery(bat_gspec, samples=plan.samples, seed=plan.seed)
+    bat_gspec = GridSpec(16, L)
+    irows, _ = inequality_battery(bat_gspec, samples=e.samples, seed=e.seed)
     rows += irows
-    lrows, probes = lipschitz_battery(plan.M_list, pairs=plan.pairs, seed=plan.seed,
+    lrows, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=e.pairs, seed=e.seed,
                                       gspec=bat_gspec)
     rows += lrows
-    rows += domination_rows(bat_gspec, a=0.2, samples=plan.domination_samples,
-                            seed=plan.seed)
+    rows += domination_rows(bat_gspec, a=0.2, samples=s["domination_samples"],
+                            seed=e.seed)
 
     tables["battery"] = (
         ("check", "kind", "measured", "threshold", "passed", "detail"),

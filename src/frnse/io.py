@@ -13,6 +13,7 @@ written with repr so values round-trip. Manifests are JSON written via a
 temp file + atomic rename.
 """
 
+import csv
 import json
 import os
 
@@ -88,35 +89,10 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
-    """Minimal reader for our own CSVs; returns (header, rows of strings)."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    rows = []
-    for line in text.split("\n"):
-        if not line:
-            continue
-        cells, cur, quoted, i = [], [], False, 0
-        while i < len(line):
-            ch = line[i]
-            if quoted:
-                if ch == '"':
-                    if i + 1 < len(line) and line[i + 1] == '"':
-                        cur.append('"')
-                        i += 1
-                    else:
-                        quoted = False
-                else:
-                    cur.append(ch)
-            elif ch == '"':
-                quoted = True
-            elif ch == ",":
-                cells.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-            i += 1
-        cells.append("".join(cur))
-        rows.append(cells)
+    """Read a CSV back; returns (header, rows of strings). Blank lines are
+    skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"empty CSV: {path}")
     return rows[0], rows[1:]

@@ -17,13 +17,14 @@ import numpy as np
 import pytest
 
 from frnse import experiments
-from frnse.experiments import (VerifyPlan, contraction_rows,
+from frnse.experiments import (contraction_rows,
                                continuous_dependence, cross_method_check,
                                domination_rows, inequality_battery,
                                kernel_norm_study, lipschitz_battery,
                                norm_law_check, normalization_study,
                                oracle_equivalence_rows, propagator_rows,
                                truncation_convergence, verify_battery)
+from frnse.config import parse_config
 from frnse.grid import GridSpec, random_band_limited, scaled_gaussian
 from frnse.io import read_csv, read_field, write_csv, write_field
 from frnse.kernel import KernelSpec, default_radius
@@ -36,6 +37,7 @@ KFULL = KernelSpec("full", R=default_radius(1.6))
 PARAMS = PhysParams(1.0, 1.0)
 SMOOTH = PhysParams(0.05, 1.0)
 GOLDEN = Path(__file__).resolve().parent / "data" / "verify_quick_golden.csv"
+QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "verify-quick.cfg"
 
 
 def _verdict(num, name, ok, detail=""):
@@ -164,10 +166,15 @@ def test_criterion_09c_g1_ratio_stability():
              "homogeneous growth", bool(g1_rows) and all(r.passed for r in g1_rows))
 
 
+def _quick_config():
+    """The config of `frnse verify --config configs/verify-quick.cfg`."""
+    return parse_config(QUICK_CFG.read_text(encoding="utf-8"))
+
+
 def _quick_battery():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return verify_battery(VerifyPlan.default().quick())
+        return verify_battery(_quick_config())
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +192,7 @@ def quick_run():
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         mp.setattr(experiments, "picard_solve", recording)
-        result = verify_battery(VerifyPlan.default().quick())
+        result = verify_battery(_quick_config())
     return result, solves, caught
 
 
@@ -205,11 +212,12 @@ def test_quick_battery_measured_solves_start_cold(quick_run):
     kinds = [(caller, init if isinstance(init, str) else "warm")
              for caller, init in quick_run[1]]
     assert kinds == [
-        ("verify_battery", "free"),  # its increments feed contraction_rows
+        # its increments feed contraction_rows and, since at quick scale it
+        # is also the dependence base solve, continuous_dependence's C_fit
+        ("verify_battery", "free"),
         ("quadrature_order_study", "free"),  # first Simpson rung
         *[("quadrature_order_study", "warm")] * 5,  # Simpson 2m, 4m; trapezoid
         *[("truncation_convergence", "free")] * 3,
-        ("continuous_dependence", "free"),  # its increments give C_fit
         *[("continuous_dependence", "warm")] * 3,
     ]
 

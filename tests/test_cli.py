@@ -104,13 +104,18 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("kernel-norms", "kernel-norms.cfg", "experiment.p=1"),
     ("kernel-norms", "kernel-norms.cfg", "experiment.a_list=0.4,-0.2"),
     ("verify", "verify-quick.cfg", "experiment.deltas=0.01,0.02"),
+    ("verify", "verify-quick.cfg", "experiment.deltas=1e-2,1e-3,-1e-4"),
     ("verify", "verify.cfg", "experiment.a_list=0.1,0.2,0.4"),
+    # truncation_convergence measures truncated kernels against the full one
+    ("verify", "verify-quick.cfg", ("kernel.variant=inner", "kernel.a=0.2")),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
+    overrides = (override,) if isinstance(override, str) else override
     path = os.path.join(CONFIGS, config)
     out = tmp_path / "r"
-    assert main([command, "--config", path, "--set", override, "--out", str(out)]) == 2
-    assert override.split("=")[0] in capsys.readouterr().err
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert main([command, "--config", path, *sets, "--out", str(out)]) == 2
+    assert overrides[0].split("=")[0] in capsys.readouterr().err
     assert not out.exists()  # rejected before any run directory exists
 
 
@@ -210,8 +215,7 @@ picard.m = 4; 8
 
 
 def test_sweep_at_quick_scale(tmp_path):
-    # each point re-parses the canonical form, which writes out the
-    # a_list, samples and pairs that quick scale keeps at their defaults
+    # each point re-parses the canonical form of a quick-scale config
     text = PICARD + """
 [experiment]
 scale = quick
@@ -248,11 +252,12 @@ def test_plot_bad_csv_exits_1(tmp_path, capsys):
 VERIFY = BASE + """
 [experiment]
 scale = quick
+a_list = 0.4, 0.3
 """
 
 
 def test_crash_still_writes_manifest(tmp_path, monkeypatch, capsys):
-    def boom(plan):
+    def boom(cfg):
         raise RuntimeError("battery exploded")
 
     monkeypatch.setattr(cli, "verify_battery", boom)

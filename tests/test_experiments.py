@@ -1,8 +1,13 @@
-import numpy as np
-import pytest
+import types
 import warnings
 
-from frnse.experiments import (VerifyPlan, contraction_rows,
+import numpy as np
+import pytest
+
+from frnse import experiments
+from frnse.config import parse_config
+
+from frnse.experiments import (contraction_rows,
                                continuous_dependence, domination_rows,
                                inequality_battery, kernel_norm_study,
                                lipschitz_battery, loglog_slope,
@@ -134,6 +139,8 @@ def test_continuous_dependence_guards(gspec8, kfull):
         continuous_dependence(phi, (1e-3, 1e-2), cfg)  # not decreasing
     with pytest.raises(ValueError):
         continuous_dependence(phi, (10.0, 1.0), cfg)  # not small vs phi
+    with pytest.raises(ValueError):
+        continuous_dependence(phi, (1e-3, -1e-4), cfg)  # not positive
 
 
 def test_continuous_dependence_runs(gspec16, kfull):
@@ -143,6 +150,9 @@ def test_continuous_dependence_runs(gspec16, kfull):
     table, rows = continuous_dependence(phi, (1e-2, 1e-3), cfg)
     assert len(table) == 2
     assert all(r.passed for r in rows)
+    # a base solved beforehand gives the same rows, bit for bit
+    again = continuous_dependence(phi, (1e-2, 1e-3), cfg, base=picard_solve(phi, cfg))
+    assert again == (table, rows)
 
 
 def test_inequality_battery(gspec8):
@@ -171,8 +181,56 @@ def test_domination_rows(gspec8):
     assert rows[0].passed
 
 
-def test_verify_plan_quick_profile():
-    plan = VerifyPlan.default().quick()
-    assert plan.gspec.n == 16
-    assert plan.samples == 50
-    assert plan.prop_n == 32  # propagator rows keep their spectral headroom
+
+
+def test_quick_config_reaches_the_battery(monkeypatch):
+    # every battery section is replaced by a recorder, so only the sizes
+    # that verify_battery hands to each section are measured
+    text = """
+[grid]
+n = 12
+L = 1.6
+
+[physics]
+alpha1 = 1.0
+alpha2 = 1.0
+
+[experiment]
+scale = quick
+samples = 70
+pairs = 5
+a_list = 0.5, 0.3
+deltas = 0.02, 0.002
+p = 3.0
+trials = 9
+"""
+    calls = {}
+    report = types.SimpleNamespace(increments=[], residual=0.0)
+    unit = types.SimpleNamespace(times=[], l2=[], h1=[], g1_energy=[],
+                                 balance_residual=[], dts=[])
+    returns = {
+        "oracle_equivalence_rows": [], "propagator_rows": [],
+        "kernel_norm_study": ([], []), "picard_solve": (None, report),
+        "contraction_rows": ([], None), "norm_law_check": 0.0,
+        "cross_method_check": [], "normalization_study": ([], {"unit": unit}),
+        "truncation_convergence": ([], 0.0, []), "continuous_dependence": ([], []),
+        "inequality_battery": ([], {}), "lipschitz_battery": ([], []),
+        "domination_rows": [],
+    }
+    for name, value in returns.items():
+        def record(*args, _name=name, _value=value, **kwargs):
+            calls[_name] = (args, kwargs)
+            return _value
+        monkeypatch.setattr(experiments, name, record)
+
+    experiments.verify_battery(parse_config(text))
+    assert set(calls) == set(returns)
+    assert calls["kernel_norm_study"][0][:2] == (GridSpec(12, 1.6), (0.5, 0.3))
+    assert calls["kernel_norm_study"][1] == {"p": 3.0, "trials": 9, "seed": 0}
+    phi, pcfg = calls["picard_solve"][0]
+    assert phi.spec == GridSpec(12, 1.6) and pcfg.m == 16
+    assert calls["truncation_convergence"][0][2] == (0.5, 0.3)
+    assert calls["continuous_dependence"][0][1] == (0.02, 0.002)
+    assert calls["inequality_battery"][1]["samples"] == 70
+    assert calls["lipschitz_battery"][1]["pairs"] == 5
+    assert calls["domination_rows"][1]["samples"] == 50

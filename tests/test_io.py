@@ -71,9 +71,10 @@ def test_csv_floats_repr_exact(tmp_path):
 
 def test_csv_newline_cell_is_quoted(tmp_path):
     path = str(tmp_path / "n.csv")
-    write_csv(path, ["a"], [["line1\nline2"]])
+    write_csv(path, ["a", "b"], [["line1\nline2", 1.5]])
     blob = open(path, "rb").read()
     assert b'"line1\nline2"' in blob
+    assert read_csv(path) == (["a", "b"], [["line1\nline2", "1.5"]])
 
 
 def test_csv_empty_raises(tmp_path):
