@@ -24,7 +24,8 @@ from . import __version__
 from .config import (ConfigError, ConfigIssue, _fmt_value, build_initial,
                      config_hash, parse_config, serialize_config)
 from .errors import DivergenceDetected, NonConvergence
-from .experiments import kernel_norm_study, verify_battery
+from .experiments import dependence_datum, kernel_norm_study, verify_battery
+from .grid import h1_norm
 from .io import (clear_incomplete, mark_incomplete, read_csv, write_csv,
                  write_field, write_manifest)
 from .picard import contraction_report, picard_solve
@@ -245,6 +246,7 @@ def _sweep_worker(task):
     index, text, overrides, parent_dir, command = task
     try:
         cfg = parse_config(text, overrides)
+        _require_sections(command, cfg)
     except ConfigError as e:
         print(f"sweep point {index} ({', '.join(overrides)}): config error: {e}",
               file=sys.stderr)
@@ -325,18 +327,23 @@ def _execute(command, cfg, run_dir, jobs=1):
 
 
 def _require_sections(command, cfg):
+    """Reject, before a run directory exists, what the command would crash on."""
     issues = []
-    if command == "solve" and cfg.stepper is None:
-        issues.append(ConfigIssue("missing", 0, "solve needs a [stepper] section"))
-    if command == "picard" and cfg.picard is None:
-        issues.append(ConfigIssue("missing", 0, "picard needs a [picard] section"))
-    if command == "sweep":
-        if cfg.sweep is None:
-            issues.append(ConfigIssue("missing", 0, "sweep needs a [sweep] section"))
-        elif cfg.sweep.command == "solve" and cfg.stepper is None:
-            issues.append(ConfigIssue("missing", 0, "sweep over solve needs a [stepper] section"))
-        elif cfg.sweep.command == "picard" and cfg.picard is None:
-            issues.append(ConfigIssue("missing", 0, "sweep over picard needs a [picard] section"))
+    if command == "sweep" and cfg.sweep is None:
+        issues.append(ConfigIssue("missing", 0, "sweep needs a [sweep] section"))
+    runs = cfg.sweep.command if command == "sweep" and cfg.sweep else command
+    over = "sweep over " if command == "sweep" else ""
+    section = {"solve": ("stepper", cfg.stepper), "picard": ("picard", cfg.picard)}
+    if runs in section and section[runs][1] is None:
+        issues.append(ConfigIssue(
+            "missing", 0, f"{over}{runs} needs a [{section[runs][0]}] section"))
+    if runs in section and cfg.initial.type == "file":
+        try:
+            build_initial(cfg)
+        except ConfigError as e:
+            issues += e.issues
+        except (OSError, ValueError) as e:
+            issues.append(ConfigIssue("constraint", 0, f"initial.path cannot be read: {e}"))
     if command == "verify":
         # truncation_convergence resolves every truncation radius on the grid
         # and measures the truncated kernels against the full one
@@ -348,6 +355,13 @@ def _require_sections(command, cfg):
             issues.append(ConfigIssue(
                 "constraint", 0,
                 f"verify needs kernel.variant = full, got {cfg.kernel.variant}"))
+        # continuous_dependence keeps each perturbation within half the datum
+        half = 0.5 * h1_norm(dependence_datum(cfg.grid.L))
+        if max(cfg.experiment.deltas) > half:
+            issues.append(ConfigIssue(
+                "constraint", 0,
+                f"verify needs every experiment.deltas entry <= {half!r}, "
+                "half the H1 norm of the dependence datum"))
     if issues:
         raise ConfigError(issues)
 

@@ -72,7 +72,6 @@ SCHEMA = {
         "snapshot_every": _Opt("int", 10),
     },
     "experiment": {
-        "battery": _Opt("str", "verify", choices=("verify",)),
         "seed": _Opt("int", 0),
         "samples": _Opt("int", 60),
         "pairs": _Opt("int", 10),
@@ -142,11 +141,13 @@ CHECKS = (
     ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers"),
     ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0"),
     ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50"),
+    ("experiment", "pairs", lambda v, s: v >= 1, "must be >= 1"),
     ("experiment", "a_list", lambda v, s: min(v) > 0, "entries must be positive"),
     ("experiment", "a_list", lambda v, s: _decreasing(v), "must be strictly decreasing"),
     ("experiment", "deltas", lambda v, s: min(v) > 0, "entries must be positive"),
     ("experiment", "deltas", lambda v, s: _decreasing(v), "must be strictly decreasing"),
     ("experiment", "p", lambda v, s: v > 1, "must be > 1"),
+    ("experiment", "trials", lambda v, s: v >= 1, "must be >= 1"),
 )
 
 

@@ -40,7 +40,7 @@ from .kernel import (
     tail_norm_estimate,
 )
 from .nonlinear import PhysParams, ball_field, big_g1, density, g1, lipschitz_growth
-from .picard import PicardConfig, contraction_report, picard_solve, refine_trajectory
+from .picard import PicardConfig, contraction_report, picard_solve
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
 from .trajectory import dot_values, norm_law_residuals, sup_h1_distance
@@ -218,15 +218,15 @@ def quadrature_order_study(phi, cfg, ms=(32, 64, 128), inits=None):
     Solves at each m, measures sup-node H1 differences on common nodes, and
     returns (order, budget, solutions): the observed order, plus a
     Richardson error budget for the finest solve (factor-2 safety).
-    Each solve starts from inits[m] if given, else from the refined rung
-    below; the first rung then starts from the free trajectory.
+    Each solve starts from inits[m] if given, else from the solution on the
+    rung below, which picard_solve refines; the first rung then starts from
+    the free trajectory.
     """
     if len(ms) < 3 or any(m2 != 2 * m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("ms must be at least 3 doubling node counts")
     sols = {}
     for m in ms:
-        init = inits[m] if inits else (
-            refine_trajectory(sols[m // 2], cfg.params.alpha1) if sols else "free")
+        init = inits[m] if inits else sols.get(m // 2, "free")
         traj, _ = picard_solve(phi, replace(cfg, m=m), init)
         sols[m] = traj
     diffs = [sup_h1_distance(sols[m1].fields, sols[m2].fields[::2])
@@ -566,6 +566,12 @@ class VerifyResult:
         return [r for r in self.rows if not r.passed]
 
 
+def dependence_datum(L):
+    """The continuous-dependence datum of verify_battery: a Gaussian of
+    width 0.15 and H1 norm 0.5 on a 16^3 grid of box length L."""
+    return scaled_gaussian(GridSpec(16, L), 0.15, h1_target=0.5)
+
+
 def verify_battery(cfg):
     """Run the whole battery on a parsed config; returns a VerifyResult.
 
@@ -628,10 +634,9 @@ def verify_battery(cfg):
 
     # on a 16^3 grid at quick scale the dependence problem is the
     # contraction problem: its solve is reused, not repeated
-    dep_gspec = GridSpec(16, L)
     dep_cfg = replace(pcfg, m=s["dep_m"])
-    same = (dep_gspec, 0.15, dep_cfg) == (gspec, s["sigma"], pcfg)
-    phi_dep = phi_small if same else scaled_gaussian(dep_gspec, 0.15, h1_target=0.5)
+    phi_dep = dependence_datum(L)
+    same = dep_cfg == pcfg and np.array_equal(phi_dep.values, phi_small.values)
     dtable, drows = continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
                                           base=(traj, report) if same else None)
     rows += drows

@@ -109,9 +109,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def is_finite(self):
-        return bool(np.isfinite(self.values.view(np.float64)).all())
-
 
 def zero_field(spec):
     return Field(spec, np.zeros((spec.n,) * 3, dtype=np.complex128))

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, h1_norm, l2_norm, laplacian, lp_norm, random_band_limited
+from .grid import (Field, from_spectral, h1_norm, l2_norm, laplacian, lp_norm,
+                   random_band_limited, to_spectral)
 from .kernel import apply_kernel
 
 
@@ -113,6 +114,13 @@ def nonlinear_part(psi, params, kspec):
     if params.alpha2 == 0.0:
         return Field(psi.spec, np.zeros_like(psi.values))
     return _nonlinear_and_g1(psi, params, kspec)[0]
+
+
+def spectral_nonlinear_part(spec, coeffs, params, kspec):
+    """Spectral coefficients of nonlinear_part at the field whose spectral
+    coefficients are coeffs: the one trip through physical space that the
+    Duhamel integrand and the stepper stages make."""
+    return to_spectral(nonlinear_part(from_spectral(spec, coeffs), params, kspec))
 
 
 def rhs(psi, params, kspec):

@@ -19,12 +19,13 @@ trajectory is phi_hat at every node. A map costs each node two transforms
 unitary, so both sup-node H^1 distances are Parseval sums on coefficients
 in hand; a Trajectory is built once, when the solve returns.
 
-Refinement ladders start warm: refine_trajectory carries a solution on m
-steps to 2m, keeping its nodes and filling each midpoint by 4-point
-Lagrange interpolation in U, which moves at the rate of the nonlinearity,
-not in psi, whose free phase exp(-i a1 |k|^2 t) turns through radians per
-step at high k (the integrating-factor view of Kassam & Trefethen, SIAM J.
-Sci. Comput. 26, 2005). Solves whose increments are measured start cold.
+Refinement ladders start warm: picard_solve takes the solution on m/2
+steps as the initializer on m, keeping its nodes and filling each
+midpoint by 4-point Lagrange interpolation in U, which moves at the rate
+of the nonlinearity, not in psi, whose free phase exp(-i a1 |k|^2 t)
+turns through radians per step at high k (the integrating-factor view of
+Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005). Solves whose
+increments are measured start cold.
 """
 
 import math
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import DivergenceDetected, NonConvergence
 from .grid import from_spectral, spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
-from .nonlinear import PhysParams, nonlinear_part
+from .nonlinear import PhysParams, spectral_nonlinear_part
 from .propagate import free_phase
 from .trajectory import Trajectory
 
@@ -117,31 +118,24 @@ def duhamel_map(spec, coeffs, phi_hat, cfg):
     W = []
     for t, u in zip(cfg.times, coeffs):
         e = free_phase(spec, t, a1)
-        psi = from_spectral(spec, u * e)
-        W.append(to_spectral(nonlinear_part(psi, cfg.params, cfg.kspec)) * e.conj())
+        W.append(spectral_nonlinear_part(spec, u * e, cfg.params, cfg.kspec) * e.conj())
     P = _prefix_integrals(W, cfg.T / cfg.m, cfg.quad)
     for p in P:
         p += phi_hat
     return P
 
 
-def refine_trajectory(traj, alpha1):
-    """Initializer on the 2m+1 uniform nodes of a solution on m+1 (m >= 3):
-    nodes kept, each midpoint the 4-point Lagrange interpolant of the U_j
-    (one-sided in the end intervals), exact for U cubic in t."""
-    m, spec = len(traj) - 1, traj.spec
+def _refine(U):
+    """Coefficients on the 2m+1 uniform nodes of m+1 given ones (m >= 3):
+    nodes kept, each midpoint the 4-point Lagrange interpolant (one-sided in
+    the end intervals), exact for U cubic in t."""
+    m = len(U) - 1
     if m < 3:
         raise ValueError(f"refinement needs m >= 3 steps, got {m}")
-    times = np.linspace(0.0, traj.times[-1], 2 * m + 1)
-    U = [to_spectral(f) * free_phase(spec, -t, alpha1)
-         for t, f in zip(traj.times, traj.fields)]
     mids = [(5 * U[0] + 15 * U[1] - 5 * U[2] + U[3]) / 16]
     mids += [(9 * (U[j] + U[j + 1]) - U[j - 1] - U[j + 2]) / 16 for j in range(1, m - 1)]
     mids.append((U[m - 3] - 5 * U[m - 2] + 15 * U[m - 1] + 5 * U[m]) / 16)
-    mids = [from_spectral(spec, u * free_phase(spec, t, alpha1))
-            for t, u in zip(times[1::2], mids)]
-    fields = [f for pair in zip(traj.fields, mids) for f in pair] + [traj.final()]
-    return Trajectory(times, fields)
+    return [u for pair in zip(U, mids) for u in pair] + [U[m]]
 
 
 def _sup_h1_distance(spec, coeffs_a, coeffs_b):
@@ -173,8 +167,9 @@ def picard_solve(phi, cfg, init="free"):
     """Iterate the Duhamel map to its fixed point.
 
     init: "free" (default) starts from the free trajectory of phi — the
-    center of the contraction ball; "zero" starts from the zero trajectory;
-    a Trajectory on the configuration's nodes is used as given.
+    center of the contraction ball. A Trajectory on the configuration's
+    nodes is used as given; one on every other node (a solve with m/2
+    steps) is refined to them first.
 
     Returns (trajectory, report); node 0 of the trajectory is phi itself.
     Raises NonConvergence (with the report attached) when max_iter is
@@ -185,15 +180,17 @@ def picard_solve(phi, cfg, init="free"):
     spec, times, a1 = phi.spec, cfg.times, cfg.params.alpha1
     phi_hat = to_spectral(phi)
     if isinstance(init, Trajectory):
-        if (len(init) != cfg.m + 1 or init.spec != spec
-                or not np.allclose(init.times, times, atol=1e-12)):
+        coarse = cfg.m % 2 == 0 and len(init) == cfg.m // 2 + 1
+        nodes = times[::2] if coarse else times
+        if (init.spec != spec or len(init) != len(nodes)
+                or not np.allclose(init.times, nodes, atol=1e-12)):
             raise ValueError("given initializer does not match the configuration")
         cur = [to_spectral(f) * free_phase(spec, -t, a1)
-               for t, f in zip(times, init.fields)]
+               for t, f in zip(init.times, init.fields)]
+        if coarse:
+            cur = _refine(cur)
     elif init == "free":
         cur = [phi_hat] * len(times)
-    elif init == "zero":
-        cur = [np.zeros_like(phi_hat)] * len(times)
     else:
         raise ValueError(f"unknown initializer {init!r}")
 

@@ -6,10 +6,12 @@ linear part; classical RK4 on u gives fourth-order steps that reduce
 *exactly* to the free propagator when alpha2 = 0 (the exp(-i a1 |k|^2 dt)
 multiplier is computed directly, not squared from the half step).
 
+The stepper carries the spectral coefficients of psi from step to step.
 Stepping is first same as last: the potential of each accepted state is
 computed once and gives both its G1 diagnostic and the first stage of the
 step that leaves it, so a run without rejections makes 1 + 4 * steps
-kernel applications.
+kernel applications, 4 * steps inverse and 2 + 4 * steps forward n^3
+transforms.
 
 Blow-up is operationalized as a monitor: when the H^1 norm of a candidate
 step exceeds h1_cap the step is rejected and dt halved; hitting dt_min with
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected
-from .grid import from_spectral, h1_norm, l2_norm, to_spectral
+from .grid import from_spectral, l2_norm, spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
-from .nonlinear import PhysParams, _nonlinear_and_g1, nonlinear_part
+from .nonlinear import PhysParams, _nonlinear_and_g1, spectral_nonlinear_part
 from .propagate import free_phase
 from .trajectory import Trajectory, norm_law_residuals
 
@@ -61,35 +63,31 @@ class StepConfig:
         object.__setattr__(self, "T", float(self.T))
 
 
-def ifrk4_step(psi, dt, cfg, first):
-    """One integrating-factor RK4 step of size dt from psi.
+def ifrk4_step(spec, coeffs, dt, cfg, first):
+    """One integrating-factor RK4 step of size dt from the state with
+    spectral coefficients coeffs; returns the coefficients after the step.
 
-    first is the first stage nonlinear_part(psi); evolve computes it once
-    per accepted state, together with that state's G1, and reuses it when a
-    step is rejected and retried. The other RK4 stage derivatives of
-    u(t) = e^{-i a1 t Lap} psi(t) are evaluated by pushing each stage back
-    to the physical variable: three more nonlinearity evaluations and a
-    handful of diagonal multipliers. Raises DivergenceDetected if the
-    result is not finite.
+    first is the first stage, the coefficients of nonlinear_part at coeffs;
+    evolve computes it once per accepted state, together with that state's
+    G1, and reuses it when a step is rejected and retried. The other RK4
+    stage derivatives of u(t) = e^{-i a1 t Lap} psi(t) each take one trip
+    through physical space (spectral_nonlinear_part) and a handful of
+    diagonal multipliers. Raises DivergenceDetected if the result is not
+    finite.
     """
-    spec = psi.spec
     a1 = cfg.params.alpha1
     e = free_phase(spec, dt / 2.0, a1)
     e2 = free_phase(spec, dt, a1)
 
-    def stage(coeffs):
-        state = from_spectral(spec, coeffs)
-        return to_spectral(nonlinear_part(state, cfg.params, cfg.kspec))
+    def stage(u):
+        return spectral_nonlinear_part(spec, u, cfg.params, cfg.kspec)
 
-    psi_k = to_spectral(psi)
-    na_k = to_spectral(first)
-    nb_k = stage((psi_k + (dt / 2.0) * na_k) * e)
-    nc_k = stage(psi_k * e + (dt / 2.0) * nb_k)
-    nd_k = stage(psi_k * e2 + dt * (nc_k * e))
+    nb = stage((coeffs + (dt / 2.0) * first) * e)
+    nc = stage(coeffs * e + (dt / 2.0) * nb)
+    nd = stage(coeffs * e2 + dt * (nc * e))
     # operand order matches free_evolve so the alpha2 = 0 case is bitwise free
-    out_k = psi_k * e2 + (dt / 6.0) * (na_k * e2 + 2.0 * (nb_k * e) + 2.0 * (nc_k * e) + nd_k)
-    out = from_spectral(spec, out_k)
-    if not out.is_finite():
+    out = coeffs * e2 + (dt / 6.0) * (first * e2 + 2.0 * (nb * e) + 2.0 * (nc * e) + nd)
+    if not np.isfinite(out).all():
         raise DivergenceDetected(f"non-finite field after step dt={dt}")
     return out
 
@@ -128,54 +126,42 @@ def evolve(phi, cfg):
     immediately with status BlowupSuspected (escape time 0). NaN inside a
     step is treated like a cap violation (halve dt and retry) until dt_min,
     where it re-raises DivergenceDetected.
+
+    The steps carry spectral coefficients; each H^1 norm is the Parseval sum
+    on them. An accepted state is brought to physical space once, for its
+    first stage and G1, its L2 norm and its snapshot.
     """
-    if not phi.is_finite():
+    if not np.isfinite(phi.values).all():
         raise DivergenceDetected("initial datum is not finite")
-    first, g1v = _nonlinear_and_g1(phi, cfg.params, cfg.kspec)
-    h1v = h1_norm(phi)
-    times, l2s, h1s, g1s, dts = [0.0], [l2_norm(phi)], [h1v], [g1v], [0.0]
-    snap_times, snap_fields = [0.0], [phi]
+    spec = phi.spec
+    rows = []  # (t, l2, h1, G1, dt) of every accepted state
 
-    def report(status, escape_time, steps, rejections):
-        t = np.array(times)
-        l2a, h1a, g1a = np.array(l2s), np.array(h1s), np.array(g1s)
-        if len(t) >= 3:
-            bal = norm_law_residuals(t, l2a, g1a, cfg.params)
-        else:
-            bal = np.full(len(t), np.nan)
-        return RunReport(
-            status=status,
-            escape_time=escape_time,
-            times=t,
-            l2=l2a,
-            h1=h1a,
-            g1_energy=g1a,
-            balance_residual=bal,
-            dts=np.array(dts),
-            steps=steps,
-            rejections=rejections,
-        )
+    def accept(t, step, state, h1v):
+        """Record an accepted state; return its first stage."""
+        nl, g1v = _nonlinear_and_g1(state, cfg.params, cfg.kspec)
+        rows.append((t, l2_norm(state), h1v, g1v, step))
+        return to_spectral(nl)
 
-    if h1v > cfg.h1_cap:
-        rep = report(BLOWUP_SUSPECTED, 0.0, 0, 0)
-        return Trajectory(snap_times, snap_fields), rep
-
-    cur = phi
-    t, dt = 0.0, cfg.dt
-    steps = rejections = 0
+    cur, state, t = to_spectral(phi), phi, 0.0
+    h1v = spectral_h1_norm(spec, cur)
+    first = accept(t, 0.0, state, h1v)
+    snap_times, snap_fields = [t], [state]
+    dt, steps, rejections = cfg.dt, 0, 0
     status, escape = COMPLETED, float("nan")
-    while t < cfg.T * (1.0 - 1e-12):
+    if h1v > cfg.h1_cap:
+        status, escape = BLOWUP_SUSPECTED, 0.0
+    while status == COMPLETED and t < cfg.T * (1.0 - 1e-12):
         step = min(dt, cfg.T - t)
         try:
             # overflow inside a rejected trial step is expected and handled
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = ifrk4_step(cur, step, cfg, first)
-            cand_h1 = h1_norm(cand)
+                cand = ifrk4_step(spec, cur, step, cfg, first)
+                cand_h1 = spectral_h1_norm(spec, cand)
             ok = cand_h1 <= cfg.h1_cap
         except DivergenceDetected:
             if step / 2.0 < cfg.dt_min:
                 raise
-            cand, ok = None, False
+            ok = False
         if not ok:
             rejections += 1
             if step / 2.0 < cfg.dt_min:
@@ -183,19 +169,31 @@ def evolve(phi, cfg):
                 break
             dt = step / 2.0
             continue
-        cur = cand
+        cur, state = cand, from_spectral(spec, cand)
         t += step
         steps += 1
-        times.append(t)
-        dts.append(step)
-        first, g1v = _nonlinear_and_g1(cur, cfg.params, cfg.kspec)
-        l2s.append(l2_norm(cur))
-        h1s.append(cand_h1)
-        g1s.append(g1v)
+        first = accept(t, step, state, cand_h1)
         if steps % cfg.snapshot_every == 0:
             snap_times.append(t)
-            snap_fields.append(cur)
-    if snap_times[-1] != times[-1] and len(times) > 1:
-        snap_times.append(times[-1])
-        snap_fields.append(cur)
-    return Trajectory(snap_times, snap_fields), report(status, escape, steps, rejections)
+            snap_fields.append(state)
+    if snap_times[-1] != t:
+        snap_times.append(t)
+        snap_fields.append(state)
+    times, l2, h1, g1v, dts = (np.array(c) for c in zip(*rows))
+    if len(times) >= 3:
+        bal = norm_law_residuals(times, l2, g1v, cfg.params)
+    else:
+        bal = np.full(len(times), np.nan)
+    report = RunReport(
+        status=status,
+        escape_time=escape,
+        times=times,
+        l2=l2,
+        h1=h1,
+        g1_energy=g1v,
+        balance_residual=bal,
+        dts=dts,
+        steps=steps,
+        rejections=rejections,
+    )
+    return Trajectory(snap_times, snap_fields), report

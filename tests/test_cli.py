@@ -6,6 +6,8 @@ import pytest
 
 from frnse import cli
 from frnse.cli import build_parser, main
+from frnse.grid import GridSpec, zero_field
+from frnse.io import write_field
 
 BASE = """
 [grid]
@@ -108,6 +110,10 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("verify", "verify.cfg", "experiment.a_list=0.1,0.2,0.4"),
     # truncation_convergence measures truncated kernels against the full one
     ("verify", "verify-quick.cfg", ("kernel.variant=inner", "kernel.a=0.2")),
+    # continuous_dependence refuses a perturbation above half the datum's H1
+    # norm, 0.5 at both scales, after most of the battery has run
+    ("verify", "verify-quick.cfg", "experiment.deltas=0.3,0.1"),
+    ("verify", "verify-quick.cfg", "experiment.deltas=0.25"),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override
@@ -117,6 +123,57 @@ def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, over
     assert main([command, "--config", path, *sets, "--out", str(out)]) == 2
     assert overrides[0].split("=")[0] in capsys.readouterr().err
     assert not out.exists()  # rejected before any run directory exists
+
+
+def _file_initial(tmp_path, command, payload):
+    """Config for command whose initial datum is the file payload writes."""
+    field = tmp_path / "start.field"
+    if payload is not None:
+        payload(field)
+    text = BASE.replace("type = gaussian", f"type = file\npath = {field}")
+    if command == "sweep":
+        return text + PICARD[len(BASE):] + "\n[sweep]\ncommand = picard\npicard.m = 4; 8\n"
+    return text + (PICARD if command == "picard" else SOLVE)[len(BASE):]
+
+
+def _same_grid(path):
+    write_field(str(path), zero_field(GridSpec(8, 1.6)))
+
+
+def _other_grid(path):
+    write_field(str(path), zero_field(GridSpec(16, 1.6)))
+
+
+def _truncated(path):
+    _same_grid(path)
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("command", ["solve", "picard", "sweep"])
+@pytest.mark.parametrize("payload, message", [
+    (_other_grid, "16^3"), (None, "No such file"), (_truncated, "payload")])
+def test_bad_initial_file_exits_2(tmp_path, capsys, command, payload, message):
+    # each of these crashed the command with exit 1 after its run began
+    cfg = _write(tmp_path, _file_initial(tmp_path, command, payload))
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_point_on_another_grid_than_its_file_never_starts(tmp_path):
+    text = _file_initial(tmp_path, "sweep", _same_grid).replace("picard.m = 4; 8", "grid.n = 8; 16")
+    out = tmp_path / "runs"
+    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    (run_dir,) = _run_dirs(out)
+    exits = {r["overrides"][0]: r["exit"] for r in _manifest(run_dir)["summary"]["runs"]}
+    assert exits == {"grid.n=8": 0, "grid.n=16": 2}
+    assert len([d for d in os.listdir(run_dir) if d.startswith("run-")]) == 1
+
+
+def test_good_initial_file_runs(tmp_path):
+    cfg = _write(tmp_path, _file_initial(tmp_path, "solve", _same_grid))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 def test_full_verify_needs_a_list_above_h(tmp_path, capsys):

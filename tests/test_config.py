@@ -42,7 +42,6 @@ def test_minimal_config_defaults():
     assert cfg.initial.type == "gaussian"
     assert cfg.picard is None
     assert cfg.stepper is None
-    assert cfg.experiment.battery == "verify"
     assert cfg.sweep is None
 
 
@@ -60,6 +59,9 @@ def test_constraint_violation_cites_key():
     ("deltas = 0.01, 0.02", "experiment.deltas"),
     ("deltas = 0.01, 0.001, -0.0001", "experiment.deltas"),
     ("a_list = 0.1, 0.2, 0.4", "experiment.a_list"),
+    # no pairs: every Lipschitz slope is NaN; no trials: every tail estimate 0
+    ("pairs = 0", "experiment.pairs"),
+    ("trials = 0", "experiment.trials"),
 ])
 def test_bad_experiment_value_cites_line(line, key):
     # each of these crashed the command that reads it, after the run began
@@ -136,7 +138,7 @@ def test_round_trip_and_hash():
 
 
 # Every SCHEMA key set, in canonical form. Each differs from its default
-# except battery (a single choice) and h1_norm (excluded by l2_norm).
+# except h1_norm (excluded by l2_norm).
 EVERY_KEY = """[grid]
 n = 12
 L = 2.0
@@ -174,7 +176,6 @@ dt_min = 1e-07
 snapshot_every = 3
 
 [experiment]
-battery = verify
 seed = 5
 samples = 80
 pairs = 6

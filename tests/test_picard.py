@@ -6,15 +6,19 @@ import warnings
 
 from frnse.errors import DivergenceDetected, NonConvergence
 from frnse.grid import (GridSpec, from_spectral, h1_norm, random_band_limited,
-                        scaled_gaussian, to_spectral)
+                        scaled_gaussian, spectral_h1_norm, to_spectral, zero_field)
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
-from frnse.picard import (PicardConfig, _prefix_integrals, contraction_report,
-                          duhamel_map, picard_solve, refine_trajectory)
+from frnse.picard import (PicardConfig, _prefix_integrals, _refine,
+                          contraction_report, duhamel_map, picard_solve)
 from frnse.propagate import free_evolve, free_phase
 from frnse.trajectory import Trajectory, sup_h1_distance
 
 R16 = default_radius(1.6)
+
+
+def _zero_trajectory(spec, cfg):
+    return Trajectory(cfg.times, [zero_field(spec)] * (cfg.m + 1))
 
 
 def _samples(f, m, T):
@@ -88,7 +92,7 @@ def test_duhamel_free_case(gspec8, rng, kfull):
     start = [to_spectral(random_band_limited(gspec8, rng)) for _ in cfg.times]
     for u in duhamel_map(gspec8, start, phi_hat, cfg):
         assert np.array_equal(u, phi_hat)
-    traj, _ = picard_solve(phi, cfg, init="zero")
+    traj, _ = picard_solve(phi, cfg, init=_zero_trajectory(gspec8, cfg))
     for t, f in zip(traj.times, traj.fields):
         ref = free_evolve(phi, float(t), 1.0)
         assert np.max(np.abs(f.values - ref.values)) < 1e-14
@@ -145,7 +149,7 @@ def test_picard_init_variants_agree(gspec8, kfull):
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="trapezoid", tol=1e-12, max_iter=40)
     t1, _ = picard_solve(phi, cfg, init="free")
-    t2, _ = picard_solve(phi, cfg, init="zero")
+    t2, _ = picard_solve(phi, cfg, init=_zero_trajectory(gspec8, cfg))
     assert sup_h1_distance(t1.fields, t2.fields) < 1e-10
     t3, _ = picard_solve(phi, cfg, init=t1)
     assert sup_h1_distance(t3.fields, t1.fields) < 1e-10
@@ -153,7 +157,7 @@ def test_picard_init_variants_agree(gspec8, kfull):
         picard_solve(phi, cfg, init="bogus")
 
 
-def test_picard_transform_counts(gspec8, kfull, monkeypatch):
+def test_picard_transform_counts(gspec8, kfull, count_transforms):
     # each map sends every node through one inverse and one forward n^3
     # transform; phi is transformed once and nodes 1..m once more on return
     with warnings.catch_warnings():
@@ -161,15 +165,27 @@ def test_picard_transform_counts(gspec8, kfull, monkeypatch):
         phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="trapezoid", tol=1e-12, max_iter=40)
-    calls = {"fftn": 0, "ifftn": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = count_transforms()
     _, report = picard_solve(phi, cfg)
     maps, nodes = report.iterations + 1, cfg.m + 1
     assert calls == {"fftn": 1 + maps * nodes, "ifftn": maps * nodes + cfg.m}
+
+
+def test_warm_rung_transform_counts(gspec8, kfull, count_transforms):
+    # a rung started from the solution on m/2 steps transforms only its
+    # m/2+1 coarse nodes beyond what a cold solve does: the midpoints are
+    # interpolated on coefficients
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
+    cfg = PicardConfig(T=0.2, m=8, kspec=kfull, params=PhysParams(1.0, 1.0),
+                       quad="simpson", tol=1e-12)
+    coarse, _ = picard_solve(phi, replace(cfg, m=4))
+    calls = count_transforms()
+    _, report = picard_solve(phi, cfg, coarse)
+    maps, nodes = report.iterations + 1, cfg.m + 1
+    assert calls == {"fftn": 1 + len(coarse) + maps * nodes,
+                     "ifftn": maps * nodes + cfg.m}
 
 
 def test_nonconvergence_carries_report(gspec8, kfull):
@@ -225,26 +241,40 @@ def test_contraction_degenerate_free_case(gspec8, rng, kfull):
     assert con.C_fit == 0.0
 
 
-def test_refine_trajectory_exact_for_cubic_coefficients(gspec8, rng):
+def test_refine_exact_for_cubic_coefficients(gspec8, rng):
     # interaction-picture coefficients cubic in t: the centred and the
     # one-sided 4-point stencils reproduce every midpoint
-    a1, T, m = 1.0, 0.3, 5
+    T, m = 0.3, 5
     A, B, C, D = (to_spectral(random_band_limited(gspec8, rng)) for _ in range(4))
 
-    def psi(t):
-        return from_spectral(gspec8, (A + t * (B + t * (C + t * D)))
-                             * free_phase(gspec8, t, a1))
+    def U(t):
+        return A + t * (B + t * (C + t * D))
 
-    times = np.linspace(0.0, T, m + 1)
-    coarse = Trajectory(times, [psi(t) for t in times])
-    fine = refine_trajectory(coarse, a1)
-    assert np.allclose(fine.times, np.linspace(0.0, T, 2 * m + 1), rtol=0, atol=1e-15)
-    assert all(f is g for f, g in zip(fine.fields[::2], coarse.fields))
-    for t, f in zip(fine.times[1::2], fine.fields[1::2]):
-        ref = psi(t)
-        assert h1_norm(f - ref) <= 1e-13 * h1_norm(ref)
+    coarse = [U(t) for t in np.linspace(0.0, T, m + 1)]
+    fine = _refine(coarse)
+    assert len(fine) == 2 * m + 1
+    assert all(f is g for f, g in zip(fine[::2], coarse))
+    for t, f in zip(np.linspace(0.0, T, 2 * m + 1)[1::2], fine[1::2]):
+        ref = U(t)
+        assert spectral_h1_norm(gspec8, f - ref) <= 1e-13 * spectral_h1_norm(gspec8, ref)
     with pytest.raises(ValueError):
-        refine_trajectory(Trajectory(times[:3], coarse.fields[:3]), a1)
+        _refine(coarse[:3])
+
+
+def test_coarse_initializer_needs_even_m_of_at_least_6(gspec8, kfull):
+    # a trajectory on every other node is refined; below m = 6 there are
+    # too few coarse steps for the 4-point stencils
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
+    cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0),
+                       quad="simpson", tol=1e-12)
+    coarse = Trajectory(cfg.times[::2], [phi] * 3)
+    with pytest.raises(ValueError):
+        picard_solve(phi, cfg, init=coarse)
+    odd = replace(cfg, m=5, quad="trapezoid")
+    with pytest.raises(ValueError):
+        picard_solve(phi, odd, init=Trajectory(odd.times[::2], [phi] * 3))
 
 
 def test_warm_simpson_rung_lands_on_cold_fixed_point(gspec8, kfull):
@@ -254,7 +284,6 @@ def test_warm_simpson_rung_lands_on_cold_fixed_point(gspec8, kfull):
                        tol=1e-12)
     coarse, _ = picard_solve(phi, cfg)
     cold, cold_report = picard_solve(phi, replace(cfg, m=16))
-    warm, warm_report = picard_solve(phi, replace(cfg, m=16),
-                                     refine_trajectory(coarse, params.alpha1))
+    warm, warm_report = picard_solve(phi, replace(cfg, m=16), coarse)
     assert sup_h1_distance(warm.fields, cold.fields) < 1e-12
     assert warm_report.iterations < cold_report.iterations

@@ -4,11 +4,11 @@ import warnings
 
 from frnse.errors import DivergenceDetected
 from frnse.grid import (Field, GridSpec, h1_norm, scaled_gaussian,
-                        random_band_limited, zero_field)
+                        random_band_limited, to_spectral, zero_field)
 from frnse.kernel import KernelSpec, default_radius
 from frnse import nonlinear
-from frnse.nonlinear import PhysParams, nonlinear_part
-from frnse.propagate import free_evolve
+from frnse.nonlinear import PhysParams, spectral_nonlinear_part
+from frnse.propagate import free_evolve, free_phase
 from frnse.stepper import StepConfig, evolve, ifrk4_step
 
 R16 = default_radius(1.6)
@@ -34,11 +34,11 @@ def test_config_validation(kfull):
 
 
 def test_free_step_is_bitwise_free_propagator(gspec8, rng, kfull):
-    psi = random_band_limited(gspec8, rng)
+    psi_k = to_spectral(random_band_limited(gspec8, rng))
     cfg = StepConfig(dt=1e-2, T=1.0, kspec=kfull, params=PhysParams(0.7, 0.0))
-    out = ifrk4_step(psi, 3e-3, cfg, nonlinear_part(psi, cfg.params, kfull))
-    ref = free_evolve(psi, 3e-3, 0.7)
-    assert np.array_equal(out.values, ref.values)
+    first = spectral_nonlinear_part(gspec8, psi_k, cfg.params, kfull)
+    out = ifrk4_step(gspec8, psi_k, 3e-3, cfg, first)
+    assert np.array_equal(out, psi_k * free_phase(gspec8, 3e-3, 0.7))
 
 
 def test_step_fourth_order(gspec8, kfull):
@@ -68,9 +68,11 @@ def test_evolve_diagnostics_aligned(gspec8, kfull):
     assert rep.times[-1] == pytest.approx(0.05, abs=1e-12)
     # snapshots: node 0, every 3rd accepted step, and the final state
     assert np.allclose(traj.times, [0.0, 0.015, 0.03, 0.045, 0.05])
-    # the recorded H^1 series is the norm of each accepted state, bitwise
-    assert np.array_equal(rep.h1[[0, 3, 6, 9, 10]],
-                          [h1_norm(f) for f in traj.fields])
+    # the recorded H^1 series is the Parseval norm of each accepted state's
+    # coefficients; its snapshot field reads the same up to one round trip
+    assert rep.h1[0] == h1_norm(phi)
+    assert np.allclose(rep.h1[[0, 3, 6, 9, 10]],
+                       [h1_norm(f) for f in traj.fields], rtol=1e-13, atol=0)
 
 
 @pytest.fixture
@@ -93,6 +95,18 @@ def test_evolve_kernel_applies_per_step(gspec8, kfull, kernel_calls):
     _, rep = evolve(_gaussian(gspec8), cfg)
     assert rep.rejections == 0
     assert len(kernel_calls) == 1 + 4 * rep.steps
+
+
+def test_evolve_transform_counts(gspec8, kfull, count_transforms):
+    # the steps carry coefficients: three stages each go to physical space
+    # and back, and each accepted state once more for its first stage; phi
+    # and its first stage are transformed once
+    phi = _gaussian(gspec8)
+    cfg = StepConfig(dt=5e-3, T=0.05, kspec=kfull, params=PhysParams(1.0, 1.0))
+    calls = count_transforms()
+    _, rep = evolve(phi, cfg)
+    assert rep.rejections == 0
+    assert calls == {"fftn": 2 + 4 * rep.steps, "ifftn": 4 * rep.steps}
 
 
 def test_evolve_free_case_matches_propagator(gspec8, rng, kfull):
