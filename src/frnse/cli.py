@@ -351,6 +351,13 @@ def _require_sections(command, cfg):
             issues.append(ConfigIssue(
                 "constraint", 0,
                 f"verify needs every experiment.a_list entry > h = {cfg.grid.h:g}"))
+        # at alpha2 = 0 every rung of the order studies is exact, so they
+        # have no self-convergence differences to fit an order to
+        if cfg.params.alpha2 == 0:
+            issues.append(ConfigIssue(
+                "constraint", 0,
+                "verify needs physics.alpha2 != 0: the order studies measure "
+                "the nonlinearity's quadrature error"))
         if cfg.kernel.variant != "full":
             issues.append(ConfigIssue(
                 "constraint", 0,

@@ -13,9 +13,12 @@ orders.
 verify_battery runs the whole battery on a parsed config, the same one the
 run's manifest records: the config sets the grid, physics, kernel and every
 [experiment] key, and experiment.scale picks the remaining sizes from
-SCALES.
+SCALES, and prints one stderr line per section with its elapsed seconds;
+the timings never reach the tables.
 """
 
+import sys
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +43,7 @@ from .kernel import (
     tail_norm_estimate,
 )
 from .nonlinear import PhysParams, ball_field, big_g1, density, g1, lipschitz_growth
-from .picard import PicardConfig, contraction_report, picard_solve
+from .picard import PicardConfig, contraction_report, picard_solve, sweep_solve
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
 from .trajectory import dot_values, norm_law_residuals, sup_h1_distance
@@ -218,16 +221,16 @@ def quadrature_order_study(phi, cfg, ms=(32, 64, 128), inits=None):
     Solves at each m, measures sup-node H1 differences on common nodes, and
     returns (order, budget, solutions): the observed order, plus a
     Richardson error budget for the finest solve (factor-2 safety).
-    Each solve starts from inits[m] if given, else from the solution on the
-    rung below, which picard_solve refines; the first rung then starts from
-    the free trajectory.
+    Each solve runs sweep_solve from inits[m] if given, else from the
+    solution on the rung below, which it refines; the first rung then starts
+    from the free trajectory.
     """
     if len(ms) < 3 or any(m2 != 2 * m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("ms must be at least 3 doubling node counts")
     sols = {}
     for m in ms:
         init = inits[m] if inits else sols.get(m // 2, "free")
-        traj, _ = picard_solve(phi, replace(cfg, m=m), init)
+        traj, _ = sweep_solve(phi, replace(cfg, m=m), init)
         sols[m] = traj
     diffs = [sup_h1_distance(sols[m1].fields, sols[m2].fields[::2])
              for m1, m2 in zip(ms, ms[1:])]
@@ -339,8 +342,8 @@ def truncation_convergence(phi, base, a_list):
     all resolvable: a > h) the same problem is solved with the
     inner-truncated kernel and E(a) = sup-node H1 distance to the full
     solution is recorded. E must be nonincreasing as a decreases; the
-    log-log slope is reported. Returns (table, slope, rows) with table rows
-    (a, E).
+    log-log slope is reported. Every solve is a sweep_solve from the free
+    trajectory. Returns (table, slope, rows) with table rows (a, E).
     """
     if base.kspec.variant != "full":
         raise ValueError("base configuration must use the full kernel")
@@ -350,11 +353,11 @@ def truncation_convergence(phi, base, a_list):
         raise ValueError("a_list must be strictly decreasing")
     if any(a <= h for a in a_list):
         raise ValueError(f"every truncation radius must exceed h={h}")
-    full_traj, _ = picard_solve(phi, base)
+    full_traj, _ = sweep_solve(phi, base)
     table = []
     for a in a_list:
         kspec = KernelSpec("inner", R=base.kspec.R, a=a)
-        traj, _ = picard_solve(phi, replace(base, kspec=kspec))
+        traj, _ = sweep_solve(phi, replace(base, kspec=kspec))
         table.append((a, float(sup_h1_distance(traj.fields, full_traj.fields))))
     errs = [e for _, e in table]
     monotone = all(e2 <= e1 * (1.0 + 1e-9) for e1, e2 in zip(errs, errs[1:]))
@@ -377,9 +380,9 @@ def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
     to each delta, re-solves, and reports R(delta) = sup-node H1 distance /
     delta. Asserts R <= exp(C_fit T) * 1.25 with C_fit fitted from the
     unperturbed run's contraction report, and max/min R < 2 across the
-    ladder. The base solve starts from the free trajectory, since its
-    increments give C_fit; base, if given, is that solve's (trajectory,
-    report) for phi under cfg. Each perturbed solve starts from the base
+    ladder. The base solve is picard_solve, since its increments give
+    C_fit; base, if given, is that solve's (trajectory, report) for phi
+    under cfg. Each perturbed solve is a sweep_solve started from the base
     solution. Returns (table, rows).
     """
     deltas = [float(d) for d in deltas]
@@ -396,7 +399,7 @@ def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
     direction = direction * (1.0 / h1_norm(direction))
     table = []
     for d in deltas:
-        traj, _ = picard_solve(phi + d * direction, cfg, base_traj)
+        traj, _ = sweep_solve(phi + d * direction, cfg, base_traj)
         table.append((d, float(sup_h1_distance(traj.fields, base_traj.fields) / d)))
     ratios = [r for _, r in table]
     bound = float(np.exp(ana.C_fit * cfg.T) * 1.25)
@@ -572,6 +575,19 @@ def dependence_datum(L):
     return scaled_gaussian(GridSpec(16, L), 0.15, h1_target=0.5)
 
 
+def _section_clock():
+    """lap(name) prints to stderr the seconds since the previous lap, or
+    since the clock was made, as the battery section name ends."""
+    last = time.perf_counter()
+
+    def lap(name):
+        nonlocal last
+        now = time.perf_counter()
+        print(f"verify: {name} {now - last:.2f} s", file=sys.stderr, flush=True)
+        last = now
+    return lap
+
+
 def verify_battery(cfg):
     """Run the whole battery on a parsed config; returns a VerifyResult.
 
@@ -579,6 +595,7 @@ def verify_battery(cfg):
     row fails by design (see lipschitz_battery), so a full verify run exits
     red on exactly that row when everything else is healthy.
     """
+    lap = _section_clock()
     e, gspec, params, kspec = cfg.experiment, cfg.grid, cfg.params, cfg.kernel
     s = SCALES[e.scale]
     L = gspec.L
@@ -586,13 +603,16 @@ def verify_battery(cfg):
     tables = {}
 
     rows += oracle_equivalence_rows(L=L, n=8, seed=e.seed)
+    lap("kernel-oracle")
     # propagator exactness needs spectral headroom; cheap at n=32
     rows += propagator_rows(GridSpec(32, L), params.alpha1, seed=e.seed, sigma=0.12)
+    lap("propagator")
 
     tail_table, tail_rows = kernel_norm_study(gspec, e.a_list, p=e.p, trials=e.trials,
                                              seed=e.seed)
     rows += tail_rows
     tables["tail_norms"] = (("a", "bound", "estimate"), tail_table)
+    lap("tail-norms")
 
     # contraction at the reference coefficients
     phi_small = scaled_gaussian(gspec, s["sigma"], h1_target=0.5)
@@ -610,12 +630,14 @@ def verify_battery(cfg):
         norm_law_check(traj, params, kspec),
         "balance defect finite-differenced on the fixed point's nodes",
     ))
+    lap("contraction")
 
     # smooth configuration for order studies and cross-validation
     smooth_params = PhysParams(0.05, params.alpha2)
     phi_smooth = scaled_gaussian(gspec, s["smooth_sigma"], l2_target=0.5)
     pcfg_smooth = replace(pcfg, m=s["order_ms"][0], params=smooth_params)
     rows += cross_method_check(phi_smooth, pcfg_smooth, s["order_ms"], s["order_steps"])
+    lap("cross-method")
 
     nrows, nreports = normalization_study(gspec, kspec, params, T=0.5, dt=s["norm_dt"],
                                           sigma=s["sigma"], seed=e.seed)
@@ -626,11 +648,13 @@ def verify_battery(cfg):
         list(zip(unit.times, unit.l2, unit.h1, unit.g1_energy,
                  unit.balance_residual, unit.dts)),
     )
+    lap("normalization")
 
     trunc_cfg = replace(pcfg_smooth, T=0.15, m=s["trunc_m"])
     ttable, _, trows = truncation_convergence(phi_smooth, trunc_cfg, e.a_list)
     rows += trows
     tables["truncation"] = (("a", "error"), ttable)
+    lap("truncation")
 
     # on a 16^3 grid at quick scale the dependence problem is the
     # contraction problem: its solve is reused, not repeated
@@ -641,15 +665,19 @@ def verify_battery(cfg):
                                           base=(traj, report) if same else None)
     rows += drows
     tables["dependence"] = (("delta", "ratio"), dtable)
+    lap("dependence")
 
     bat_gspec = GridSpec(16, L)
     irows, _ = inequality_battery(bat_gspec, samples=e.samples, seed=e.seed)
     rows += irows
+    lap("inequalities")
     lrows, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=e.pairs, seed=e.seed,
                                       gspec=bat_gspec)
     rows += lrows
+    lap("lipschitz")
     rows += domination_rows(bat_gspec, a=0.2, samples=s["domination_samples"],
                             seed=e.seed)
+    lap("domination")
 
     tables["battery"] = (
         ("check", "kind", "measured", "threshold", "passed", "detail"),

@@ -19,13 +19,18 @@ trajectory is phi_hat at every node. A map costs each node two transforms
 unitary, so both sup-node H^1 distances are Parseval sums on coefficients
 in hand; a Trajectory is built once, when the solve returns.
 
-Refinement ladders start warm: picard_solve takes the solution on m/2
-steps as the initializer on m, keeping its nodes and filling each
-midpoint by 4-point Lagrange interpolation in U, which moves at the rate
-of the nonlinearity, not in psi, whose free phase exp(-i a1 |k|^2 t)
-turns through radians per step at high k (the integrating-factor view of
-Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005). Solves whose
-increments are measured start cold.
+Two solvers reach the fixed point of the same discrete system. The
+Weissinger (Picard, Jacobi) iteration of picard_solve is the one the paper's
+local existence rests on; it is the measured one: its increments give
+contraction_report's C_fit and factorial envelope, and it always starts
+cold. sweep_solve only solves: it runs forward Gauss-Seidel sweeps in time,
+each as costly as one map but contracting by about dt L, and it takes warm
+starts. Refinement ladders pass it the solution on m/2 steps, whose nodes
+it keeps, filling each midpoint by 4-point Lagrange interpolation in U,
+which moves at the rate of the nonlinearity, not in psi, whose free phase
+exp(-i a1 |k|^2 t) turns through radians per step at high k (the
+integrating-factor view of Kassam & Trefethen, SIAM J. Sci. Comput. 26,
+2005).
 """
 
 import math
@@ -77,32 +82,37 @@ class PicardConfig:
         return np.linspace(0.0, self.T, self.m + 1)
 
 
-def _prefix_integrals(W, dt, quad):
-    """Running integrals P_j = integral_0^{t_j} W ds from node samples.
+def _node_integral(P, W, j, dt, quad):
+    """P_j = integral_0^{t_j} W ds (j >= 1) from the samples W and the
+    prefixes P_{j-1}, P_{j-2}; one rule for the whole Duhamel map and for a
+    sweep.
 
     trapezoid: classic running trapezoid, O(dt^2).
     simpson: composite Simpson on even nodes; odd nodes are closed with a
     third-order backward (Adams-Moulton) step, except node 1 which uses the
     quadratic through the first three samples. Uniformly O(dt^4).
     """
-    m = len(W) - 1
-    P = [np.zeros_like(W[0])]
     if quad == "trapezoid":
-        for j in range(1, m + 1):
-            P.append(P[j - 1] + (dt / 2.0) * (W[j - 1] + W[j]))
-        return P
-    for j in range(1, m + 1):
-        if j == 1:
-            P.append((dt / 12.0) * (5.0 * W[0] + 8.0 * W[1] - W[2]))
-        elif j % 2 == 0:
-            P.append(P[j - 2] + (dt / 3.0) * (W[j - 2] + 4.0 * W[j - 1] + W[j]))
-        else:
-            P.append(
-                P[j - 1]
-                + (dt / 24.0)
-                * (9.0 * W[j] + 19.0 * W[j - 1] - 5.0 * W[j - 2] + W[j - 3])
-            )
+        return P[j - 1] + (dt / 2.0) * (W[j - 1] + W[j])
+    if j == 1:
+        return (dt / 12.0) * (5.0 * W[0] + 8.0 * W[1] - W[2])
+    if j % 2 == 0:
+        return P[j - 2] + (dt / 3.0) * (W[j - 2] + 4.0 * W[j - 1] + W[j])
+    return P[j - 1] + (dt / 24.0) * (9.0 * W[j] + 19.0 * W[j - 1] - 5.0 * W[j - 2] + W[j - 3])
+
+
+def _prefix_integrals(W, dt, quad):
+    """Running integrals P_j = integral_0^{t_j} W ds at every node."""
+    P = [np.zeros_like(W[0])]
+    for j in range(1, len(W)):
+        P.append(_node_integral(P, W, j, dt, quad))
     return P
+
+
+def _integrand(spec, t, u, cfg):
+    """Interaction-picture integrand e^{-i a1 t Lap} N(psi(t)) at one node."""
+    e = free_phase(spec, t, cfg.params.alpha1)
+    return spectral_nonlinear_part(spec, u * e, cfg.params, cfg.kspec) * e.conj()
 
 
 def duhamel_map(spec, coeffs, phi_hat, cfg):
@@ -114,11 +124,7 @@ def duhamel_map(spec, coeffs, phi_hat, cfg):
     """
     if len(coeffs) != cfg.m + 1:
         raise ValueError("node count does not match the configuration")
-    a1 = cfg.params.alpha1
-    W = []
-    for t, u in zip(cfg.times, coeffs):
-        e = free_phase(spec, t, a1)
-        W.append(spectral_nonlinear_part(spec, u * e, cfg.params, cfg.kspec) * e.conj())
+    W = [_integrand(spec, t, u, cfg) for t, u in zip(cfg.times, coeffs)]
     P = _prefix_integrals(W, cfg.T / cfg.m, cfg.quad)
     for p in P:
         p += phi_hat
@@ -163,65 +169,17 @@ class ConvergenceReport:
     T: float
 
 
-def picard_solve(phi, cfg, init="free"):
-    """Iterate the Duhamel map to its fixed point.
-
-    init: "free" (default) starts from the free trajectory of phi — the
-    center of the contraction ball. A Trajectory on the configuration's
-    nodes is used as given; one on every other node (a solve with m/2
-    steps) is refined to them first.
-
-    Returns (trajectory, report); node 0 of the trajectory is phi itself.
-    Raises NonConvergence (with the report attached) when max_iter is
-    exhausted with the increment still above tol — the standard signal that
-    the horizon T is too large for contraction — and DivergenceDetected on
-    NaN/overflow.
-    """
-    spec, times, a1 = phi.spec, cfg.times, cfg.params.alpha1
-    phi_hat = to_spectral(phi)
-    if isinstance(init, Trajectory):
-        coarse = cfg.m % 2 == 0 and len(init) == cfg.m // 2 + 1
-        nodes = times[::2] if coarse else times
-        if (init.spec != spec or len(init) != len(nodes)
-                or not np.allclose(init.times, nodes, atol=1e-12)):
-            raise ValueError("given initializer does not match the configuration")
-        cur = [to_spectral(f) * free_phase(spec, -t, a1)
-               for t, f in zip(init.times, init.fields)]
-        if coarse:
-            cur = _refine(cur)
-    elif init == "free":
-        cur = [phi_hat] * len(times)
-    else:
-        raise ValueError(f"unknown initializer {init!r}")
-
-    phi_h1 = spectral_h1_norm(spec, phi_hat)
-    increments, excursion, converged = [], 0.0, False
-    for _ in range(cfg.max_iter):
-        # overflow on a diverging iterate (in the map or in the H^1 norms of
-        # a huge but finite one) is expected and reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = duhamel_map(spec, cur, phi_hat, cfg)
-            if not all(np.isfinite(u).all() for u in new):
-                raise DivergenceDetected("non-finite field during fixed-point iteration")
-            delta = _sup_h1_distance(spec, new, cur)
-            excursion = max(excursion, _sup_h1_distance(spec, new, [phi_hat] * len(new)))
-        increments.append(float(delta))
-        cur = new
-        if delta < cfg.tol:
-            converged = True
-            break
-
+def _finish(phi, cfg, coeffs, increments, residual, phi_h1, excursion, what):
+    """Warn on a ball excursion, raise NonConvergence with the report if the
+    last increment is not below tol, else return (trajectory, report)."""
+    converged = increments[-1] < cfg.tol
     left_ball = excursion > phi_h1 > 0.0
     if left_ball:
         warnings.warn(
             f"iterates left the H^1 ball around the free trajectory "
             f"(excursion {excursion:.3e} > ||phi||_H1 {phi_h1:.3e})",
-            stacklevel=2,
+            stacklevel=3,
         )
-    if converged:
-        residual = _sup_h1_distance(spec, duhamel_map(spec, cur, phi_hat, cfg), cur)
-    else:
-        residual = increments[-1]
     report = ConvergenceReport(
         increments=tuple(increments),
         residual=residual,
@@ -235,12 +193,126 @@ def picard_solve(phi, cfg, init="free"):
     if not converged:
         raise NonConvergence(
             f"increment {increments[-1]:.3e} still above tol {cfg.tol:.1e} after "
-            f"{cfg.max_iter} iterations; horizon T={cfg.T} too large for contraction?",
+            f"{cfg.max_iter} {what}; horizon T={cfg.T} too large for contraction?",
             report=report,
         )
+    spec, a1 = phi.spec, cfg.params.alpha1
     fields = [phi] + [from_spectral(spec, u * free_phase(spec, t, a1))
-                      for t, u in zip(times[1:], cur[1:])]
-    return Trajectory(times, fields), report
+                      for t, u in zip(cfg.times[1:], coeffs[1:])]
+    return Trajectory(cfg.times, fields), report
+
+
+def picard_solve(phi, cfg):
+    """Iterate the Duhamel map to its fixed point from the free trajectory
+    of phi, the center of the contraction ball.
+
+    Returns (trajectory, report); node 0 of the trajectory is phi itself.
+    Raises NonConvergence (with the report attached) when max_iter is
+    exhausted with the increment still above tol — the standard signal that
+    the horizon T is too large for contraction — and DivergenceDetected on
+    NaN/overflow.
+    """
+    spec = phi.spec
+    phi_hat = to_spectral(phi)
+    cur = [phi_hat] * (cfg.m + 1)
+    phi_h1 = spectral_h1_norm(spec, phi_hat)
+    increments, excursion = [], 0.0
+    for _ in range(cfg.max_iter):
+        # overflow on a diverging iterate (in the map or in the H^1 norms of
+        # a huge but finite one) is expected and reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = duhamel_map(spec, cur, phi_hat, cfg)
+            if not all(np.isfinite(u).all() for u in new):
+                raise DivergenceDetected("non-finite field during fixed-point iteration")
+            delta = _sup_h1_distance(spec, new, cur)
+            excursion = max(excursion, _sup_h1_distance(spec, new, [phi_hat] * len(new)))
+        increments.append(float(delta))
+        cur = new
+        if delta < cfg.tol:
+            break
+    residual = (_sup_h1_distance(spec, duhamel_map(spec, cur, phi_hat, cfg), cur)
+                if increments[-1] < cfg.tol else increments[-1])
+    return _finish(phi, cfg, cur, increments, residual, phi_h1, excursion, "iterations")
+
+
+def _pass(spec, U, W, phi_hat, cfg, refresh):
+    """One forward pass over nodes 1..m of the node equations
+    U_j = phi_hat + P_j(W); returns the sup-node H^1 distance of phi_hat +
+    P_j from U_j and the largest H^1 norm of P_j.
+
+    With refresh, U_j takes the new value and its integrand W_j is
+    recomputed at once, so every later node reads the freshest integrands;
+    P_j is then recomputed from the new W_j for the nodes that build on it.
+    Only the last three prefixes are held.
+    """
+    dt = cfg.T / cfg.m
+    P = {0: np.zeros_like(phi_hat)}
+    delta = excursion = 0.0
+    for j in range(1, cfg.m + 1):
+        p = _node_integral(P, W, j, dt, cfg.quad)
+        u = phi_hat + p
+        delta = max(delta, spectral_h1_norm(spec, u - U[j]))
+        if refresh:
+            if not np.isfinite(u).all():
+                raise DivergenceDetected("non-finite field during a sweep")
+            excursion = max(excursion, spectral_h1_norm(spec, p))
+            U[j], W[j] = u, _integrand(spec, cfg.times[j], u, cfg)
+            p = _node_integral(P, W, j, dt, cfg.quad)
+        P[j] = p
+        P.pop(j - 3, None)
+    return delta, excursion
+
+
+def sweep_solve(phi, cfg, init="free"):
+    """Solve the node equations of the Duhamel map by forward sweeps in time.
+
+    The quadrature is causal, so the discrete Volterra system is solved node
+    by node, Gauss-Seidel fashion (H. Brunner, Collocation Methods for
+    Volterra Integral and Related Functional Equations, CUP 2004): node j
+    is updated from the integrands of nodes < j already refreshed in the
+    same sweep, and its own integrand is recomputed at once. A sweep costs
+    m integrands and contracts by about dt L, where a Duhamel map contracts
+    by about C T / k; the fixed point is the one picard_solve reaches. The
+    increments are sweep changes, not the Weissinger iteration's, so no
+    contraction rate is read from them.
+
+    init: "free" (default) starts from the free trajectory of phi. A
+    Trajectory on the configuration's nodes is used as given; one on every
+    other node (a solve with m/2 steps) is refined to them first.
+    Stops when a sweep changes no node by tol in H^1; the residual is read
+    from the final integrands. Returns (trajectory, report), raises
+    NonConvergence and DivergenceDetected as picard_solve does.
+    """
+    spec, a1 = phi.spec, cfg.params.alpha1
+    phi_hat = to_spectral(phi)
+    if isinstance(init, Trajectory):
+        coarse = cfg.m % 2 == 0 and len(init) == cfg.m // 2 + 1
+        nodes = cfg.times[::2] if coarse else cfg.times
+        if (init.spec != spec or len(init) != len(nodes)
+                or not np.allclose(init.times, nodes, atol=1e-12)):
+            raise ValueError("given initializer does not match the configuration")
+        U = [to_spectral(f) * free_phase(spec, -t, a1)
+             for t, f in zip(init.times, init.fields)]
+        U = _refine(U) if coarse else U
+    elif init == "free":
+        U = [phi_hat] * (cfg.m + 1)
+    else:
+        raise ValueError(f"unknown initializer {init!r}")
+    U[0] = phi_hat
+    phi_h1 = spectral_h1_norm(spec, phi_hat)
+    increments, excursion = [], 0.0
+    # overflow on a diverging sweep is expected and reported as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = [_integrand(spec, t, u, cfg) for t, u in zip(cfg.times, U)]
+        for _ in range(cfg.max_iter):
+            delta, reach = _pass(spec, U, W, phi_hat, cfg, refresh=True)
+            increments.append(float(delta))
+            excursion = max(excursion, reach)
+            if delta < cfg.tol:
+                break
+    residual = (_pass(spec, U, W, phi_hat, cfg, refresh=False)[0]
+                if increments[-1] < cfg.tol else increments[-1])
+    return _finish(phi, cfg, U, increments, residual, phi_h1, excursion, "sweeps")
 
 
 @dataclass(frozen=True)

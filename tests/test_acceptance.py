@@ -7,8 +7,11 @@ asserts a cubic-growth bound that degree-5 homogeneity genuinely violates
 and serves as the battery's negative control.
 """
 
+import contextlib
 import filecmp
+import io
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -29,7 +32,7 @@ from frnse.grid import GridSpec, random_band_limited, scaled_gaussian
 from frnse.io import read_csv, read_field, write_csv, write_field
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
-from frnse.picard import PicardConfig, picard_solve
+from frnse.picard import PicardConfig, picard_solve, sweep_solve
 
 G32 = GridSpec(32, 1.6)
 G16 = GridSpec(16, 1.6)
@@ -180,20 +183,28 @@ def _quick_battery():
 @pytest.fixture(scope="module")
 def quick_run():
     """One quick battery run, shared by criterion 10, the drift guard and the
-    warning and cold-start guards. Records the caller and initializer of
-    every Picard solve, and every warning raised."""
+    warning, solver and progress guards. Records the caller, solver and
+    initializer of every fixed-point solve, every warning raised, and
+    stderr."""
     solves = []
 
-    def recording(phi, cfg, init="free"):
-        solves.append((sys._getframe(1).f_code.co_name, init))
-        return picard_solve(phi, cfg, init)
+    def picard(phi, cfg):
+        solves.append((sys._getframe(1).f_code.co_name, "picard", "free"))
+        return picard_solve(phi, cfg)
 
-    with pytest.MonkeyPatch.context() as mp, \
+    def sweep(phi, cfg, init="free"):
+        solves.append((sys._getframe(1).f_code.co_name, "sweep",
+                       init if isinstance(init, str) else "warm"))
+        return sweep_solve(phi, cfg, init)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mp.setattr(experiments, "picard_solve", recording)
+        mp.setattr(experiments, "picard_solve", picard)
+        mp.setattr(experiments, "sweep_solve", sweep)
         result = verify_battery(_quick_config())
-    return result, solves, caught
+    return result, solves, caught, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -209,17 +220,27 @@ def test_quick_battery_emits_no_box_decay_warning(quick_run):
 
 
 def test_quick_battery_measured_solves_start_cold(quick_run):
-    kinds = [(caller, init if isinstance(init, str) else "warm")
-             for caller, init in quick_run[1]]
-    assert kinds == [
-        # its increments feed contraction_rows and, since at quick scale it
-        # is also the dependence base solve, continuous_dependence's C_fit
-        ("verify_battery", "free"),
-        ("quadrature_order_study", "free"),  # first Simpson rung
-        *[("quadrature_order_study", "warm")] * 5,  # Simpson 2m, 4m; trapezoid
-        *[("truncation_convergence", "free")] * 3,
-        *[("continuous_dependence", "warm")] * 3,
+    assert quick_run[1] == [
+        # the one Weissinger iteration: its increments feed contraction_rows
+        # and, since at quick scale it is also the dependence base solve,
+        # continuous_dependence's C_fit
+        ("verify_battery", "picard", "free"),
+        # every other solve only needs the fixed point
+        ("quadrature_order_study", "sweep", "free"),  # first Simpson rung
+        *[("quadrature_order_study", "sweep", "warm")] * 5,  # Simpson 2m, 4m; trapezoid
+        *[("truncation_convergence", "sweep", "free")] * 3,
+        *[("continuous_dependence", "sweep", "warm")] * 3,
     ]
+
+
+def test_quick_battery_reports_each_section(quick_run):
+    # one stderr line per section, in battery order, with its seconds
+    lines = quick_run[3].splitlines()
+    names = [re.fullmatch(r"verify: (\S+) \d+\.\d\d s", line).group(1)
+             for line in lines]
+    assert names == ["kernel-oracle", "propagator", "tail-norms", "contraction",
+                     "cross-method", "normalization", "truncation", "dependence",
+                     "inequalities", "lipschitz", "domination"]
 
 
 def test_criterion_10_determinism(tmp_path, quick_battery):

@@ -114,6 +114,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     # norm, 0.5 at both scales, after most of the battery has run
     ("verify", "verify-quick.cfg", "experiment.deltas=0.3,0.1"),
     ("verify", "verify-quick.cfg", "experiment.deltas=0.25"),
+    # with no nonlinearity every ladder rung is exact and no order is fitted
+    ("verify", "verify-quick.cfg", "physics.alpha2=0"),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override
@@ -306,7 +308,8 @@ def test_plot_bad_csv_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-VERIFY = BASE + """
+# verify rejects alpha2 = 0, at which its order studies have nothing to fit
+VERIFY = BASE.replace("alpha2 = 0.0", "alpha2 = 1.0") + """
 [experiment]
 scale = quick
 a_list = 0.4, 0.3

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import warnings
 
+from frnse import nonlinear
 from frnse.errors import DivergenceDetected, NonConvergence
 from frnse.grid import (GridSpec, from_spectral, h1_norm, random_band_limited,
                         scaled_gaussian, spectral_h1_norm, to_spectral, zero_field)
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
 from frnse.picard import (PicardConfig, _prefix_integrals, _refine,
-                          contraction_report, duhamel_map, picard_solve)
+                          contraction_report, duhamel_map, picard_solve,
+                          sweep_solve)
 from frnse.propagate import free_evolve, free_phase
 from frnse.trajectory import Trajectory, sup_h1_distance
 
@@ -92,7 +94,7 @@ def test_duhamel_free_case(gspec8, rng, kfull):
     start = [to_spectral(random_band_limited(gspec8, rng)) for _ in cfg.times]
     for u in duhamel_map(gspec8, start, phi_hat, cfg):
         assert np.array_equal(u, phi_hat)
-    traj, _ = picard_solve(phi, cfg, init=_zero_trajectory(gspec8, cfg))
+    traj, _ = sweep_solve(phi, cfg, init=_zero_trajectory(gspec8, cfg))
     for t, f in zip(traj.times, traj.fields):
         ref = free_evolve(phi, float(t), 1.0)
         assert np.max(np.abs(f.values - ref.values)) < 1e-14
@@ -119,12 +121,12 @@ def test_duhamel_validates_nodes(gspec8, rng, kfull):
         duhamel_map(gspec8, [phi_hat, phi_hat], phi_hat, cfg)
 
 
-def test_picard_init_trajectory_at_wrong_times(gspec8, rng, kfull):
+def test_sweep_init_trajectory_at_wrong_times(gspec8, rng, kfull):
     phi = random_band_limited(gspec8, rng)
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
     shifted = Trajectory(cfg.times + 0.01, [phi for _ in cfg.times])
     with pytest.raises(ValueError):
-        picard_solve(phi, cfg, init=shifted)
+        sweep_solve(phi, cfg, init=shifted)
 
 
 def test_picard_converges_small_data(gspec16, kfull):
@@ -142,19 +144,19 @@ def test_picard_converges_small_data(gspec16, kfull):
     assert not report.left_ball
 
 
-def test_picard_init_variants_agree(gspec8, kfull):
+def test_sweep_init_variants_agree(gspec8, kfull):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="trapezoid", tol=1e-12, max_iter=40)
-    t1, _ = picard_solve(phi, cfg, init="free")
-    t2, _ = picard_solve(phi, cfg, init=_zero_trajectory(gspec8, cfg))
+    t1, _ = sweep_solve(phi, cfg, init="free")
+    t2, _ = sweep_solve(phi, cfg, init=_zero_trajectory(gspec8, cfg))
     assert sup_h1_distance(t1.fields, t2.fields) < 1e-10
-    t3, _ = picard_solve(phi, cfg, init=t1)
+    t3, _ = sweep_solve(phi, cfg, init=t1)
     assert sup_h1_distance(t3.fields, t1.fields) < 1e-10
     with pytest.raises(ValueError):
-        picard_solve(phi, cfg, init="bogus")
+        sweep_solve(phi, cfg, init="bogus")
 
 
 def test_picard_transform_counts(gspec8, kfull, count_transforms):
@@ -174,18 +176,19 @@ def test_picard_transform_counts(gspec8, kfull, count_transforms):
 def test_warm_rung_transform_counts(gspec8, kfull, count_transforms):
     # a rung started from the solution on m/2 steps transforms only its
     # m/2+1 coarse nodes beyond what a cold solve does: the midpoints are
-    # interpolated on coefficients
+    # interpolated on coefficients. Each integrand sends its node through
+    # one inverse and one forward n^3 transform: m+1 to start, m per sweep
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
     cfg = PicardConfig(T=0.2, m=8, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="simpson", tol=1e-12)
-    coarse, _ = picard_solve(phi, replace(cfg, m=4))
+    coarse, _ = sweep_solve(phi, replace(cfg, m=4))
     calls = count_transforms()
-    _, report = picard_solve(phi, cfg, coarse)
-    maps, nodes = report.iterations + 1, cfg.m + 1
-    assert calls == {"fftn": 1 + len(coarse) + maps * nodes,
-                     "ifftn": maps * nodes + cfg.m}
+    _, report = sweep_solve(phi, cfg, coarse)
+    integrands = cfg.m + 1 + report.iterations * cfg.m
+    assert calls == {"fftn": 1 + len(coarse) + integrands,
+                     "ifftn": integrands + cfg.m}
 
 
 def test_nonconvergence_carries_report(gspec8, kfull):
@@ -271,10 +274,10 @@ def test_coarse_initializer_needs_even_m_of_at_least_6(gspec8, kfull):
                        quad="simpson", tol=1e-12)
     coarse = Trajectory(cfg.times[::2], [phi] * 3)
     with pytest.raises(ValueError):
-        picard_solve(phi, cfg, init=coarse)
+        sweep_solve(phi, cfg, init=coarse)
     odd = replace(cfg, m=5, quad="trapezoid")
     with pytest.raises(ValueError):
-        picard_solve(phi, odd, init=Trajectory(odd.times[::2], [phi] * 3))
+        sweep_solve(phi, odd, init=Trajectory(odd.times[::2], [phi] * 3))
 
 
 def test_warm_simpson_rung_lands_on_cold_fixed_point(gspec8, kfull):
@@ -282,8 +285,64 @@ def test_warm_simpson_rung_lands_on_cold_fixed_point(gspec8, kfull):
     params = PhysParams(0.05, 1.0)
     cfg = PicardConfig(T=0.25, m=8, kspec=kfull, params=params, quad="simpson",
                        tol=1e-12)
-    coarse, _ = picard_solve(phi, cfg)
-    cold, cold_report = picard_solve(phi, replace(cfg, m=16))
-    warm, warm_report = picard_solve(phi, replace(cfg, m=16), coarse)
+    coarse, _ = sweep_solve(phi, cfg)
+    cold, cold_report = sweep_solve(phi, replace(cfg, m=16))
+    warm, warm_report = sweep_solve(phi, replace(cfg, m=16), coarse)
     assert sup_h1_distance(warm.fields, cold.fields) < 1e-12
     assert warm_report.iterations < cold_report.iterations
+
+
+def _sweep_case(gspec8, kfull, quad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec8, 0.15, h1_target=0.5)
+    return phi, PicardConfig(T=0.25, m=8, kspec=kfull, params=PhysParams(1.0, 1.0),
+                             quad=quad, tol=1e-12)
+
+
+@pytest.mark.parametrize("quad", ["simpson", "trapezoid"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_sweep_lands_on_picard_fixed_point(gspec8, kfull, quad, warm):
+    phi, cfg = _sweep_case(gspec8, kfull, quad)
+    ref, _ = picard_solve(phi, cfg)
+    init = sweep_solve(phi, replace(cfg, m=4))[0] if warm else "free"
+    traj, report = sweep_solve(phi, cfg, init)
+    assert report.converged and report.residual < 1e-11
+    assert np.allclose(traj.times, cfg.times) and traj.fields[0] is phi
+    assert sup_h1_distance(traj.fields, ref.fields) < 1e-11
+
+
+def test_sweep_kernel_apply_count(gspec8, kfull, monkeypatch):
+    # every node's integrand once to start, then nodes 1..m once per sweep;
+    # the residual is read from the final integrands
+    calls = []
+    real = nonlinear.apply_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "apply_kernel", counted)
+    phi, cfg = _sweep_case(gspec8, kfull, "simpson")
+    _, report = sweep_solve(phi, cfg)
+    assert report.iterations >= 3
+    assert len(calls) == (cfg.m + 1) + report.iterations * cfg.m
+
+
+def test_sweep_nonconvergence_carries_report(gspec8, kfull):
+    phi, cfg = _sweep_case(gspec8, kfull, "trapezoid")
+    with pytest.raises(NonConvergence) as exc:
+        sweep_solve(phi, replace(cfg, tol=1e-30, max_iter=2))
+    report = exc.value.report
+    assert not report.converged
+    assert report.iterations == 2
+    assert report.residual == report.increments[-1]
+
+
+def test_sweep_divergence_raises_without_overflow_warnings(gspec8, kfull):
+    phi, cfg = _sweep_case(gspec8, kfull, "trapezoid")
+    cfg = replace(cfg, params=PhysParams(1.0, 1000.0), max_iter=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceDetected):
+            sweep_solve(phi, cfg)
