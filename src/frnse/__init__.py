@@ -16,8 +16,8 @@ from .nonlinear import (PhysParams, big_g1, density, g1, g2, lipschitz_growth,
 from .propagate import free_evolve, free_gaussian_exact
 from .trajectory import Trajectory, norm_law_residuals, sup_h1_distance
 from .picard import (ContractionReport, ConvergenceReport, PicardConfig,
-                     contraction_report, duhamel_map, picard_solve,
-                     sweep_solve)
+                     contraction_report, duhamel_map, march_solve,
+                     picard_solve)
 from .stepper import RunReport, StepConfig, evolve, ifrk4_step
 from .experiments import VerifyResult, verify_battery
 from .config import (ConfigError, ExperimentConfig, build_initial, config_hash,

@@ -271,8 +271,9 @@ def cmd_sweep(ctx, jobs):
     ]
     print(f"sweep: {len(tasks)} {sw.command} runs over {', '.join(keys)} "
           f"(jobs={jobs})")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -449,6 +450,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "plot":
         return cmd_plot(args.csvs, args.out)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()

@@ -43,7 +43,7 @@ from .kernel import (
     tail_norm_estimate,
 )
 from .nonlinear import PhysParams, ball_field, big_g1, density, g1, lipschitz_growth
-from .picard import PicardConfig, contraction_report, picard_solve, sweep_solve
+from .picard import PicardConfig, contraction_report, march_solve, picard_solve
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
 from .trajectory import dot_values, norm_law_residuals, sup_h1_distance
@@ -215,23 +215,19 @@ def _order_and_budget(diffs):
     return order, 2.0 * diffs[-1] / (2.0**order - 1.0)
 
 
-def quadrature_order_study(phi, cfg, ms=(32, 64, 128), inits=None):
+def quadrature_order_study(phi, cfg, ms=(32, 64, 128)):
     """Self-convergence of the fixed-point solution under node doubling.
 
-    Solves at each m, measures sup-node H1 differences on common nodes, and
-    returns (order, budget, solutions): the observed order, plus a
-    Richardson error budget for the finest solve (factor-2 safety).
-    Each solve runs sweep_solve from inits[m] if given, else from the
-    solution on the rung below, which it refines; the first rung then starts
-    from the free trajectory.
+    Solves at each m by a cold march_solve, measures sup-node H1 differences
+    on common nodes, and returns (order, budget, solutions): the observed
+    order, plus a Richardson error budget for the finest solve (factor-2
+    safety).
     """
     if len(ms) < 3 or any(m2 != 2 * m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("ms must be at least 3 doubling node counts")
     sols = {}
     for m in ms:
-        init = inits[m] if inits else sols.get(m // 2, "free")
-        traj, _ = sweep_solve(phi, replace(cfg, m=m), init)
-        sols[m] = traj
+        sols[m], _ = march_solve(phi, replace(cfg, m=m))
     diffs = [sup_h1_distance(sols[m1].fields, sols[m2].fields[::2])
              for m1, m2 in zip(ms, ms[1:])]
     order, budget = _order_and_budget(diffs)
@@ -259,8 +255,8 @@ def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
     Runs node-doubling studies for both quadrature rules and dt-halving for
     the stepper, checks each observed order against its nominal value
     (tolerance 20%), then requires the terminal H1 distance between the two
-    finest solutions to sit below the summed Richardson budgets. The
-    trapezoid solve at each m starts from the Simpson solution there.
+    finest solutions to sit below the summed Richardson budgets. Every
+    fixed-point solve is a cold march_solve.
     """
     rows = []
     simpson_order, simpson_budget, simpson_sols = quadrature_order_study(
@@ -268,8 +264,7 @@ def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
     )
     rows.append(_row("simpson-order", "scaling-law", simpson_order, 4.0,
                      0.8 * 4.0 <= simpson_order <= 1.2 * 4.0, "tolerance 20%"))
-    trap_order, _, _ = quadrature_order_study(phi, replace(pcfg, quad="trapezoid"), ms,
-                                              inits=simpson_sols)
+    trap_order, _, _ = quadrature_order_study(phi, replace(pcfg, quad="trapezoid"), ms)
     rows.append(_row("trapezoid-order", "scaling-law", trap_order, 2.0,
                      0.8 * 2.0 <= trap_order <= 1.2 * 2.0, "tolerance 20%"))
     scfg = StepConfig(dt=pcfg.T / steps[0], T=pcfg.T, kspec=pcfg.kspec,
@@ -342,8 +337,8 @@ def truncation_convergence(phi, base, a_list):
     all resolvable: a > h) the same problem is solved with the
     inner-truncated kernel and E(a) = sup-node H1 distance to the full
     solution is recorded. E must be nonincreasing as a decreases; the
-    log-log slope is reported. Every solve is a sweep_solve from the free
-    trajectory. Returns (table, slope, rows) with table rows (a, E).
+    log-log slope is reported. Every solve is a cold march_solve. Returns
+    (table, slope, rows) with table rows (a, E).
     """
     if base.kspec.variant != "full":
         raise ValueError("base configuration must use the full kernel")
@@ -353,11 +348,11 @@ def truncation_convergence(phi, base, a_list):
         raise ValueError("a_list must be strictly decreasing")
     if any(a <= h for a in a_list):
         raise ValueError(f"every truncation radius must exceed h={h}")
-    full_traj, _ = sweep_solve(phi, base)
+    full_traj, _ = march_solve(phi, base)
     table = []
     for a in a_list:
         kspec = KernelSpec("inner", R=base.kspec.R, a=a)
-        traj, _ = sweep_solve(phi, replace(base, kspec=kspec))
+        traj, _ = march_solve(phi, replace(base, kspec=kspec))
         table.append((a, float(sup_h1_distance(traj.fields, full_traj.fields))))
     errs = [e for _, e in table]
     monotone = all(e2 <= e1 * (1.0 + 1e-9) for e1, e2 in zip(errs, errs[1:]))
@@ -382,8 +377,8 @@ def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
     unperturbed run's contraction report, and max/min R < 2 across the
     ladder. The base solve is picard_solve, since its increments give
     C_fit; base, if given, is that solve's (trajectory, report) for phi
-    under cfg. Each perturbed solve is a sweep_solve started from the base
-    solution. Returns (table, rows).
+    under cfg. Each perturbed solve is a cold march_solve. Returns (table,
+    rows).
     """
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -399,7 +394,7 @@ def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
     direction = direction * (1.0 / h1_norm(direction))
     table = []
     for d in deltas:
-        traj, _ = sweep_solve(phi + d * direction, cfg, base_traj)
+        traj, _ = march_solve(phi + d * direction, cfg)
         table.append((d, float(sup_h1_distance(traj.fields, base_traj.fields) / d)))
     ratios = [r for _, r in table]
     bound = float(np.exp(ana.C_fit * cfg.T) * 1.25)

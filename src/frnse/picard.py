@@ -23,14 +23,16 @@ Two solvers reach the fixed point of the same discrete system. The
 Weissinger (Picard, Jacobi) iteration of picard_solve is the one the paper's
 local existence rests on; it is the measured one: its increments give
 contraction_report's C_fit and factorial envelope, and it always starts
-cold. sweep_solve only solves: it runs forward Gauss-Seidel sweeps in time,
-each as costly as one map but contracting by about dt L, and it takes warm
-starts. Refinement ladders pass it the solution on m/2 steps, whose nodes
-it keeps, filling each midpoint by 4-point Lagrange interpolation in U,
-which moves at the rate of the nonlinearity, not in psi, whose free phase
-exp(-i a1 |k|^2 t) turns through radians per step at high k (the
-integrating-factor view of Kassam & Trefethen, SIAM J. Sci. Comput. 26,
-2005).
+cold. march_solve only solves. Every quadrature rule is causal except
+Simpson's node 1, which reads W_2, so the node equations are lower
+triangular and it solves them one node at a time, from the free
+trajectory's node 0 forward: the step-by-step method for discretized
+Volterra equations (P. Linz, Analytical and Numerical Methods for Volterra
+Equations, SIAM 1985; H. Brunner, Collocation Methods for Volterra Integral
+and Related Functional Equations, CUP 2004). Each node starts from an
+Adams-Bashforth prediction, since dU/dt is the integrand in the interaction
+picture, and each of its iterations costs one integrand and contracts by
+about c dt L, with c the rule's own weight.
 """
 
 import math
@@ -85,7 +87,7 @@ class PicardConfig:
 def _node_integral(P, W, j, dt, quad):
     """P_j = integral_0^{t_j} W ds (j >= 1) from the samples W and the
     prefixes P_{j-1}, P_{j-2}; one rule for the whole Duhamel map and for a
-    sweep.
+    march.
 
     trapezoid: classic running trapezoid, O(dt^2).
     simpson: composite Simpson on even nodes; odd nodes are closed with a
@@ -131,19 +133,6 @@ def duhamel_map(spec, coeffs, phi_hat, cfg):
     return P
 
 
-def _refine(U):
-    """Coefficients on the 2m+1 uniform nodes of m+1 given ones (m >= 3):
-    nodes kept, each midpoint the 4-point Lagrange interpolant (one-sided in
-    the end intervals), exact for U cubic in t."""
-    m = len(U) - 1
-    if m < 3:
-        raise ValueError(f"refinement needs m >= 3 steps, got {m}")
-    mids = [(5 * U[0] + 15 * U[1] - 5 * U[2] + U[3]) / 16]
-    mids += [(9 * (U[j] + U[j + 1]) - U[j - 1] - U[j + 2]) / 16 for j in range(1, m - 1)]
-    mids.append((U[m - 3] - 5 * U[m - 2] + 15 * U[m - 1] + 5 * U[m]) / 16)
-    return [u for pair in zip(U, mids) for u in pair] + [U[m]]
-
-
 def _sup_h1_distance(spec, coeffs_a, coeffs_b):
     """Sup-node H^1 distance of two coefficient lists, by Parseval."""
     return max(spectral_h1_norm(spec, a - b) for a, b in zip(coeffs_a, coeffs_b))
@@ -151,8 +140,16 @@ def _sup_h1_distance(spec, coeffs_a, coeffs_b):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-iteration increments delta_k = sup_j ||psi^{k+1}_j - psi^k_j||_H1,
-    the post-convergence fixed-point residual, and ball bookkeeping.
+    """Increments, fixed-point residual and ball bookkeeping of one solve.
+
+    picard_solve: increments are per iteration, delta_k = sup_j
+    ||psi^{k+1}_j - psi^k_j||_H1; residual is the sup-node H^1 distance of
+    one more map from the last iterate; iterations counts the maps.
+    march_solve: increments are per node, in order from node 1, each the H^1
+    change of U_j in its last iteration, i.e. the distance from U_j to the
+    point its integrand was taken at (Simpson's nodes 1 and 2, solved as one
+    block, share the larger of theirs); residual is the largest of them;
+    iterations counts the integrands evaluated after node 0.
 
     phi_h1 is the H^1 norm of the initial datum (proxy for the contraction
     ball radius); ball_excursion is the largest sup-node H^1 distance any
@@ -169,7 +166,8 @@ class ConvergenceReport:
     T: float
 
 
-def _finish(phi, cfg, coeffs, increments, residual, phi_h1, excursion, what):
+def _finish(phi, cfg, coeffs, increments, residual, iterations, phi_h1, excursion,
+            what):
     """Warn on a ball excursion, raise NonConvergence with the report if the
     last increment is not below tol, else return (trajectory, report)."""
     converged = increments[-1] < cfg.tol
@@ -184,7 +182,7 @@ def _finish(phi, cfg, coeffs, increments, residual, phi_h1, excursion, what):
         increments=tuple(increments),
         residual=residual,
         converged=converged,
-        iterations=len(increments),
+        iterations=iterations,
         phi_h1=phi_h1,
         ball_excursion=float(excursion),
         left_ball=left_ball,
@@ -232,87 +230,71 @@ def picard_solve(phi, cfg):
             break
     residual = (_sup_h1_distance(spec, duhamel_map(spec, cur, phi_hat, cfg), cur)
                 if increments[-1] < cfg.tol else increments[-1])
-    return _finish(phi, cfg, cur, increments, residual, phi_h1, excursion, "iterations")
+    return _finish(phi, cfg, cur, increments, residual, len(increments), phi_h1,
+                   excursion, "iterations")
 
 
-def _pass(spec, U, W, phi_hat, cfg, refresh):
-    """One forward pass over nodes 1..m of the node equations
-    U_j = phi_hat + P_j(W); returns the sup-node H^1 distance of phi_hat +
-    P_j from U_j and the largest H^1 norm of P_j.
+def _predict(U, W, j, b, dt):
+    """Start for node j from the solved nodes up to b: Adams-Bashforth 4 on
+    the integrands from j = 4, linear extrapolation along W_b below."""
+    if j < 4:
+        return U[b] + ((j - b) * dt) * W[b]
+    return U[j - 1] + (dt / 24.0) * (55.0 * W[j - 1] - 59.0 * W[j - 2]
+                                     + 37.0 * W[j - 3] - 9.0 * W[j - 4])
 
-    With refresh, U_j takes the new value and its integrand W_j is
-    recomputed at once, so every later node reads the freshest integrands;
-    P_j is then recomputed from the new W_j for the nodes that build on it.
-    Only the last three prefixes are held.
+
+def march_solve(phi, cfg):
+    """Solve the node equations U_j = phi_hat + P_j(W) of the Duhamel map
+    one node at a time, forward from node 0, cold.
+
+    Each node (Simpson's nodes 1 and 2 together, since P_1 reads W_2) starts
+    from _predict and is iterated until its H^1 change falls below tol. The
+    last integrand evaluated, taken within tol of the final U_j, is kept for
+    the later nodes; only the last four integrands and three prefixes are
+    held. The fixed point is the one picard_solve reaches; the increments
+    are per node (see ConvergenceReport), so no contraction rate is read
+    from them. Returns (trajectory, report); raises NonConvergence, naming
+    the node, when a node exhausts max_iter and DivergenceDetected on a
+    non-finite value.
     """
-    dt = cfg.T / cfg.m
-    P = {0: np.zeros_like(phi_hat)}
-    delta = excursion = 0.0
-    for j in range(1, cfg.m + 1):
-        p = _node_integral(P, W, j, dt, cfg.quad)
-        u = phi_hat + p
-        delta = max(delta, spectral_h1_norm(spec, u - U[j]))
-        if refresh:
-            if not np.isfinite(u).all():
-                raise DivergenceDetected("non-finite field during a sweep")
-            excursion = max(excursion, spectral_h1_norm(spec, p))
-            U[j], W[j] = u, _integrand(spec, cfg.times[j], u, cfg)
-            p = _node_integral(P, W, j, dt, cfg.quad)
-        P[j] = p
-        P.pop(j - 3, None)
-    return delta, excursion
-
-
-def sweep_solve(phi, cfg, init="free"):
-    """Solve the node equations of the Duhamel map by forward sweeps in time.
-
-    The quadrature is causal, so the discrete Volterra system is solved node
-    by node, Gauss-Seidel fashion (H. Brunner, Collocation Methods for
-    Volterra Integral and Related Functional Equations, CUP 2004): node j
-    is updated from the integrands of nodes < j already refreshed in the
-    same sweep, and its own integrand is recomputed at once. A sweep costs
-    m integrands and contracts by about dt L, where a Duhamel map contracts
-    by about C T / k; the fixed point is the one picard_solve reaches. The
-    increments are sweep changes, not the Weissinger iteration's, so no
-    contraction rate is read from them.
-
-    init: "free" (default) starts from the free trajectory of phi. A
-    Trajectory on the configuration's nodes is used as given; one on every
-    other node (a solve with m/2 steps) is refined to them first.
-    Stops when a sweep changes no node by tol in H^1; the residual is read
-    from the final integrands. Returns (trajectory, report), raises
-    NonConvergence and DivergenceDetected as picard_solve does.
-    """
-    spec, a1 = phi.spec, cfg.params.alpha1
+    spec = phi.spec
     phi_hat = to_spectral(phi)
-    if isinstance(init, Trajectory):
-        coarse = cfg.m % 2 == 0 and len(init) == cfg.m // 2 + 1
-        nodes = cfg.times[::2] if coarse else cfg.times
-        if (init.spec != spec or len(init) != len(nodes)
-                or not np.allclose(init.times, nodes, atol=1e-12)):
-            raise ValueError("given initializer does not match the configuration")
-        U = [to_spectral(f) * free_phase(spec, -t, a1)
-             for t, f in zip(init.times, init.fields)]
-        U = _refine(U) if coarse else U
-    elif init == "free":
-        U = [phi_hat] * (cfg.m + 1)
-    else:
-        raise ValueError(f"unknown initializer {init!r}")
-    U[0] = phi_hat
     phi_h1 = spectral_h1_norm(spec, phi_hat)
-    increments, excursion = [], 0.0
-    # overflow on a diverging sweep is expected and reported as divergence
+    dt, times = cfg.T / cfg.m, cfg.times
+    first = (1, 2) if cfg.quad == "simpson" else (1,)
+    blocks = [first] + [(j,) for j in range(first[-1] + 1, cfg.m + 1)]
+    U = [phi_hat] * (cfg.m + 1)
+    P = {0: np.zeros_like(phi_hat)}
+    increments, evaluated, excursion = [], 0, 0.0
+    # overflow on a diverging node is expected and reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        W = [_integrand(spec, t, u, cfg) for t, u in zip(cfg.times, U)]
-        for _ in range(cfg.max_iter):
-            delta, reach = _pass(spec, U, W, phi_hat, cfg, refresh=True)
+        W = {0: _integrand(spec, 0.0, phi_hat, cfg)}
+        for block in blocks:
+            for j in block:
+                U[j] = _predict(U, W, j, block[0] - 1, dt)
+            for _ in range(cfg.max_iter):
+                for j in block:
+                    W[j] = _integrand(spec, times[j], U[j], cfg)
+                evaluated += len(block)
+                delta = 0.0
+                for j in block:
+                    P[j] = _node_integral(P, W, j, dt, cfg.quad)
+                    new = phi_hat + P[j]
+                    if not np.isfinite(new).all():
+                        raise DivergenceDetected(f"non-finite field at node {j}")
+                    delta = max(delta, spectral_h1_norm(spec, new - U[j]))
+                    excursion = max(excursion, spectral_h1_norm(spec, P[j]))
+                    U[j] = new
+                if delta < cfg.tol:
+                    break
             increments.append(float(delta))
-            excursion = max(excursion, reach)
-            if delta < cfg.tol:
+            if not delta < cfg.tol:
                 break
-    residual = (_pass(spec, U, W, phi_hat, cfg, refresh=False)[0]
-                if increments[-1] < cfg.tol else increments[-1])
-    return _finish(phi, cfg, U, increments, residual, phi_h1, excursion, "sweeps")
+            for j in block:
+                P.pop(j - 3, None)
+                W.pop(j - 4, None)
+    return _finish(phi, cfg, U, increments, max(increments), evaluated, phi_h1,
+                   excursion, f"iterations at node {'-'.join(map(str, block))}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from frnse.grid import GridSpec, random_band_limited, scaled_gaussian
 from frnse.io import read_csv, read_field, write_csv, write_field
 from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
-from frnse.picard import PicardConfig, picard_solve, sweep_solve
+from frnse.picard import PicardConfig, march_solve, picard_solve
 
 G32 = GridSpec(32, 1.6)
 G16 = GridSpec(16, 1.6)
@@ -183,26 +183,25 @@ def _quick_battery():
 @pytest.fixture(scope="module")
 def quick_run():
     """One quick battery run, shared by criterion 10, the drift guard and the
-    warning, solver and progress guards. Records the caller, solver and
-    initializer of every fixed-point solve, every warning raised, and
-    stderr."""
+    warning, solver and progress guards. Records the caller and solver of
+    every fixed-point solve (both solvers always start cold), every warning
+    raised, and stderr."""
     solves = []
 
     def picard(phi, cfg):
-        solves.append((sys._getframe(1).f_code.co_name, "picard", "free"))
+        solves.append((sys._getframe(1).f_code.co_name, "picard"))
         return picard_solve(phi, cfg)
 
-    def sweep(phi, cfg, init="free"):
-        solves.append((sys._getframe(1).f_code.co_name, "sweep",
-                       init if isinstance(init, str) else "warm"))
-        return sweep_solve(phi, cfg, init)
+    def march(phi, cfg):
+        solves.append((sys._getframe(1).f_code.co_name, "march"))
+        return march_solve(phi, cfg)
 
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         mp.setattr(experiments, "picard_solve", picard)
-        mp.setattr(experiments, "sweep_solve", sweep)
+        mp.setattr(experiments, "march_solve", march)
         result = verify_battery(_quick_config())
     return result, solves, caught, err.getvalue()
 
@@ -224,12 +223,11 @@ def test_quick_battery_measured_solves_start_cold(quick_run):
         # the one Weissinger iteration: its increments feed contraction_rows
         # and, since at quick scale it is also the dependence base solve,
         # continuous_dependence's C_fit
-        ("verify_battery", "picard", "free"),
-        # every other solve only needs the fixed point
-        ("quadrature_order_study", "sweep", "free"),  # first Simpson rung
-        *[("quadrature_order_study", "sweep", "warm")] * 5,  # Simpson 2m, 4m; trapezoid
-        *[("truncation_convergence", "sweep", "free")] * 3,
-        *[("continuous_dependence", "sweep", "warm")] * 3,
+        ("verify_battery", "picard"),
+        # every other solve only needs the fixed point: a cold march
+        *[("quadrature_order_study", "march")] * 6,  # Simpson and trapezoid ladders
+        *[("truncation_convergence", "march")] * 3,
+        *[("continuous_dependence", "march")] * 3,
     ]
 
 

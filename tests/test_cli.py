@@ -363,6 +363,41 @@ picard.m = 4; 8; 1
     assert sub["status"] == "crashed"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    cfg = _write(tmp_path, PICARD + "\n[sweep]\ncommand = picard\npicard.m = 4\n")
+    out = tmp_path / "runs"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_pool_no_larger_than_its_points(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and runs the points in turn
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = _write(tmp_path, PICARD + "\n[sweep]\ncommand = picard\npicard.m = 4; 8\n")
+    out = tmp_path / "runs"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "64"]) == 0
+    assert sizes == [2]
+    (run_dir,) = _run_dirs(out)
+    assert [r["exit"] for r in _manifest(run_dir)["summary"]["runs"]] == [0, 0]
+
+
 def test_jobs_only_on_sweep():
     args = build_parser().parse_args(["sweep", "--config", "x.cfg", "--jobs", "3"])
     assert args.jobs == 3
