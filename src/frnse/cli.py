@@ -24,15 +24,15 @@ from . import __version__
 from .config import (ConfigError, ConfigIssue, _fmt_value, build_initial,
                      config_hash, parse_config, serialize_config)
 from .errors import DivergenceDetected, NonConvergence
-from .experiments import dependence_datum, kernel_norm_study, verify_battery
+from .experiments import (check_table, dependence_datum, kernel_norm_study,
+                          verify_battery)
 from .grid import h1_norm
 from .io import (clear_incomplete, mark_incomplete, read_csv, write_csv,
                  write_field, write_manifest)
+from .kernel import default_radius
 from .picard import contraction_report, picard_solve
 from .stepper import evolve
 from .svg import line_chart
-
-CHECK_HEADER = ("check", "kind", "measured", "threshold", "passed", "detail")
 
 
 def _iso(dt):
@@ -102,12 +102,6 @@ class RunContext:
         }
         write_manifest(os.path.join(self.run_dir, "manifest.json"), manifest)
         clear_incomplete(self.run_dir)
-
-
-def _check_rows_to_csv(ctx, name, rows):
-    write_csv(ctx.path(name), CHECK_HEADER,
-              [(r.check, r.kind, r.measured, r.threshold, r.passed, r.detail)
-               for r in rows])
 
 
 def _print_rows(rows):
@@ -230,7 +224,7 @@ def cmd_kernel_norms(ctx):
                                     seed=e.seed)
     write_csv(ctx.path(f"{ctx.hash8}-tail_norms.csv"),
               ("a", "bound", "estimate"), table)
-    _check_rows_to_csv(ctx, f"{ctx.hash8}-checks.csv", rows)
+    write_csv(ctx.path(f"{ctx.hash8}-checks.csv"), *check_table(rows))
     _print_rows(rows)
     failing = [r.check for r in rows if not r.passed]
     ctx.summary = {"a_list": list(e.a_list), "failed": failing}
@@ -345,6 +339,13 @@ def _require_sections(command, cfg):
             issues += e.issues
         except (OSError, ValueError) as e:
             issues.append(ConfigIssue("constraint", 0, f"initial.path cannot be read: {e}"))
+    # a truncation radius must fall inside the kernel's support
+    reach = default_radius(cfg.grid.L)
+    if command in ("verify", "kernel-norms") and max(cfg.experiment.a_list) >= reach:
+        issues.append(ConfigIssue(
+            "constraint", 0,
+            f"{command} needs every experiment.a_list entry < {reach!r}, "
+            "the kernel's reach sqrt(3) * grid.L"))
     if command == "verify":
         # truncation_convergence resolves every truncation radius on the grid
         # and measures the truncated kernels against the full one

@@ -19,7 +19,7 @@ the timings never reach the tables.
 
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -61,6 +61,11 @@ class CheckRow:
     threshold: float
     passed: bool
     detail: str = ""
+
+
+def check_table(rows):
+    """CheckRows as a (header, rows) table with one column per field."""
+    return tuple(f.name for f in fields(CheckRow)), [astuple(r) for r in rows]
 
 
 def _row(check, kind, measured, threshold, passed, detail=""):
@@ -556,10 +561,6 @@ class VerifyResult:
     probes: list
     tables: dict
 
-    @property
-    def ok(self):
-        return all(r.passed for r in self.rows)
-
     def failing(self):
         return [r for r in self.rows if not r.passed]
 
@@ -674,10 +675,7 @@ def verify_battery(cfg):
                             seed=e.seed)
     lap("domination")
 
-    tables["battery"] = (
-        ("check", "kind", "measured", "threshold", "passed", "detail"),
-        [(r.check, r.kind, r.measured, r.threshold, r.passed, r.detail) for r in rows],
-    )
+    tables["battery"] = check_table(rows)
     tables["probes"] = (
         ("probe", "M", "seed", "pairs", "max_ratio", "fit_slope"),
         [(p.probe, p.M, p.seed, p.pairs, p.max_ratio, p.fit_slope) for p in probes],

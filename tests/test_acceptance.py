@@ -1,10 +1,11 @@
 """End-to-end verification gate.
 
-Each test pins one measured property of the solver stack at its stated
-tolerance and prints a single pass/fail line. The g2 Lipschitz slope test
-asserts a cubic-growth bound that degree-5 homogeneity genuinely violates
-(the difference ratio scales exactly like M^4); it is expected to stay red
-and serves as the battery's negative control.
+Criteria 01-09c read one run of `frnse verify --config configs/verify.cfg`,
+criterion 10 and the guards below it one quick run. Each criterion pins one
+measured property at its stated tolerance and prints a pass/fail line. The
+g2 Lipschitz slope test asserts a cubic-growth bound that degree-5
+homogeneity genuinely violates (the difference ratio scales exactly like
+M^4); it stays red as the battery's negative control.
 """
 
 import contextlib
@@ -20,27 +21,14 @@ import numpy as np
 import pytest
 
 from frnse import experiments
-from frnse.experiments import (contraction_rows,
-                               continuous_dependence, cross_method_check,
-                               domination_rows, inequality_battery,
-                               kernel_norm_study, lipschitz_battery,
-                               norm_law_check, normalization_study,
-                               oracle_equivalence_rows, propagator_rows,
-                               truncation_convergence, verify_battery)
 from frnse.config import parse_config
-from frnse.grid import GridSpec, random_band_limited, scaled_gaussian
+from frnse.experiments import verify_battery
+from frnse.grid import GridSpec, random_band_limited
 from frnse.io import read_csv, read_field, write_csv, write_field
-from frnse.kernel import KernelSpec, default_radius
-from frnse.nonlinear import PhysParams
-from frnse.picard import PicardConfig, march_solve, picard_solve
+from frnse.picard import march_solve, picard_solve
 
-G32 = GridSpec(32, 1.6)
-G16 = GridSpec(16, 1.6)
-KFULL = KernelSpec("full", R=default_radius(1.6))
-PARAMS = PhysParams(1.0, 1.0)
-SMOOTH = PhysParams(0.05, 1.0)
-GOLDEN = Path(__file__).resolve().parent / "data" / "verify_quick_golden.csv"
-QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "verify-quick.cfg"
+DATA = Path(__file__).resolve().parent / "data"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _verdict(num, name, ok, detail=""):
@@ -51,67 +39,101 @@ def _verdict(num, name, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_01_kernel_oracle_equivalence():
-    rows = oracle_equivalence_rows(L=1.6, n=8, seed=0)
+def _config(name):
+    """The config of `frnse verify --config configs/<name>`."""
+    return parse_config((CONFIGS / name).read_text(encoding="utf-8"))
+
+
+def _recorded_battery(name):
+    """verify_battery on configs/<name>. Records the caller and solver of
+    every fixed-point solve (both solvers always start cold), every warning
+    raised, and stderr."""
+    solves = []
+
+    def recorded(solve, label):
+        def call(phi, cfg):
+            solves.append((sys._getframe(1).f_code.co_name, label))
+            return solve(phi, cfg)
+        return call
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(experiments, "picard_solve", recorded(picard_solve, "picard"))
+        mp.setattr(experiments, "march_solve", recorded(march_solve, "march"))
+        result = verify_battery(_config(name))
+    return result, solves, caught, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    """One full battery run, shared by criteria 01-09c and the full drift and
+    solve guards."""
+    return _recorded_battery("verify.cfg")
+
+
+def _checks(run, *prefixes):
+    """The run's rows whose check name starts with one of prefixes, by name."""
+    rows = {r.check: r for r in run[0].rows if r.check.startswith(prefixes)}
+    assert rows, f"no row named {' or '.join(prefixes)}*"
+    return rows
+
+
+def test_criterion_01_kernel_oracle_equivalence(full_run):
+    rows = _checks(full_run, "kernel-oracle-").values()
     worst = max(r.measured for r in rows)
     _verdict("01", "FFT kernel apply matches direct summation, all variants",
              all(r.passed for r in rows) and worst < 1e-10,
              f"worst rel error {worst:.3e}, tolerance 1e-10")
 
 
-def test_criterion_02_free_propagator_exactness():
-    rows = propagator_rows(G32, PARAMS.alpha1, seed=0, sigma=0.12)
-    by = {r.check: r for r in rows}
+def test_criterion_02_free_propagator_exactness(full_run):
+    by = _checks(full_run, "propagator-")
     exact = ["propagator-plane-wave", "propagator-unitarity-l2",
              "propagator-unitarity-h1", "propagator-group-law",
              "propagator-inverse"]
     ok = all(by[k].passed and by[k].measured < 1e-12 for k in exact)
-    gauss = [r for r in rows if r.check.startswith("propagator-gaussian")]
+    gauss = [r for k, r in by.items() if k.startswith("propagator-gaussian")]
     ok = ok and gauss and all(r.passed and r.measured < 1e-6 for r in gauss)
     _verdict("02", "free propagator: phase/unitarity/group law 1e-12, "
              "analytic Gaussian 1e-6", ok)
 
 
-def test_criterion_03_tail_operator_norm_bound():
-    table, rows = kernel_norm_study(G32, (0.4, 0.2, 0.1), seed=0)
+def test_criterion_03_tail_operator_norm_bound(full_run):
+    rows = _checks(full_run, "tail-norm")
+    table = full_run[0].tables["tail_norms"][1]
     bounds_ok = all(est <= bound for _, bound, est in table)
-    slope = [r for r in rows if r.check == "tail-norm-slope"][0]
+    slope = rows["tail-norm-slope"]
     _verdict("03", "tail operator norm under 2*pi*a^2 with slope 2.0 +/- 0.3",
-             bounds_ok and all(r.passed for r in rows),
+             bounds_ok and all(r.passed for r in rows.values()),
              f"slope {slope.measured:.3f}")
 
 
-def test_criterion_04_contraction_regime():
-    phi = scaled_gaussian(G32, 0.12, h1_target=0.5)
-    cfg = PicardConfig(T=0.25, m=64, kspec=KFULL, params=PARAMS,
-                       quad="simpson", tol=1e-12)
-    _, report = picard_solve(phi, cfg)
-    rows, ana = contraction_rows(report)
-    ok = (report.converged and not ana.degenerate
-          and all(r.passed for r in rows) and report.residual < 1e-8)
+def test_criterion_04_contraction_regime(full_run):
+    # the run itself holds convergence: picard_solve raises NonConvergence
+    rows = _checks(full_run, "picard-")
+    residual = full_run[0].tables["picard"][1][-1][2]
+    ok = ("picard-degenerate" not in rows
+          and all(r.passed for r in rows.values()) and residual < 1e-8)
     _verdict("04", "fixed-point iteration contracts with factorial envelope "
              "and residual < 1e-8", ok,
-             f"C_fit*T {ana.C_fit * report.T:.3f}, residual {report.residual:.3e}")
+             f"C_fit*T {rows['picard-factorial-envelope'].measured:.3f}, "
+             f"residual {residual:.3e}")
 
 
-def test_criterion_05_cross_method_agreement():
-    phi = scaled_gaussian(G32, 0.13, l2_target=0.5)
-    cfg = PicardConfig(T=0.25, m=32, kspec=KFULL, params=SMOOTH,
-                       quad="simpson", tol=1e-12)
-    rows = cross_method_check(phi, cfg, ms=(32, 64, 128),
-                              steps=(64, 128, 256))
-    by = {r.check: r for r in rows}
+def test_criterion_05_cross_method_agreement(full_run):
+    by = _checks(full_run, "simpson-order", "trapezoid-order", "ifrk4-order",
+                 "cross-method-agreement")
     agree = by["cross-method-agreement"]
     _verdict("05", "quadrature/stepper orders within 20% and terminal states "
              "agree within summed Richardson budgets",
-             all(r.passed for r in rows),
+             all(r.passed for r in by.values()),
              f"H1 distance {agree.measured:.3e} <= budget {agree.threshold:.3e}")
 
 
-def test_criterion_06_norm_law():
-    rows, _ = normalization_study(G32, KFULL, PARAMS, T=0.5, dt=2.5e-3,
-                                  sigma=0.12, seed=0)
-    by = {r.check: r for r in rows}
+def test_criterion_06_norm_law(full_run):
+    by = _checks(full_run, "norm-law-")
     unit, sub = by["norm-law-unit-sphere"], by["norm-law-subunit-growth"]
     _verdict("06", "unit-sphere norm pinned to 1e-6 over [0, 0.5]; "
              "sub-unit norm strictly grows",
@@ -119,42 +141,33 @@ def test_criterion_06_norm_law():
              f"max | ||psi||^2 - 1 | = {unit.measured:.3e}")
 
 
-def test_criterion_07_truncation_convergence():
-    phi = scaled_gaussian(G32, 0.13, l2_target=0.5)
-    cfg = PicardConfig(T=0.15, m=32, kspec=KFULL, params=SMOOTH,
-                       quad="simpson", tol=1e-12)
-    table, slope, rows = truncation_convergence(phi, cfg, (0.4, 0.2, 0.1))
-    errs = [e for _, e in table]
+def test_criterion_07_truncation_convergence(full_run):
+    rows = _checks(full_run, "truncation-").values()
+    errs = [e for _, e in full_run[0].tables["truncation"][1]]
     _verdict("07", "truncated-kernel fixed points converge to the full one "
              "as a decreases",
              all(r.passed for r in rows),
              "E(a) = " + ", ".join(f"{e:.3e}" for e in errs))
 
 
-def test_criterion_08_continuous_dependence():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        phi = scaled_gaussian(G16, 0.15, h1_target=0.5)
-    cfg = PicardConfig(T=0.25, m=32, kspec=KFULL, params=PARAMS,
-                       quad="simpson", tol=1e-12)
-    table, rows = continuous_dependence(phi, (1e-2, 1e-3, 1e-4), cfg, seed=0)
-    ratios = [r for _, r in table]
+def test_criterion_08_continuous_dependence(full_run):
+    rows = _checks(full_run, "dependence-").values()
+    ratios = [r for _, r in full_run[0].tables["dependence"][1]]
     _verdict("08", "perturbation response bounded by exp(C_fit T) * 1.25 and "
              "stable (spread < 2) across three decades",
              all(r.passed for r in rows),
              "R(delta) = " + ", ".join(f"{r:.3f}" for r in ratios))
 
 
-def test_criterion_09a_truncated_g1_domination():
-    rows = domination_rows(G16, a=0.2, samples=200, seed=0)
+def test_criterion_09a_truncated_g1_domination(full_run):
+    (row,) = _checks(full_run, "truncated-g1-domination").values()
     _verdict("09a", "truncated g1 pointwise dominated by full g1 on 200 "
-             "samples", all(r.passed for r in rows),
-             f"max excess {rows[0].measured:.3e} <= 1e-10")
+             "samples", row.passed,
+             f"max excess {row.measured:.3e} <= 1e-10")
 
 
-def test_criterion_09b_g2_lipschitz_slope():
-    rows, _ = lipschitz_battery((0.5, 1.0, 2.0), pairs=10, seed=0, gspec=G16)
-    red = [r for r in rows if r.check == "g2-lipschitz-slope"][0]
+def test_criterion_09b_g2_lipschitz_slope(full_run):
+    (red,) = _checks(full_run, "g2-lipschitz-slope").values()
     # degree-5 homogeneity makes the true slope exactly 4; the cubic-growth
     # bound below is expected to fail and is kept as a negative control
     _verdict("09b", "g2 Lipschitz-in-M slope at or below 3.5",
@@ -162,53 +175,29 @@ def test_criterion_09b_g2_lipschitz_slope():
              f"measured {red.measured:.3f}, threshold {red.threshold}")
 
 
-def test_criterion_09c_g1_ratio_stability():
-    rows, _ = inequality_battery(G16, samples=60, seed=0)
-    g1_rows = [r for r in rows if r.check.startswith("g1-ratio")]
+def test_criterion_09c_g1_ratio_stability(full_run):
+    g1_rows = _checks(full_run, "g1-ratio").values()
     _verdict("09c", "g1 interaction ratio stable under sample doubling with "
-             "homogeneous growth", bool(g1_rows) and all(r.passed for r in g1_rows))
+             "homogeneous growth", all(r.passed for r in g1_rows))
 
 
-def _quick_config():
-    """The config of `frnse verify --config configs/verify-quick.cfg`."""
-    return parse_config(QUICK_CFG.read_text(encoding="utf-8"))
-
-
-def _quick_battery():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return verify_battery(_quick_config())
+def test_full_battery_solve_sequence(full_run):
+    assert full_run[1] == [
+        ("verify_battery", "picard"),  # the contraction solve
+        *[("quadrature_order_study", "march")] * 6,  # Simpson and trapezoid ladders
+        *[("truncation_convergence", "march")] * 4,  # the full kernel, then 3 radii
+        # the dependence problem (16^3, m 32) is not the contraction problem
+        # (32^3, m 64) at full scale: its base is a Weissinger iteration anew
+        ("continuous_dependence", "picard"),
+        *[("continuous_dependence", "march")] * 3,
+    ]
 
 
 @pytest.fixture(scope="module")
 def quick_run():
-    """One quick battery run, shared by criterion 10, the drift guard and the
-    warning, solver and progress guards. Records the caller and solver of
-    every fixed-point solve (both solvers always start cold), every warning
-    raised, and stderr."""
-    solves = []
-
-    def picard(phi, cfg):
-        solves.append((sys._getframe(1).f_code.co_name, "picard"))
-        return picard_solve(phi, cfg)
-
-    def march(phi, cfg):
-        solves.append((sys._getframe(1).f_code.co_name, "march"))
-        return march_solve(phi, cfg)
-
-    err = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mp.setattr(experiments, "picard_solve", picard)
-        mp.setattr(experiments, "march_solve", march)
-        result = verify_battery(_quick_config())
-    return result, solves, caught, err.getvalue()
-
-
-@pytest.fixture(scope="module")
-def quick_battery(quick_run):
-    return quick_run[0]
+    """One quick battery run, shared by criterion 10, the quick drift guard
+    and the warning, solver and progress guards."""
+    return _recorded_battery("verify-quick.cfg")
 
 
 def test_quick_battery_emits_no_box_decay_warning(quick_run):
@@ -241,8 +230,10 @@ def test_quick_battery_reports_each_section(quick_run):
                      "inequalities", "lipschitz", "domination"]
 
 
-def test_criterion_10_determinism(tmp_path, quick_battery):
-    r1, r2 = quick_battery, _quick_battery()
+def test_criterion_10_determinism(tmp_path, quick_run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        r1, r2 = quick_run[0], verify_battery(_config("verify-quick.cfg"))
     dirs = [tmp_path / "one", tmp_path / "two"]
     for d, res in zip(dirs, (r1, r2)):
         os.makedirs(d)
@@ -254,7 +245,7 @@ def test_criterion_10_determinism(tmp_path, quick_battery):
                     shallow=False)
         for n in names
     )
-    f = random_band_limited(G16, np.random.default_rng(42))
+    f = random_band_limited(GridSpec(16, 1.6), np.random.default_rng(42))
     snap = str(tmp_path / "snap.field")
     write_field(snap, f, t=0.125)
     g, t = read_field(snap)
@@ -264,23 +255,30 @@ def test_criterion_10_determinism(tmp_path, quick_battery):
              f"{len(names)} tables compared")
 
 
-def test_quick_verify_drift_guard(quick_battery):
-    # every quick-verify row against the values the battery measured before
-    # the solver core moved to spectral space; verdicts must not change and
-    # measured values may move by round-off only
-    header, golden = read_csv(str(GOLDEN))
-    col = {name: j for j, name in enumerate(header)}
-    rows = quick_battery.rows
-    assert [r.check for r in rows] == [g[col["check"]] for g in golden]
-    moved = []
-    for r, g in zip(rows, golden):
-        assert r.passed == (g[col["passed"]] == "true"), r.check
-        if r.check == "picard-ratios-decreasing":
-            # a ratio of successive increments that reach the 1e-13 floor:
-            # any reordering of round-off moves it by percents, so only its
-            # verdict is pinned
-            continue
-        want = float(g[col["measured"]])
-        if not abs(r.measured - want) <= 1e-5 * abs(want) + 1e-12:
-            moved.append(f"{r.check}: {r.measured!r} vs golden {want!r}")
+def _assert_matches_golden(rows, golden, verdict_only=()):
+    """Battery rows against a golden battery CSV: the same checks and
+    verdicts, and values within 1e-5 relative + 1e-12 but for verdict_only."""
+    _, want = read_csv(str(DATA / golden))  # check, kind, measured, ..., passed
+    assert [(r.check, r.passed) for r in rows] == [(g[0], g[4] == "true") for g in want]
+    moved = [f"{r.check}: {r.measured!r} vs golden {g[2]}" for r, g in zip(rows, want)
+             if r.check not in verdict_only
+             and not abs(r.measured - float(g[2])) <= 1e-5 * abs(float(g[2])) + 1e-12]
     assert not moved, "; ".join(moved)
+
+
+def test_quick_verify_drift_guard(quick_run):
+    # every quick-verify row against the values the battery measured before
+    # the solver core moved to spectral space. picard-ratios-decreasing is a
+    # ratio of successive increments that reach the 1e-13 floor: any
+    # reordering of round-off moves it by percents, so only its verdict is
+    # pinned
+    _assert_matches_golden(quick_run[0].rows, "verify_quick_golden.csv",
+                           verdict_only=("picard-ratios-decreasing",))
+
+
+def test_full_verify_drift_guard(full_run):
+    # every full-verify row against the battery CSV that `frnse verify
+    # --config configs/verify.cfg` wrote when this guard was added. All are
+    # pinned: picard-ratios-decreasing reads 0.7526 against the factorial
+    # law's 3/4 here, its last increment 1,800 times the 2e-16 residual
+    _assert_matches_golden(full_run[0].rows, "verify_full_golden.csv")

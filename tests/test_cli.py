@@ -116,6 +116,9 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("verify", "verify-quick.cfg", "experiment.deltas=0.25"),
     # with no nonlinearity every ladder rung is exact and no order is fitted
     ("verify", "verify-quick.cfg", "physics.alpha2=0"),
+    # a truncation radius at or beyond the kernel's reach crashed in KernelSpec
+    ("kernel-norms", "kernel-norms.cfg", "experiment.a_list=5.0,0.4"),
+    ("verify", "verify-quick.cfg", "experiment.a_list=5.0,0.4"),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override
