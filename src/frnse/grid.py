@@ -1,8 +1,9 @@
 """Periodic-box discretization: coordinates, wavenumbers, transforms, norms.
 
 Transform convention, fixed project-wide: ``to_spectral`` returns coefficients
-F such that f(x) = sum_k F(k) exp(i k.x); the inverse carries the n^3 factor,
-so ``from_spectral(spec, to_spectral(f))`` recovers f up to round-off.
+F such that f(x) = sum_k F(k) exp(i k.x), so the forward transform carries the
+1/n^3 factor (numpy's ``norm="forward"``, applied inside the FFT) and
+``from_spectral(spec, to_spectral(f))`` recovers f up to round-off.
 Quadrature is the trapezoid rule on the periodic grid, i.e. h^3 times the sum
 of sample values, which makes Parseval exact up to round-off.
 """
@@ -70,7 +71,8 @@ def make_grid(spec):
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples on a periodic grid.
+    """Samples on a periodic grid: float64 when built from float64 values
+    (a density, a potential), complex128 for every other dtype.
 
     Values are stored as an (n, n, n) C-ordered array; the flat index
     convention is idx = (ix*n + iy)*n + iz, i.e. exactly ``values.ravel()``.
@@ -82,7 +84,9 @@ class Field:
 
     def __post_init__(self):
         n = self.spec.n
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.asarray(self.values)
+        if v.dtype != np.float64:
+            v = v.astype(np.complex128, copy=False)
         if v.shape == (n * n * n,):
             v = v.reshape(n, n, n)
         if v.shape != (n, n, n):
@@ -116,14 +120,12 @@ def zero_field(spec):
 
 def to_spectral(f):
     """Forward transform; returns coefficients F with f(x) = sum F(k) e^{ik.x}."""
-    n = f.spec.n
-    return np.fft.fftn(f.values) / n**3
+    return np.fft.fftn(f.values, norm="forward")
 
 
 def from_spectral(spec, coeffs):
     """Inverse of to_spectral."""
-    n = spec.n
-    return Field(spec, np.fft.ifftn(np.asarray(coeffs)) * n**3)
+    return Field(spec, np.fft.ifftn(np.asarray(coeffs), norm="forward"))
 
 
 def l2_norm(f):

@@ -15,8 +15,10 @@ The padded array is never formed. The apply is a pruned real transform: an
 rfft of length 2n along z over the n^2 nonzero lines, then length-2n ffts
 along y (n planes) and x, a product with the table's real half-spectrum
 (shape (2n, 2n, n+1)), and the inverse steps in reverse order, each one
-cropped back to n. Complex densities are convolved as their real and
-imaginary parts, by linearity.
+cropped back to n. All steps run in one complex (2n, 2n, n+1) workspace per
+grid size, kept between applies; only its padding is zeroed again. A real
+(float64) density gives a float64 potential; a complex density is convolved
+as its real part and then its imaginary part, by linearity.
 
 The discrete operator is defined by a sampled real-space table: cell j gets
 weight h^3 / |d_j| at the centered displacement d_j, and the singular
@@ -122,9 +124,8 @@ def kernel_table(gspec, kspec):
         )
     N = 2 * n
     j = np.arange(N)
-    d = (((j + n) % N) - n) * h
-    dx, dy, dz = np.meshgrid(d, d, d, indexing="ij")
-    r = np.sqrt(dx**2 + dy**2 + dz**2)
+    d2 = ((((j + n) % N) - n) * h) ** 2
+    r = np.sqrt(d2[:, None, None] + d2[None, :, None] + d2[None, None, :])
     with np.errstate(divide="ignore"):
         w_full = np.where(r > 0.0, h**3 / np.where(r > 0.0, r, 1.0), 0.0)
     w_full[0, 0, 0] = CUBE_AVG * h**2
@@ -150,24 +151,36 @@ def kernel_multiplier(gspec, kspec):
     return mult
 
 
+@lru_cache(maxsize=4)
+def _workspace(n):
+    """The complex (2n, 2n, n+1) spectrum buffer _convolve_real reuses.
+    Shared state: one apply per grid size may run at a time in a process."""
+    return np.empty((2 * n, 2 * n, n + 1), dtype=np.complex128)
+
+
 def _convolve_real(mult, vals):
-    """Zero-padded circular convolution of real (..., n, n, n) arrays.
+    """Zero-padded circular convolution of a real (n, n, n) array.
 
     Forward: rfft along z over the n^2 lines, fft along y over n planes,
     fft along x; inverse in reverse order, cropping to n after each step.
-    Every step works in place on one (..., 2n, 2n, n+1) spectrum buffer.
+    Every step works in place on the cached workspace of the grid size;
+    the forward rfft overwrites its data block, so only the two padding
+    blocks (x >= n, and y >= n below it) are zeroed again. The result is a
+    fresh array, never a view of the workspace.
     """
     n = vals.shape[-1]
     N = 2 * n
-    s = np.zeros(vals.shape[:-3] + (N, N, n + 1), dtype=np.complex128)
-    low = s[..., :n, :, :]  # the n x-planes the density occupies
-    np.fft.rfft(vals, n=N, axis=-1, out=low[..., :n, :])
+    s = _workspace(n)
+    low = s[:n]  # the n x-planes the density occupies
+    s[n:] = 0.0
+    low[:, n:] = 0.0
+    np.fft.rfft(vals, n=N, axis=-1, out=low[:, :n])
     np.fft.fft(low, axis=-2, out=low)
     np.fft.fft(s, axis=-3, out=s)
     s *= mult
     np.fft.ifft(s, axis=-3, out=s)
     np.fft.ifft(low, axis=-2, out=low)
-    return np.fft.irfft(low[..., :n, :], n=N, axis=-1)[..., :n]
+    return np.fft.irfft(low[:, :n], n=N, axis=-1)[..., :n]
 
 
 def apply_kernel(kspec, density):
@@ -175,17 +188,17 @@ def apply_kernel(kspec, density):
 
     Convolves on the 2x padded grid by the pruned real transform of
     _convolve_real against kernel_multiplier, without forming the padded
-    array. Linear in the density: a complex density is convolved as its
-    stacked real and imaginary parts in one call; a real density gives
-    real output.
+    array. A real (float64) density gives a float64 Field; a complex one is
+    convolved as its real and then its imaginary part, by linearity, and
+    gives a complex128 Field.
     """
     spec = density.spec
     mult = kernel_multiplier(spec, kspec)
     vals = density.values
-    if not np.any(vals.imag):
-        return Field(spec, _convolve_real(mult, vals.real))
-    re, im = _convolve_real(mult, np.stack((vals.real, vals.imag)))
-    return Field(spec, re + 1j * im)
+    if np.isrealobj(vals):
+        return Field(spec, _convolve_real(mult, vals))
+    re = _convolve_real(mult, vals.real)
+    return Field(spec, re + 1j * _convolve_real(mult, vals.imag))
 
 
 def direct_convolution_oracle(kspec, density):

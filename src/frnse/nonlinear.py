@@ -48,13 +48,13 @@ class PhysParams:
 
 
 def density(psi):
-    """|psi|^2 as a Field (real-valued)."""
+    """|psi|^2 as a float64 Field."""
     v = psi.values
-    return Field(psi.spec, (v.real**2 + v.imag**2).astype(np.complex128))
+    return Field(psi.spec, v.real**2 + v.imag**2)
 
 
 def potential(psi, kspec):
-    """The induced potential K(|psi|^2)."""
+    """The induced potential K(|psi|^2), a float64 Field."""
     return apply_kernel(kspec, density(psi))
 
 
@@ -73,9 +73,9 @@ def _big_g1_value(psi, pot):
     h3 = psi.spec.h**3
     v = psi.values
     dens = v.real**2 + v.imag**2
-    raw = float(h3 * np.sum(dens * pot.values.real))
+    raw = float(h3 * np.sum(dens * pot.values))
     if raw < 0.0:
-        scale = float(h3 * np.sum(dens * np.abs(pot.values.real)))
+        scale = float(h3 * np.sum(dens * np.abs(pot.values)))
         if -raw <= 1e-12 * scale:
             return 0.0
     return raw
@@ -98,11 +98,11 @@ def g2(psi, kspec):
 
 def _nonlinear_and_g1(psi, params, kspec):
     """nonlinear_part(psi) and G1(psi) from one kernel application, which is
-    made even when alpha2 = 0."""
+    made even when alpha2 = 0. Forms alpha2*(V - G1)*psi with one real factor."""
     pot = potential(psi, kspec)
     g1v = _big_g1_value(psi, pot)
-    v = psi.values
-    return Field(psi.spec, params.alpha2 * (v * pot.values - g1v * v)), g1v
+    factor = params.alpha2 * (pot.values - g1v)
+    return Field(psi.spec, factor * psi.values), g1v
 
 
 def nonlinear_part(psi, params, kspec):

@@ -45,6 +45,19 @@ def test_field_shape_and_ops(gspec8, rng):
     assert not f.values.flags.writeable
 
 
+def test_field_keeps_float64_and_makes_the_rest_complex128(gspec8, rng):
+    real = rng.standard_normal((8, 8, 8))
+    f = Field(gspec8, real)
+    assert f.values.dtype == np.float64 and np.array_equal(f.values, real)
+    assert not f.values.flags.writeable
+    for values in (real.astype(np.float32), real.astype(np.int64),
+                   real.astype(np.complex64), real + 1j * real):
+        assert Field(gspec8, values).values.dtype == np.complex128
+    # arithmetic keeps a real field real and mixes up to complex
+    assert (f + f).values.dtype == np.float64 and (2.0 * f).values.dtype == np.float64
+    assert (f + zero_field(gspec8)).values.dtype == np.complex128
+
+
 def test_spectral_round_trip(gspec16, rng):
     f = random_band_limited(gspec16, rng)
     back = from_spectral(gspec16, to_spectral(f))

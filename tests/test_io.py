@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from frnse.grid import GridSpec, random_band_limited
+from frnse.grid import Field, GridSpec, random_band_limited
 from frnse.io import (clear_incomplete, mark_incomplete, read_csv, read_field,
                       write_csv, write_field, write_manifest)
 
@@ -19,6 +19,17 @@ def test_field_round_trip_bit_exact(tmp_path, gspec8, rng):
     assert np.array_equal(g.values, f.values)
     # the imaginary parts matter too: bit-compare raw buffers
     assert g.values.tobytes() == f.values.tobytes()
+
+
+def test_float_field_round_trip(tmp_path, gspec8, rng):
+    # a density or a potential is a float64 Field; its snapshot reads back
+    # with the same values and zero imaginary parts
+    f = Field(gspec8, rng.random((8, 8, 8)))
+    path = str(tmp_path / "rho.field")
+    write_field(path, f, t=0.5)
+    g, t = read_field(path)
+    assert t == 0.5 and g.spec == gspec8
+    assert np.array_equal(g.values.real, f.values) and not np.any(g.values.imag)
 
 
 def test_field_header_corruption_raises(tmp_path, gspec8, rng):

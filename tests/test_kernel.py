@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import unit_cube_average
 from frnse.grid import Field, GridSpec, l2_norm, random_band_limited
-from frnse.kernel import (CUBE_AVG, KernelSpec, apply_kernel, default_radius,
-                          direct_convolution_oracle, kernel_multiplier,
-                          kernel_table, tail_norm_bound, tail_norm_estimate)
+from frnse.kernel import (CUBE_AVG, KernelSpec, _workspace, apply_kernel,
+                          default_radius, direct_convolution_oracle,
+                          kernel_multiplier, kernel_table, tail_norm_bound,
+                          tail_norm_estimate)
+from frnse.nonlinear import density, potential
 
 R16 = default_radius(1.6)
 
@@ -145,6 +149,45 @@ def test_apply_real_and_positive(gspec16, rng):
     assert np.isrealobj(out.values) or np.max(np.abs(out.values.imag)) == 0.0
     # Newton potential of a nonnegative density is nonnegative
     assert float(np.min(out.values.real)) > -1e-12
+
+
+def test_apply_dtypes(gspec8, rng):
+    # a real density gives a real potential; a complex one a complex potential
+    kspec = KernelSpec("full", R=R16)
+    psi = random_band_limited(gspec8, rng)
+    rho, pot = density(psi), potential(psi, kspec)
+    assert rho.values.dtype == np.float64 and pot.values.dtype == np.float64
+    assert np.allclose(rho.values, np.abs(psi.values) ** 2, rtol=1e-14, atol=0.0)
+    assert apply_kernel(kspec, psi).values.dtype == np.complex128
+
+
+def test_apply_result_survives_the_next_apply(gspec16, rng):
+    # every apply runs in the one cached workspace of its grid size; a
+    # result is a fresh array that a later apply on the same grid leaves alone
+    kspec = KernelSpec("full", R=R16)
+    first = apply_kernel(kspec, Field(gspec16, rng.random((16, 16, 16))))
+    kept = first.values.copy()
+    second = apply_kernel(kspec, Field(gspec16, rng.random((16, 16, 16))))
+    assert np.array_equal(first.values, kept)
+    assert not np.array_equal(second.values, kept)
+    for out in (first, second):
+        assert not np.shares_memory(out.values, _workspace(16))
+
+
+def test_warm_real_apply_allocates_less_than_one_padded_spectrum(gspec16, rng):
+    # with the multiplier and the workspace cached, a real apply allocates
+    # only its padded real lines and its result, not a (2n, 2n, n+1)
+    # complex spectrum of 32*32*17*16 bytes
+    kspec = KernelSpec("full", R=R16)
+    dens = Field(gspec16, rng.random((16, 16, 16)))
+    apply_kernel(kspec, dens)
+    tracemalloc.start()
+    try:
+        apply_kernel(kspec, dens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 32 * 17 * 16
 
 
 def test_oracle_size_guard(gspec32, rng):
