@@ -11,8 +11,8 @@ from .grid import (Field, GridSpec, boundary_decay, from_spectral,
 from .kernel import (KernelSpec, apply_kernel, default_radius,
                      direct_convolution_oracle, kernel_table, tail_norm_bound,
                      tail_norm_estimate)
-from .nonlinear import (PhysParams, big_g1, density, g1, g2, lipschitz_growth,
-                        lipschitz_probe, nonlinear_part, potential, rhs)
+from .nonlinear import (PhysParams, big_g1, density, g1, g2, nonlinear_part,
+                        potential, rhs)
 from .propagate import free_evolve, free_gaussian_exact
 from .trajectory import Trajectory, norm_law_residuals, sup_h1_distance
 from .picard import (ContractionReport, ConvergenceReport, PicardConfig,

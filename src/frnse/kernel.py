@@ -31,9 +31,9 @@ The direct-summation oracle sums exactly the same table, which makes the
 FFT-vs-direct comparison a round-off-level test rather than a
 discretization-error test.
 
-Note the truncation radius only resolves 1/|x| faithfully once a is a couple
-of grid spacings; for a < 2h the discrete tail operator can exceed the
-continuum bound 2*pi*a^2 because a single cell carries the whole ball.
+The sampled tail operator is bounded by the l1 mass of its table (Young),
+the multiplier's zero frequency, not by the continuum bound 2*pi*a^2: their
+ratio is a lattice effect of a/h (0.97-1.05 for a/h from 2 to 12).
 """
 
 import math
@@ -226,7 +226,7 @@ def direct_convolution_oracle(kspec, density):
 
 
 def tail_norm_bound(a):
-    """Analytic Schur bound 2*pi*a^2 on the tail operator norm."""
+    """Analytic Schur bound 2*pi*a^2 on the continuum tail operator norm."""
     if a <= 0:
         raise ValueError(f"truncation radius must be positive, got {a}")
     return 2.0 * np.pi * a**2
@@ -239,7 +239,8 @@ def tail_norm_estimate(gspec, a, p=2.0, trials=32, seed=0, iters=200):
     restricted operator, starting from a seeded nonnegative field; for other
     p it maximizes ||T f||_p / ||f||_p over seeded random band-limited trial
     fields. Either way the result is a lower estimate and must sit below
-    tail_norm_bound(a). Warns when the grid cannot resolve the ball (h >= a).
+    the l1 mass of the sampled tail table. Warns when the grid cannot
+    resolve the ball (h >= a).
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")

@@ -12,15 +12,16 @@ singularity removed.
 
 Exact homogeneities (used heavily by the test batteries): g1 has degree 3
 (g1(c*psi) = c|c|^2 g1(psi)), G1 degree 4, g2 degree 5 — so the Lipschitz
-constant of g2 on an H^1 ball of radius M grows like M^4.
+constant of g2 on an H^1 ball of radius M grows like M^4, as
+experiments.lipschitz_battery measures. Each kernel apply forms |psi|^2 once:
+potential_and_energy gives the potential and G1 from that one density.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Field, from_spectral, h1_norm, l2_norm, laplacian, lp_norm,
-                   random_band_limited, to_spectral)
+from .grid import Field, from_spectral, laplacian, to_spectral
 from .kernel import apply_kernel
 
 
@@ -68,27 +69,30 @@ def g1(psi, kspec):
     return Field(psi.spec, psi.values * potential(psi, kspec).values)
 
 
-def _big_g1_value(psi, pot):
-    """G1 from a precomputed potential, with the tiny-ringing clamp."""
+def potential_and_energy(psi, kspec):
+    """The potential V = K(|psi|^2) and G1(psi) = integral of |psi|^2 V, from
+    one density, which is freed on return.
+
+    G1 is nonnegative for the full kernel up to FFT round-off; negative
+    values smaller than 1e-12 of the absolute-value scale are clamped to zero.
+    """
+    rho = density(psi)
+    pot = apply_kernel(kspec, rho)
     h3 = psi.spec.h**3
-    v = psi.values
-    dens = v.real**2 + v.imag**2
-    raw = float(h3 * np.sum(dens * pot.values))
+    raw = float(h3 * np.sum(rho.values * pot.values))
     if raw < 0.0:
-        scale = float(h3 * np.sum(dens * np.abs(pot.values)))
+        scale = float(h3 * np.sum(rho.values * np.abs(pot.values)))
         if -raw <= 1e-12 * scale:
-            return 0.0
-    return raw
+            return pot, 0.0
+    return pot, raw
 
 
 def big_g1(psi, kspec):
     """Interaction energy G1(psi) = integral of |psi|^2 K(|psi|^2).
 
-    Nonnegative for the full kernel up to FFT round-off; negative values
-    smaller than 1e-12 of the absolute-value scale are clamped to zero.
     Degree-4 homogeneous: big_g1(c*psi) = |c|^4 big_g1(psi).
     """
-    return _big_g1_value(psi, potential(psi, kspec))
+    return potential_and_energy(psi, kspec)[1]
 
 
 def g2(psi, kspec):
@@ -99,8 +103,7 @@ def g2(psi, kspec):
 def _nonlinear_and_g1(psi, params, kspec):
     """nonlinear_part(psi) and G1(psi) from one kernel application, which is
     made even when alpha2 = 0. Forms alpha2*(V - G1)*psi with one real factor."""
-    pot = potential(psi, kspec)
-    g1v = _big_g1_value(psi, pot)
+    pot, g1v = potential_and_energy(psi, kspec)
     factor = params.alpha2 * (pot.values - g1v)
     return Field(psi.spec, factor * psi.values), g1v
 
@@ -136,93 +139,3 @@ def rhs(psi, params, kspec):
     if params.alpha2 != 0.0:
         out = out + nonlinear_part(psi, params, kspec).values
     return Field(psi.spec, out)
-
-
-# --------------------------------------------------------------------------
-# Lipschitz probes
-# --------------------------------------------------------------------------
-
-#: Exponents for the mixed-norm probe: difference of g1 measured in L^{3/2},
-#: input difference in L^{2.25} (valid exponent triple rho=3, r=1.5).
-RHO_PRIME = 1.5
-R_ONE = 2.25
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """One Lipschitz-probe result (CSV row: probe, M, seed, pairs, max_ratio,
-    fit_slope; fit_slope is NaN unless the probe was part of an M sweep)."""
-
-    probe: str
-    M: float
-    seed: int
-    pairs: int
-    max_ratio: float
-    fit_slope: float = float("nan")
-
-
-def ball_field(gspec, rng, M):
-    """Random band-limited field scaled to H^1 norm M*u, u ~ U(0.3, 1).
-
-    Drawing the shape before the scale keeps the field a deterministic
-    function of (rng stream, M) that is exactly linear in M, so doubling M
-    doubles the field.
-    """
-    f = random_band_limited(gspec, rng)
-    target = M * rng.uniform(0.3, 1.0)
-    return f * (target / h1_norm(f))
-
-
-def _probe_ops(which, kspec):
-    if which == "g1_in_L2":
-        return (lambda f: g1(f, kspec)), l2_norm, l2_norm
-    if which == "g2_in_L2":
-        return (lambda f: g2(f, kspec)), l2_norm, l2_norm
-    if which == "g1_in_Lrho":
-        return (
-            (lambda f: g1(f, kspec)),
-            lambda f: lp_norm(f, RHO_PRIME),
-            lambda f: lp_norm(f, R_ONE),
-        )
-    raise ValueError(f"unknown probe {which!r}")
-
-
-def lipschitz_probe(which, M, pairs=40, seed=0, *, gspec, kspec):
-    """Empirical Lipschitz ratio of g1 or g2 over an H^1 ball of radius M.
-
-    Draws `pairs` seeded random field pairs inside the ball and returns the
-    maximum of ||G(phi) - G(psi)|| / ||phi - psi|| in the probe's norms.
-    Coincident pairs (zero denominator) are skipped. Each pair uses the
-    child seed [seed, pair_index], so ratios at different M are computed on
-    identical field shapes and scale exactly by homogeneity.
-    """
-    if M <= 0:
-        raise ValueError(f"ball radius must be positive, got {M}")
-    op, num_norm, den_norm = _probe_ops(which, kspec)
-    max_ratio = 0.0
-    for i in range(pairs):
-        rng = np.random.default_rng([seed, i])
-        phi = ball_field(gspec, rng, M)
-        psi = ball_field(gspec, rng, M)
-        den = den_norm(phi - psi)
-        if den == 0.0:
-            continue
-        ratio = num_norm(op(phi) - op(psi)) / den
-        max_ratio = max(max_ratio, ratio)
-    return ProbeReport(which, float(M), seed, pairs, float(max_ratio))
-
-
-def lipschitz_growth(which, Ms, pairs=40, seed=0, *, gspec, kspec):
-    """Run lipschitz_probe over several ball radii and fit the growth law.
-
-    Returns (reports, slope) where slope is the least-squares slope of
-    log(max_ratio) against log(M) and each report carries it in fit_slope.
-    """
-    if len(Ms) < 2:
-        raise ValueError("need at least two ball radii to fit a growth law")
-    raw = [lipschitz_probe(which, M, pairs, seed, gspec=gspec, kspec=kspec) for M in Ms]
-    slope = float(
-        np.polyfit(np.log([r.M for r in raw]), np.log([r.max_ratio for r in raw]), 1)[0]
-    )
-    reports = [replace(r, fit_slope=slope) for r in raw]
-    return reports, slope

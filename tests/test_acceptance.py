@@ -105,7 +105,8 @@ def test_criterion_03_tail_operator_norm_bound(full_run):
     table = full_run[0].tables["tail_norms"][1]
     bounds_ok = all(est <= bound for _, bound, est in table)
     slope = rows["tail-norm-slope"]
-    _verdict("03", "tail operator norm under 2*pi*a^2 with slope 2.0 +/- 0.3",
+    _verdict("03", "tail operator norm under the sampled table's l1 mass "
+             "||k_h||_1 with slope 2.0 +/- 0.3",
              bounds_ok and all(r.passed for r in rows.values()),
              f"slope {slope.measured:.3f}")
 

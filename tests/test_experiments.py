@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from frnse import experiments
+from frnse import experiments, kernel, nonlinear
 from frnse.config import parse_config
 
-from frnse.experiments import (contraction_rows,
+from frnse.experiments import (ball_field, contraction_rows,
                                continuous_dependence, domination_rows,
                                inequality_battery, kernel_norm_study,
                                lipschitz_battery, loglog_slope,
@@ -15,7 +15,7 @@ from frnse.experiments import (contraction_rows,
                                oracle_equivalence_rows, propagator_rows,
                                truncation_convergence)
 from frnse.grid import GridSpec, scaled_gaussian
-from frnse.kernel import KernelSpec, default_radius
+from frnse.kernel import KernelSpec, default_radius, kernel_table
 from frnse.nonlinear import PhysParams
 from frnse.picard import PicardConfig, picard_solve
 from frnse.stepper import StepConfig, evolve
@@ -54,9 +54,24 @@ def test_kernel_norm_study(gspec32):
     table, rows = kernel_norm_study(gspec32, a_list=(0.4, 0.2), trials=8)
     assert all(r.passed for r in rows)
     assert [a for a, _, _ in table] == [0.4, 0.2]
-    for a, bound, est in table:
+    for (a, bound, est), row in zip(table, rows):
         assert est <= bound
-        assert bound == pytest.approx(2.0 * np.pi * a**2, rel=1e-12)
+        # the bound is the l1 mass of the sampled tail table
+        tail = KernelSpec("tail", R=default_radius(gspec32.L), a=a)
+        assert bound == pytest.approx(kernel_table(gspec32, tail).sum(), rel=1e-14)
+        assert row.threshold == bound
+        assert f"2 pi a^2 = {2.0 * np.pi * a**2:.6g}" in row.detail
+
+
+def test_tail_norm_bound_is_the_sampled_l1_mass():
+    # at a = 3h on a 48^3 grid the power-iteration estimate 0.0652 exceeds
+    # the continuum bound 2 pi a^2 = 0.0628 by lattice effect; the sampled
+    # operator's own bound, ||k_h||_1 = 0.0658, holds
+    table, rows = kernel_norm_study(GridSpec(48, 1.6), a_list=(0.1,), p=2.0)
+    (_, bound, est), = table
+    assert est > 2.0 * np.pi * 0.1**2
+    assert [r.check for r in rows] == ["tail-norm-bound-a0.1"]
+    assert rows[0].passed and est <= bound
 
 
 def test_contraction_rows_converged(gspec16, kfull):
@@ -165,14 +180,55 @@ def test_inequality_battery(gspec8):
 
 
 def test_lipschitz_battery_negative_control(gspec8):
-    rows, reports = lipschitz_battery(pairs=4, gspec=gspec8)
+    rows, probes = lipschitz_battery(pairs=4, gspec=gspec8)
     by_name = {r.check: r for r in rows}
     red = by_name["g2-lipschitz-slope"]
     assert not red.passed
-    assert red.measured == pytest.approx(4.0, abs=1e-6)
     assert red.threshold == 3.5
-    assert by_name["g1-lipschitz-slope"].measured == pytest.approx(2.0, abs=1e-6)
-    assert len(reports) == 9  # three probes x three radii
+    # homogeneity makes the slopes exact: degree 3 gives 2, degree 5 gives 4
+    assert red.measured == pytest.approx(4.0, abs=1e-8)
+    assert by_name["g1-lipschitz-slope"].measured == pytest.approx(2.0, abs=1e-8)
+    assert by_name["g1-mixed-lipschitz-slope"].measured == pytest.approx(2.0, abs=1e-8)
+    assert len(probes) == 9  # three probes x three radii
+    slopes = {"g1_in_L2": "g1-lipschitz-slope", "g1_in_Lrho": "g1-mixed-lipschitz-slope",
+              "g2_in_L2": "g2-lipschitz-slope"}
+    for which, M, _, _, ratio, slope in probes:
+        assert by_name[f"{which}-M{M:g}"].measured == ratio
+        assert slope == by_name[slopes[which]].measured
+
+
+def test_ball_field_is_linear_in_M(gspec8):
+    f1 = ball_field(gspec8, np.random.default_rng(9), 1.0)
+    f2 = ball_field(gspec8, np.random.default_rng(9), 2.0)
+    assert np.allclose(f2.values, 2.0 * f1.values, rtol=1e-12, atol=1e-15)
+
+
+def test_lipschitz_battery_exact_scaling(gspec8):
+    # same seed => pairs at radius 2 are exactly twice the pairs at 1, so
+    # the ratio scales by 2^2 for g1 (both probes) and 2^4 for g2: exact,
+    # not fitted
+    _, probes = lipschitz_battery((1.0, 2.0), pairs=6, seed=3, gspec=gspec8)
+    ratio = {(which, M): r for which, M, _, _, r, _ in probes}
+    for which, factor in (("g1_in_L2", 4.0), ("g1_in_Lrho", 4.0), ("g2_in_L2", 16.0)):
+        assert ratio[which, 2.0] == pytest.approx(factor * ratio[which, 1.0], rel=1e-9)
+    with pytest.raises(ValueError):
+        lipschitz_battery((1.0,), pairs=2, gspec=gspec8)
+
+
+def test_lipschitz_battery_one_potential_per_field(gspec8, monkeypatch):
+    # one kernel apply per field gives all three probes: 2 per pair per radius
+    calls = []
+    real = kernel.apply_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (experiments, nonlinear):
+        monkeypatch.setattr(module, "apply_kernel", counted)
+    M_list, pairs = (0.5, 1.0, 2.0), 3
+    lipschitz_battery(M_list, pairs=pairs, gspec=gspec8)
+    assert len(calls) == 2 * pairs * len(M_list)
 
 
 def test_domination_rows(gspec8):

@@ -197,11 +197,15 @@ def test_oracle_size_guard(gspec32, rng):
 
 
 def test_tail_norm_estimate_below_bound(gspec32):
-    # resolved radii only (a >= 2h); the power-iteration estimate must sit
-    # under 2 pi a^2
+    # the power-iteration estimate must sit under the sampled operator's
+    # bound, the l1 mass of its table (Young), which the multiplier's zero
+    # frequency holds
     for a in (0.4, 0.2):
         est = tail_norm_estimate(gspec32, a, trials=8, seed=0, iters=120)
-        assert est <= tail_norm_bound(a)
+        mult = kernel_multiplier(gspec32, KernelSpec("tail", R=R16, a=a))
+        l1 = kernel_table(gspec32, KernelSpec("tail", R=R16, a=a)).sum()
+        assert mult[0, 0, 0] == pytest.approx(l1, rel=1e-14)
+        assert est <= l1
         assert est > 0.5 * tail_norm_bound(a)  # and not vacuously small
 
 

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from frnse.grid import (GridSpec, inner, l2_norm, laplacian,
                         random_band_limited)
-from frnse.kernel import KernelSpec, apply_kernel, default_radius
-from frnse.nonlinear import (PhysParams, ball_field, big_g1, density, g1, g2,
-                             lipschitz_growth, lipschitz_probe,
-                             nonlinear_part, potential, rhs)
+from frnse.kernel import KernelSpec, default_radius
+from frnse.nonlinear import (PhysParams, big_g1, density, g1, g2,
+                             nonlinear_part, potential, potential_and_energy,
+                             rhs)
 
 R16 = default_radius(1.6)
 
@@ -31,6 +31,8 @@ def test_density_and_terms(gspec8, rng, kfull):
     direct = gspec8.h**3 * float(np.sum(rho.values.real * pot.values.real))
     assert G1 == pytest.approx(direct, rel=1e-12)
     assert G1 >= 0.0
+    pot2, energy = potential_and_energy(psi, kfull)
+    assert np.array_equal(pot2.values, pot.values) and energy == G1
     assert np.array_equal(g2(psi, kfull).values, G1 * psi.values)
 
 
@@ -89,36 +91,3 @@ def test_truncated_g1_dominated(gspec16, rng):
     full = np.abs(g1(psi, KernelSpec("full", R=R16)).values)
     trunc = np.abs(g1(psi, KernelSpec("inner", R=R16, a=0.3)).values)
     assert float(np.max(trunc - full)) <= 1e-12 * float(np.max(full))
-
-
-def test_ball_field_is_linear_in_M(gspec8):
-    f1 = ball_field(gspec8, np.random.default_rng(9), 1.0)
-    f2 = ball_field(gspec8, np.random.default_rng(9), 2.0)
-    assert np.allclose(f2.values, 2.0 * f1.values, rtol=1e-12, atol=1e-15)
-
-
-def test_lipschitz_probe_exact_scaling(gspec8, kfull):
-    # same seed => pairs at radius M are exactly M times the pairs at 1, so
-    # the ratio scales by M^2 for g1 and M^4 for g2 — exact, not fitted
-    r1 = lipschitz_probe("g1_in_L2", 1.0, pairs=6, seed=3, gspec=gspec8, kspec=kfull)
-    r2 = lipschitz_probe("g1_in_L2", 2.0, pairs=6, seed=3, gspec=gspec8, kspec=kfull)
-    assert r2.max_ratio == pytest.approx(4.0 * r1.max_ratio, rel=1e-9)
-    q1 = lipschitz_probe("g2_in_L2", 1.0, pairs=6, seed=3, gspec=gspec8, kspec=kfull)
-    q2 = lipschitz_probe("g2_in_L2", 2.0, pairs=6, seed=3, gspec=gspec8, kspec=kfull)
-    assert q2.max_ratio == pytest.approx(16.0 * q1.max_ratio, rel=1e-9)
-
-
-def test_lipschitz_growth_slopes(gspec8, kfull):
-    reports, slope_g1 = lipschitz_growth("g1_in_L2", (0.5, 1.0, 2.0), pairs=5,
-                                         seed=0, gspec=gspec8, kspec=kfull)
-    assert slope_g1 == pytest.approx(2.0, abs=1e-8)
-    assert all(np.isfinite(r.fit_slope) for r in reports)
-    _, slope_g2 = lipschitz_growth("g2_in_L2", (0.5, 1.0, 2.0), pairs=5,
-                                   seed=0, gspec=gspec8, kspec=kfull)
-    assert slope_g2 == pytest.approx(4.0, abs=1e-8)
-
-
-def test_probe_rejects_unknown():
-    with pytest.raises(ValueError):
-        lipschitz_probe("g3", 1.0, gspec=GridSpec(8, 1.6),
-                        kspec=KernelSpec("full", R=R16))
