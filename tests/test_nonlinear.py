@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frnse.experiments import lipschitz_battery
 from frnse.grid import (GridSpec, inner, l2_norm, laplacian,
                         random_band_limited)
 from frnse.kernel import KernelSpec, default_radius
@@ -91,3 +92,13 @@ def test_truncated_g1_dominated(gspec16, rng):
     full = np.abs(g1(psi, KernelSpec("full", R=R16)).values)
     trunc = np.abs(g1(psi, KernelSpec("inner", R=R16, a=0.3)).values)
     assert float(np.max(trunc - full)) <= 1e-12 * float(np.max(full))
+
+
+def test_lipschitz_growth_slopes(gspec8):
+    # g1 is degree-3 and g2 degree-5 homogeneous, so the fitted growth of
+    # their max Lipschitz ratios across ball radii is exactly 2 and 4
+    _, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=5, seed=0, gspec=gspec8)
+    slope = {which: s for which, _, _, _, _, s in probes}
+    assert all(np.isfinite(s) for *_, s in probes)
+    assert slope["g1_in_L2"] == pytest.approx(2.0, abs=1e-8)
+    assert slope["g2_in_L2"] == pytest.approx(4.0, abs=1e-8)
