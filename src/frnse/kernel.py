@@ -13,27 +13,23 @@ box, with no periodic images.
 
 The padded array is never formed. The apply is a pruned real transform: an
 rfft of length 2n along z over the n^2 nonzero lines, then length-2n ffts
-along y (n planes) and x, a product with the table's real half-spectrum
+along y (n planes) and x, a product with the kernel's real half-spectrum
 (shape (2n, 2n, n+1)), and the inverse steps in reverse order, each one
 cropped back to n. All steps run in one complex (2n, 2n, n+1) workspace per
 grid size, kept between applies; only its padding is zeroed again. A real
 (float64) density gives a float64 potential; a complex density is convolved
 as its real part and then its imaginary part, by linearity.
 
-The discrete operator is defined by a sampled real-space table: cell j gets
-weight h^3 / |d_j| at the centered displacement d_j, and the singular
-self-cell gets the exact cell average of 1/|x| (CUBE_AVG * h^2).  The tail
-variant's self-cell weight interpolates between 0 (ball smaller than the
-cell's inscribed radius) and the full cell average (ball covers the cell),
-via quadrature of 1/|x| over the cell-ball intersection in between; the
-inner self-weight is the complement, so additivity is exact by construction.
-The direct-summation oracle sums exactly the same table, which makes the
-FFT-vs-direct comparison a round-off-level test rather than a
-discretization-error test.
-
-The sampled tail operator is bounded by the l1 mass of its table (Young),
-the multiplier's zero frequency, not by the continuum bound 2*pi*a^2: their
-ratio is a lattice effect of a/h (0.97-1.05 for a/h from 2 to 12).
+The operator is spectral (Vico, Greengard and Ferrando, "Fast convolution
+with free-space Green's functions", J. Comput. Phys. 323, 2016): 1/|x| cut
+off at r has the transform 8 pi sin^2(|k| r / 2) / |k|^2, 2 pi r^2 at k = 0.
+Sampled on a period ceil(1 + r/L) L >= L + r, it puts no periodic image
+inside the box's displacements, which are kept and transformed at length
+2n. The cutoff is min(r, sqrt(3) L), as no displacement in the box is
+longer; full takes r = R, tail r = a, and inner is their difference on the
+multiplier. The tail table sums to 2 pi a^2 (a <= L) but has small negative
+lobes: the operators do not preserve positivity, and the tail operator is
+bounded in every L^p by the l1 mass of its table (Young).
 """
 
 import math
@@ -44,10 +40,6 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, l2_norm, lp_norm, random_band_limited
-
-#: Average of 1/|u| over the unit cube centered at the origin; the self-cell
-#: of the sampled kernel is CUBE_AVG * h^2 = h^3 * (CUBE_AVG / h).
-CUBE_AVG = 2.3800773639795523
 
 VARIANTS = ("full", "inner", "tail")
 
@@ -86,69 +78,56 @@ def default_radius(L):
     return math.sqrt(3.0) * L
 
 
-def _tail_self_weight(a, h):
-    """Integral of 1/|x| over (cell of side h) ∩ (ball of radius a), centered.
+def _cutoff_multiplier(gspec, r):
+    """The (2n, 2n, n+1) multiplier of 1/|x| cut off at min(r, sqrt(3) L).
 
-    Exact limits on both sides: 0 when the ball misses every point of the
-    cell interior quadrature (a < h/2, inscribed radius), and the full cell
-    average CUBE_AVG*h^2 once the ball covers the cell (a >= sqrt(3)h/2).
-    The intermediate regime is a midpoint quadrature, clamped into the
-    mathematically required range.
-    """
-    if a < h / 2.0:
-        return 0.0
-    if a >= math.sqrt(3.0) / 2.0 * h:
-        return CUBE_AVG * h**2
-    m = 64
-    u = ((np.arange(m) + 0.5) / m - 0.5) * h
-    ux, uy, uz = np.meshgrid(u, u, u, indexing="ij")
-    r = np.sqrt(ux**2 + uy**2 + uz**2)
-    integrand = np.where(r <= a, 1.0 / r, 0.0)
-    val = integrand.mean() * h**3
-    return float(min(max(val, 0.0), min(2.0 * np.pi * a**2, CUBE_AVG * h**2)))
-
-
-def kernel_table(gspec, kspec):
-    """Sampled real-space kernel on the 2x padded grid, FFT index layout.
-
-    Entry [jx, jy, jz] is the convolution weight for the centered displacement
-    d = (((j + n) mod 2n) - n) * h per axis, i.e. index = displacement mod 2n.
-    Weights: h^3/|d| inside the variant's radial support, the split cell
-    average at d = 0, zero elsewhere. Array of shape (2n,)*3.
+    Samples the transform, once per distinct |k|^2, on the even octant of a
+    period of M = ceil(1 + r/L) n points per axis; along each axis, an irfft
+    of length M, the displacements -n..n-1 kept, and an rfft of length 2n.
+    The kernel is even: the octant is mirrored at the end.
     """
     n, h, L = gspec.n, gspec.h, gspec.L
-    if kspec.R < default_radius(L) * (1.0 - 1e-12):
-        raise ValueError(
-            f"support radius R={kspec.R} does not cover the box diameter "
-            f"{default_radius(L):.6g}; free-space convolution would be wrong"
-        )
-    N = 2 * n
-    j = np.arange(N)
-    d2 = ((((j + n) % N) - n) * h) ** 2
-    r = np.sqrt(d2[:, None, None] + d2[None, :, None] + d2[None, None, :])
-    with np.errstate(divide="ignore"):
-        w_full = np.where(r > 0.0, h**3 / np.where(r > 0.0, r, 1.0), 0.0)
-    w_full[0, 0, 0] = CUBE_AVG * h**2
-    w_full = np.where(r <= kspec.R * (1.0 + 1e-12), w_full, 0.0)
-    if kspec.variant == "full":
-        return w_full
-    a = kspec.a
-    w_tail = np.where((r > 0.0) & (r <= a), w_full, 0.0)
-    w_tail[0, 0, 0] = _tail_self_weight(a, h)
-    return w_tail if kspec.variant == "tail" else w_full - w_tail
+    r = min(r, default_radius(L))
+    M = math.ceil(1.0 + r / L) * n
+    j2 = np.arange(M // 2 + 1) ** 2
+    # the transform at each level jx^2 + jy^2 + jz^2 = (|k| M h / 2 pi)^2
+    level = 2.0 * np.pi * r * r * np.sinc(np.sqrt(np.arange(3 * j2[-1] + 1)) * r / (M * h)) ** 2
+    octant = level[j2[:, None, None] + j2[None, :, None] + j2[None, None, :]]
+    if M > 2 * n:
+        keep = np.r_[:n, M - n:M]  # displacements 0..n-1, then -n..-1
+        for axis in (2, 1, 0):  # the largest transforms along contiguous lines
+            table = np.fft.irfft(octant, n=M, axis=axis).take(keep, axis=axis)
+            octant = np.fft.rfft(table, axis=axis).real
+    mirror = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
+    return octant[mirror][:, mirror]
 
 
 @lru_cache(maxsize=16)
 def kernel_multiplier(gspec, kspec):
-    """Real half-spectrum of kernel_table: the multiplier apply_kernel uses.
+    """Real half-spectrum of the kernel on the 2x padded grid: the
+    multiplier apply_kernel uses.
 
-    The table is even modulo 2n, so its DFT is real: the rfftn's imaginary
-    part is round-off and is dropped, leaving a read-only float64 array of
-    shape (2n, 2n, n+1), the z half-spectrum of the full (2n)^3 DFT.
+    A read-only float64 array of shape (2n, 2n, n+1), the z half-spectrum
+    of the (2n)^3 DFT of kernel_table. The full and tail variants are the
+    cutoff transforms at R and at a; the inner one is their difference.
     """
-    mult = np.fft.rfftn(kernel_table(gspec, kspec)).real.copy()
+    if kspec.R < default_radius(gspec.L) * (1.0 - 1e-12):
+        raise ValueError(
+            f"support radius R={kspec.R} does not cover the box diameter "
+            f"{default_radius(gspec.L):.6g}; free-space convolution would be wrong"
+        )
+    mult = _cutoff_multiplier(gspec, kspec.a if kspec.variant == "tail" else kspec.R)
+    if kspec.variant == "inner":
+        mult -= _cutoff_multiplier(gspec, kspec.a)
     mult.setflags(write=False)
     return mult
+
+
+def kernel_table(gspec, kspec):
+    """Real-space kernel, the (2n,)*3 irfftn of kernel_multiplier: entry
+    [jx, jy, jz] weighs the displacement (((j + n) mod 2n) - n) * h per axis."""
+    n = gspec.n
+    return np.fft.irfftn(kernel_multiplier(gspec, kspec), s=(2 * n,) * 3, axes=(0, 1, 2))
 
 
 @lru_cache(maxsize=4)
@@ -202,11 +181,11 @@ def apply_kernel(kspec, density):
 
 
 def direct_convolution_oracle(kspec, density):
-    """Brute-force O(n^6) free-space convolution over the same sampled table.
+    """Brute-force O(n^6) free-space convolution over kernel_table.
 
-    Reference implementation for apply_kernel: sums the identical per-cell
-    weights pair by pair, so agreement is limited only by FFT round-off.
-    Guarded to n <= 16.
+    Reference implementation for apply_kernel's pruned transform: sums the
+    real-space weights of the same multiplier pair by pair, so agreement is
+    limited only by FFT round-off. Guarded to n <= 16.
     """
     spec = density.spec
     n = spec.n
@@ -235,12 +214,13 @@ def tail_norm_bound(a):
 def tail_norm_estimate(gspec, a, p=2.0, trials=32, seed=0, iters=200):
     """Empirical lower estimate of the L^p operator norm of the tail kernel.
 
-    For p = 2 runs power iteration on the (symmetric, positivity-preserving)
-    restricted operator, starting from a seeded nonnegative field; for other
-    p it maximizes ||T f||_p / ||f||_p over seeded random band-limited trial
-    fields. Either way the result is a lower estimate and must sit below
-    the l1 mass of the sampled tail table. Warns when the grid cannot
-    resolve the ball (h >= a).
+    For p = 2 runs power iteration on the symmetric restricted operator,
+    starting from a seeded nonnegative field, and stays below the
+    multiplier's peak, 2*pi*a^2 for a <= L; for other p it maximizes
+    ||T f||_p / ||f||_p over seeded random band-limited trial fields. Either
+    way the result is a lower estimate and must sit below the l1 mass of
+    the tail table, which its negative lobes lift above 2*pi*a^2. Warns
+    when the grid cannot resolve the ball (h >= a).
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")

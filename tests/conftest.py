@@ -1,33 +1,10 @@
-"""Shared fixtures and independent oracles for the test suite."""
+"""Shared fixtures for the test suite."""
 
 import numpy as np
 import pytest
 
 from frnse.grid import GridSpec
 from frnse.kernel import KernelSpec, default_radius
-
-
-def box_integral(X, Y, Z):
-    """Closed form of the integral of 1/|x| over the box [0,X]x[0,Y]x[0,Z].
-
-    Standard antiderivative (each term is elementary); used as an oracle for
-    the near-field cell weights, independent of any quadrature in the
-    package.
-    """
-    r = np.sqrt(X * X + Y * Y + Z * Z)
-    return (
-        X * Y * np.log((Z + r) / np.hypot(X, Y))
-        + Y * Z * np.log((X + r) / np.hypot(Y, Z))
-        + Z * X * np.log((Y + r) / np.hypot(Z, X))
-        - X * X / 2.0 * np.arctan(Y * Z / (X * r))
-        - Y * Y / 2.0 * np.arctan(Z * X / (Y * r))
-        - Z * Z / 2.0 * np.arctan(X * Y / (Z * r))
-    )
-
-
-def unit_cube_average():
-    """Average of 1/|x| over the unit cube centered at the origin."""
-    return 8.0 * box_integral(0.5, 0.5, 0.5)
 
 
 @pytest.fixture

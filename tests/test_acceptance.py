@@ -105,7 +105,7 @@ def test_criterion_03_tail_operator_norm_bound(full_run):
     table = full_run[0].tables["tail_norms"][1]
     bounds_ok = all(est <= bound for _, bound, est in table)
     slope = rows["tail-norm-slope"]
-    _verdict("03", "tail operator norm under the sampled table's l1 mass "
+    _verdict("03", "tail operator norm under the tail table's l1 mass "
              "||k_h||_1 with slope 2.0 +/- 0.3",
              bounds_ok and all(r.passed for r in rows.values()),
              f"slope {slope.measured:.3f}")
@@ -278,8 +278,8 @@ def _assert_matches_golden(rows, golden, verdict_only=()):
 
 
 def test_quick_verify_drift_guard(quick_run):
-    # every quick-verify row against the values the battery measured before
-    # the solver core moved to spectral space. picard-ratios-decreasing is a
+    # every quick-verify row against the values the battery measured when
+    # the kernel became spectral. picard-ratios-decreasing is a
     # ratio of successive increments that reach the 1e-13 floor: any
     # reordering of round-off moves it by percents, so only its verdict is
     # pinned
@@ -289,7 +289,7 @@ def test_quick_verify_drift_guard(quick_run):
 
 def test_full_verify_drift_guard(full_run):
     # every full-verify row against the battery CSV that `frnse verify
-    # --config configs/verify.cfg` wrote when this guard was added. All are
+    # --config configs/verify.cfg` wrote when the kernel became spectral. All are
     # pinned: picard-ratios-decreasing reads 0.7526 against the factorial
     # law's 3/4 here, its last increment 1,800 times the 2e-16 residual
     _assert_matches_golden(full_run[0].rows, "verify_full_golden.csv")

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import unit_cube_average
 from frnse.grid import Field, GridSpec, l2_norm, random_band_limited
-from frnse.kernel import (CUBE_AVG, KernelSpec, _workspace, apply_kernel,
+from frnse.kernel import (KernelSpec, _workspace, apply_kernel,
                           default_radius, direct_convolution_oracle,
                           kernel_multiplier, kernel_table, tail_norm_bound,
                           tail_norm_estimate)
@@ -27,14 +26,9 @@ def test_spec_validation():
         KernelSpec("full", R=-1.0)
 
 
-def test_cube_average_constant():
-    # closed-form box integral, fully independent of the package quadrature
-    assert CUBE_AVG == pytest.approx(unit_cube_average(), rel=1e-14)
-
-
 def test_multiplier_is_real_dft_of_table(gspec8, gspec16):
-    # the table is even modulo 2n, so its DFT is real up to round-off and
-    # the cached multiplier keeps only the real part of the z half-spectrum
+    # the table is the irfftn of the multiplier, even modulo 2n, so its DFT
+    # is real up to round-off and rfftn gives the multiplier back
     for gspec in (gspec8, gspec16):
         n = gspec.n
         for kspec in (KernelSpec("full", R=R16),
@@ -46,57 +40,78 @@ def test_multiplier_is_real_dft_of_table(gspec8, gspec16):
             mult = kernel_multiplier(gspec, kspec)
             assert mult.shape == (2 * n, 2 * n, n + 1)
             assert mult.dtype == np.float64 and not mult.flags.writeable
-            assert np.array_equal(mult, np.fft.rfftn(table).real)
+            back = np.fft.rfftn(table)
+            assert np.max(np.abs(back - mult)) <= 1e-14 * np.max(np.abs(mult))
             half = dft.real[..., :n + 1]
             assert np.max(np.abs(mult - half)) <= 1e-14 * np.max(np.abs(half))
 
 
 def test_table_additivity(gspec16):
-    full = kernel_table(gspec16, KernelSpec("full", R=R16))
-    inner = kernel_table(gspec16, KernelSpec("inner", R=R16, a=0.3))
-    tail = kernel_table(gspec16, KernelSpec("tail", R=R16, a=0.3))
-    assert np.array_equal(inner + tail, full)
+    # the inner multiplier is the full one minus the tail, bitwise, at a
+    # resolved and at a sub-resolution radius
+    full = kernel_multiplier(gspec16, KernelSpec("full", R=R16))
+    for a in (0.3, gspec16.h / 4.0):
+        inner = kernel_multiplier(gspec16, KernelSpec("inner", R=R16, a=a))
+        tail = kernel_multiplier(gspec16, KernelSpec("tail", R=R16, a=a))
+        assert np.array_equal(inner, full - tail)
+        tables = [kernel_table(gspec16, KernelSpec(v, R=R16, a=a)) for v in ("inner", "tail")]
+        assert np.allclose(sum(tables), kernel_table(gspec16, KernelSpec("full", R=R16)),
+                           rtol=0.0, atol=1e-15)
 
 
 def test_table_values(gspec16):
-    # off-center entries are h^3/|d|; the center is the cube-averaged weight
+    # away from the origin the spectral table approaches h^3/|d|
     table = kernel_table(gspec16, KernelSpec("full", R=R16))
     h = gspec16.h
     assert table.shape == (32, 32, 32)
-    assert table[0, 0, 0] == pytest.approx(CUBE_AVG * h * h)
-    assert table[1, 0, 0] == pytest.approx(h**3 / h)
-    assert table[3, 2, 1] == pytest.approx(h**3 / (h * np.sqrt(14.0)))
+    assert table[3, 2, 1] == pytest.approx(h**3 / (h * np.sqrt(14.0)), rel=1e-3)
+    assert table[5, 5, 5] == pytest.approx(h**3 / (h * np.sqrt(75.0)), rel=1e-2)
     # index 2n-1 is the -h displacement: the table is even in d
     assert table[31, 0, 0] == table[1, 0, 0]
     assert table[0, 31, 2] == table[0, 1, 2]
 
 
 def test_radius_guard(gspec16):
+    # the apply path builds the multiplier, so the multiplier holds the guard
+    with pytest.raises(ValueError):
+        kernel_multiplier(gspec16, KernelSpec("full", R=1.0))
     with pytest.raises(ValueError):
         kernel_table(gspec16, KernelSpec("full", R=1.0))
 
 
+def test_cutoff_caps_at_box_diameter(gspec16):
+    # no displacement in the box is longer than sqrt(3) L, so every larger
+    # radius gives the same operator, and a period grid no larger
+    auto = kernel_multiplier(gspec16, KernelSpec("full", R=R16))
+    assert np.array_equal(kernel_multiplier(gspec16, KernelSpec("full", R=50.0)), auto)
+    assert np.array_equal(kernel_multiplier(gspec16, KernelSpec("tail", R=50.0, a=10.0)),
+                          auto)
+
+
+def test_multiplier_build_memory():
+    # the n=48 full multiplier is built on the even octant, one axis at a
+    # time, and never forms the (3n)^3 period grid: it stays under 20.5 MiB
+    build = kernel_multiplier.__wrapped__
+    gspec, kspec = GridSpec(48, 1.6), KernelSpec("full", R=R16)
+    tracemalloc.start()
+    try:
+        build(gspec, kspec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20.5 * 2**20
+
+
 def test_tail_zero_dc_near_analytic(gspec16, gspec32):
-    # DFT at k=0 of the tail table is its row sum, a staircase quadrature of
-    # the integral 2 pi a^2; it converges to the analytic value but can land
-    # on either side of it (lattice fluctuations), so assert proximity at a
-    # resolution-dependent accuracy rather than domination
-    for gspec, cap in ((gspec16, 0.2), (gspec32, 0.03)):
-        for a in (0.3, 0.45):
-            tab = kernel_table(gspec, KernelSpec("tail", R=R16, a=a))
-            dc = float(np.sum(tab))
-            assert abs(dc - tail_norm_bound(a)) <= cap * tail_norm_bound(a)
-
-
-def test_sub_resolution_tail_vanishes(gspec16):
-    # a below h/2: no cell center is inside the ball and the self-cell rule
-    # assigns zero weight, so inner == full exactly
-    a = gspec16.h / 4.0
-    inner = kernel_table(gspec16, KernelSpec("inner", R=R16, a=a))
-    full = kernel_table(gspec16, KernelSpec("full", R=R16))
-    assert np.array_equal(inner, full)
-    tail = kernel_table(gspec16, KernelSpec("tail", R=R16, a=a))
-    assert not np.any(tail)
+    # the DFT at k=0 of the tail table is its sum, the transform's 2 pi a^2,
+    # at every radius up to L: no cell is special, not even below h/2
+    for gspec in (gspec16, gspec32):
+        for a in (gspec.h / 4.0, 0.3, 0.45, gspec.L):
+            kspec = KernelSpec("tail", R=R16, a=a)
+            bound = tail_norm_bound(a)
+            assert kernel_multiplier(gspec, kspec)[0, 0, 0] == pytest.approx(bound, rel=1e-15)
+            dc = float(np.sum(kernel_table(gspec, kspec)))
+            assert dc == pytest.approx(bound, rel=1e-12)
 
 
 def test_apply_matches_direct_oracle(gspec8, rng):
@@ -197,15 +212,16 @@ def test_oracle_size_guard(gspec32, rng):
 
 
 def test_tail_norm_estimate_below_bound(gspec32):
-    # the power-iteration estimate must sit under the sampled operator's
-    # bound, the l1 mass of its table (Young), which the multiplier's zero
-    # frequency holds
+    # the power-iteration estimate must sit under the multiplier's peak,
+    # its zero frequency 2 pi a^2 (the table's sum), and so under the l1
+    # mass of the table (Young), which the negative lobes make larger
     for a in (0.4, 0.2):
         est = tail_norm_estimate(gspec32, a, trials=8, seed=0, iters=120)
         mult = kernel_multiplier(gspec32, KernelSpec("tail", R=R16, a=a))
-        l1 = kernel_table(gspec32, KernelSpec("tail", R=R16, a=a)).sum()
-        assert mult[0, 0, 0] == pytest.approx(l1, rel=1e-14)
-        assert est <= l1
+        table = kernel_table(gspec32, KernelSpec("tail", R=R16, a=a))
+        assert mult[0, 0, 0] == pytest.approx(table.sum(), rel=1e-14)
+        assert np.max(np.abs(mult)) == mult[0, 0, 0]
+        assert est <= mult[0, 0, 0] * (1.0 + 1e-12) < np.abs(table).sum()
         assert est > 0.5 * tail_norm_bound(a)  # and not vacuously small
 
 
