@@ -347,12 +347,6 @@ def _require_sections(command, cfg):
             f"{command} needs every experiment.a_list entry < {reach!r}, "
             "the kernel's reach sqrt(3) * grid.L"))
     if command == "verify":
-        # truncation_convergence resolves every truncation radius on the grid
-        # and measures the truncated kernels against the full one
-        if min(cfg.experiment.a_list) <= cfg.grid.h:
-            issues.append(ConfigIssue(
-                "constraint", 0,
-                f"verify needs every experiment.a_list entry > h = {cfg.grid.h:g}"))
         # at alpha2 = 0 every rung of the order studies is exact, so they
         # have no self-convergence differences to fit an order to
         if cfg.params.alpha2 == 0:

@@ -11,9 +11,9 @@ PicardConfig and StepConfig; [initial] and [experiment] into records
 generated from their SCHEMA keys, which the rows of CHECKS validate.
 
 serialize_config walks SECTION_ORDER and SCHEMA to produce a canonical form
-(fixed section and key order, repr floats, resolved kernel radius) that
-re-parses to an equal config; config_hash is the SHA-256 of that canonical
-form minus the [output] section, so relocating output never changes the hash.
+(fixed section and key order, repr floats) that re-parses to an equal
+config; config_hash is the SHA-256 of that canonical form minus the
+[output] section, so relocating output never changes the hash.
 """
 
 import hashlib
@@ -34,7 +34,7 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _Opt:
-    typ: str  # int | float | str | floats | ints | radius
+    typ: str  # int | float | str | floats | ints
     default: object = _REQUIRED
     choices: tuple = ()
 
@@ -45,7 +45,6 @@ SCHEMA = {
     "kernel": {
         "variant": _Opt("str", "full", choices=("full", "inner", "tail")),
         "a": _Opt("float", 0.0),
-        "R": _Opt("radius", None),  # None = auto = smallest radius covering the box
     },
     "initial": {
         "type": _Opt("str", "gaussian", choices=("gaussian", "plane_wave", "file")),
@@ -130,10 +129,12 @@ def _decreasing(values):
 
 
 #: (section, key, predicate, message) rows. A key that the text or an
-#: override sets must satisfy predicate(value, typed values of its section),
-#: or "section.key message" is reported at that key's line. Every default
-#: satisfies every row.
+#: override sets must satisfy predicate(value, typed values of its section
+#: and the sections built before it, by name), or "section.key message" is
+#: reported at that key's line. Every default satisfies every row.
 CHECKS = (
+    ("kernel", "a", lambda v, s: s["grid"] is None or v < default_radius(s["grid"].L),
+     "must be below the kernel's reach sqrt(3) * grid.L"),
     ("initial", "type", lambda v, s: v != "file" or s["path"], "= file needs initial.path"),
     ("initial", "sigma", lambda v, s: v > 0, "must be positive"),
     ("initial", "center", lambda v, s: len(v) == 3, "needs exactly 3 values"),
@@ -219,8 +220,6 @@ def _convert(opt, text, section, key, line, issues):
             return int(text)
         if opt.typ == "float":
             return float(text)
-        if opt.typ == "radius":
-            return None if text == "auto" else float(text)
         if opt.typ == "floats":
             return tuple(float(p) for p in text.split(","))
         if opt.typ == "ints":
@@ -258,23 +257,11 @@ def _constraint(issues, line, message):
     issues.append(ConfigIssue("constraint", line, message))
 
 
-def _kernel(values, built):
-    """KernelSpec with the auto radius resolved; R must cover the box."""
-    if built["grid"] is None:
-        return None  # the [grid] issue is already reported
-    cover = default_radius(built["grid"].L)
-    R = cover if values["R"] is None else values["R"]
-    kernel = KernelSpec(**dict(values, R=R))
-    if kernel.R < cover * (1 - 1e-12):
-        raise ValueError(f"R={kernel.R} must cover the box diameter >= {cover:.6g}")
-    return kernel
-
-
 #: How each section is built from its typed values and the sections before it.
 _BUILD = {
     "grid": lambda v, built: GridSpec(**v),
     "physics": lambda v, built: PhysParams(**v),
-    "kernel": _kernel,
+    "kernel": lambda v, built: KernelSpec(**v),
     "initial": lambda v, built: InitialSpec(**v),
     "picard": lambda v, built: PicardConfig(kspec=built["kernel"], params=built["physics"], **v),
     "stepper": lambda v, built: StepConfig(kspec=built["kernel"], params=built["physics"], **v),
@@ -323,7 +310,7 @@ def parse_config(text, overrides=()):
         values, lines = _section_values(name, raw, section_lines, issues)
         for section, key, ok, message in CHECKS:
             if section == name and key in lines and values[key] is not None \
-                    and not ok(values[key], values):
+                    and not ok(values[key], {**built, **values}):
                 _constraint(issues, lines[key], f"{name}.{key} {message}")
         if len(issues) > before:
             continue  # building would only repeat what is reported

@@ -39,7 +39,6 @@ from .grid import (
 from .kernel import (
     KernelSpec,
     apply_kernel,
-    default_radius,
     direct_convolution_oracle,
     kernel_table,
     tail_norm_bound,
@@ -91,14 +90,13 @@ def loglog_slope(xs, ys):
 def oracle_equivalence_rows(L=1.6, n=8, seed=0):
     """FFT apply vs direct summation on an n^3 grid, all kernel variants."""
     gspec = GridSpec(n, L)
-    R = default_radius(L)
     rng = np.random.default_rng([seed, 101])
     rho = Field(gspec, rng.standard_normal((n, n, n)).astype(complex))
     rows = []
     for kspec in (
-        KernelSpec("full", R=R),
-        KernelSpec("inner", R=R, a=0.25 * L),
-        KernelSpec("tail", R=R, a=0.25 * L),
+        KernelSpec("full"),
+        KernelSpec("inner", a=0.25 * L),
+        KernelSpec("tail", a=0.25 * L),
     ):
         ref = direct_convolution_oracle(kspec, rho)
         err = l2_norm(apply_kernel(kspec, rho) - ref) / l2_norm(ref)
@@ -118,8 +116,7 @@ def gaussian_potential_row(L=1.6, n=32, sigma=0.12):
     ref = np.full_like(r, 4.0 * np.pi * sigma**2)  # the limit at r = 0
     erf = np.vectorize(math.erf)(r / (math.sqrt(2.0) * sigma))
     np.divide((2.0 * np.pi * sigma**2) ** 1.5 * erf, r, out=ref, where=r > 0.0)
-    pot = apply_kernel(KernelSpec("full", R=default_radius(L)),
-                       Field(gspec, np.exp(-r2 / (2.0 * sigma**2))))
+    pot = apply_kernel(KernelSpec("full"), Field(gspec, np.exp(-r2 / (2.0 * sigma**2))))
     err = float(np.linalg.norm(pot.values - ref) / np.linalg.norm(ref))
     return _row("kernel-gaussian-potential", "identity", err, 1e-8, err < 1e-8,
                 f"n={n}, sigma={sigma}")
@@ -177,11 +174,10 @@ def kernel_norm_study(gspec, a_list=(0.4, 0.2, 0.1), p=2.0, trials=32, seed=0):
     """
     table = []
     rows = []
-    R = default_radius(gspec.L)
     for a in a_list:
         est = tail_norm_estimate(gspec, a, p=p, trials=trials, seed=seed)
         # the table has negative lobes: its l1 mass exceeds its sum, 2 pi a^2
-        bound = float(np.abs(kernel_table(gspec, KernelSpec("tail", R=R, a=a))).sum())
+        bound = float(np.abs(kernel_table(gspec, KernelSpec("tail", a=a))).sum())
         table.append((float(a), bound, float(est)))
         continuum = tail_norm_bound(a)
         rows.append(
@@ -357,8 +353,8 @@ def normalization_study(gspec, kspec, params, T=0.5, dt=2.5e-3, sigma=0.12, seed
 def truncation_convergence(phi, base, a_list):
     """Distance between truncated-kernel and full-kernel fixed points.
 
-    base must use the full kernel; for each truncation radius a (decreasing,
-    all resolvable: a > h) the same problem is solved with the
+    base must use the full kernel; for each truncation radius a (strictly
+    decreasing) the same problem is solved with the
     inner-truncated kernel and E(a) = sup-node H1 distance to the full
     solution is recorded. E must be nonincreasing as a decreases; the
     log-log slope is reported. Every solve is a cold march_solve. Returns
@@ -366,16 +362,13 @@ def truncation_convergence(phi, base, a_list):
     """
     if base.kspec.variant != "full":
         raise ValueError("base configuration must use the full kernel")
-    h = phi.spec.h
     a_list = [float(a) for a in a_list]
     if any(a2 >= a1 for a1, a2 in zip(a_list, a_list[1:])):
         raise ValueError("a_list must be strictly decreasing")
-    if any(a <= h for a in a_list):
-        raise ValueError(f"every truncation radius must exceed h={h}")
     full_traj, _ = march_solve(phi, base)
     table = []
     for a in a_list:
-        kspec = KernelSpec("inner", R=base.kspec.R, a=a)
+        kspec = KernelSpec("inner", a=a)
         traj, _ = march_solve(phi, replace(base, kspec=kspec))
         table.append((a, float(sup_h1_distance(traj.fields, full_traj.fields))))
     errs = [e for _, e in table]
@@ -470,7 +463,7 @@ def inequality_battery(gspec, samples=60, seed=0):
     """
     if samples < 50:
         raise ValueError(f"need at least 50 samples, got {samples}")
-    kspec = KernelSpec("full", R=default_radius(gspec.L))
+    kspec = KernelSpec("full")
 
     def sample_fields(count, M=1.0):
         return [
@@ -547,7 +540,7 @@ def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec):
     """
     if len(M_list) < 2 or min(M_list) <= 0:
         raise ValueError(f"need at least two positive ball radii, got {M_list}")
-    kspec = KernelSpec("full", R=default_radius(gspec.L))
+    kspec = KernelSpec("full")
     names = ("g1_in_L2", "g1_in_Lrho", "g2_in_L2")
     ratios = {which: [] for which in names}
     for M in M_list:
@@ -584,8 +577,8 @@ def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec):
 def domination_rows(gspec, a, samples=200, seed=0):
     """Pointwise |g1 with truncated kernel| <= |g1 full| + 1e-10 on samples:
     measured, as the tail table's negative lobes make it no identity."""
-    kspec_full = KernelSpec("full", R=default_radius(gspec.L))
-    kspec_inner = KernelSpec("inner", R=kspec_full.R, a=a)
+    kspec_full = KernelSpec("full")
+    kspec_inner = KernelSpec("inner", a=a)
     worst = -np.inf
     for i in range(samples):
         f = ball_field(gspec, np.random.default_rng([seed, i]), 1.0)

@@ -1,15 +1,17 @@
 """Newton kernel 1/|x| on the box: truncated variants, FFT apply, oracles.
 
-Three radial variants are supported, all with compact support of radius R:
+Three radial variants are supported, with one truncation radius a:
 
-* ``full``   -- 1/|x| on |x| <= R,
-* ``inner``  -- 1/|x| on a < |x| <= R (singularity removed),
+* ``full``   -- 1/|x|,
+* ``inner``  -- 1/|x| on |x| > a (singularity removed),
 * ``tail``   -- 1/|x| on 0 < |x| <= a (the part the inner variant removes),
 
-so full = inner + tail identically. R must cover the box diameter
-(R >= sqrt(3) L): then zero-padding the grid 2x per axis makes the circular
-FFT convolution agree with the free-space convolution for sources inside the
-box, with no periodic images.
+so full = inner + tail identically. The kernel's reach is the box's: no
+displacement between two points of the box is longer than sqrt(3) L, so
+the full kernel is cut off there, and a must lie in (0, sqrt(3) L).
+Zero-padding the grid 2x per axis then makes the circular FFT convolution
+agree with the free-space convolution for sources inside the box, with no
+periodic images.
 
 The padded array is never formed. The apply is a pruned real transform: an
 rfft of length 2n along z over the n^2 nonzero lines, then length-2n ffts
@@ -25,15 +27,14 @@ with free-space Green's functions", J. Comput. Phys. 323, 2016): 1/|x| cut
 off at r has the transform 8 pi sin^2(|k| r / 2) / |k|^2, 2 pi r^2 at k = 0.
 Sampled on a period ceil(1 + r/L) L >= L + r, it puts no periodic image
 inside the box's displacements, which are kept and transformed at length
-2n. The cutoff is min(r, sqrt(3) L), as no displacement in the box is
-longer; full takes r = R, tail r = a, and inner is their difference on the
-multiplier. The tail table sums to 2 pi a^2 (a <= L) but has small negative
+2n. Full takes r = sqrt(3) L, tail r = a, and inner is their difference on
+the multiplier. No radius needs resolving on the grid: for every a <= L,
+even below h, the tail table sums to 2 pi a^2. It has small negative
 lobes: the operators do not preserve positivity, and the tail operator is
 bounded in every L^p by the l1 mass of its table (Young).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,40 +47,35 @@ VARIANTS = ("full", "inner", "tail")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Radial kernel selection: variant, support radius R, truncation radius a.
+    """Radial kernel selection: variant and truncation radius a.
 
-    ``a`` is required (positive, below R) for the inner and tail variants and
-    must be omitted/zero for the full kernel.
+    ``a`` is required (positive and finite) for the inner and tail variants
+    and must be omitted/zero for the full kernel. Its upper limit, the
+    kernel's reach sqrt(3) L, is the grid's: kernel_multiplier checks it.
     """
 
     variant: str
-    R: float
     a: float = 0.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not np.isfinite(self.R) or self.R <= 0:
-            raise ValueError(f"R must be positive and finite, got {self.R}")
         if self.variant == "full":
             if self.a:
                 raise ValueError("full kernel takes no truncation radius")
-        else:
-            if not np.isfinite(self.a) or not 0 < self.a < self.R:
-                raise ValueError(
-                    f"truncated variants need 0 < a < R, got a={self.a}, R={self.R}"
-                )
-        object.__setattr__(self, "R", float(self.R))
+        elif not np.isfinite(self.a) or self.a <= 0:
+            raise ValueError(f"truncated variants need a finite a > 0, got a={self.a}")
         object.__setattr__(self, "a", float(self.a))
 
 
 def default_radius(L):
-    """Smallest support radius that covers the box diameter."""
+    """The kernel's reach: the box diameter sqrt(3) L, which no displacement
+    inside the box exceeds."""
     return math.sqrt(3.0) * L
 
 
 def _cutoff_multiplier(gspec, r):
-    """The (2n, 2n, n+1) multiplier of 1/|x| cut off at min(r, sqrt(3) L).
+    """The (2n, 2n, n+1) multiplier of 1/|x| cut off at r <= sqrt(3) L.
 
     Samples the transform, once per distinct |k|^2, on the even octant of a
     period of M = ceil(1 + r/L) n points per axis; along each axis, an irfft
@@ -87,7 +83,6 @@ def _cutoff_multiplier(gspec, r):
     The kernel is even: the octant is mirrored at the end.
     """
     n, h, L = gspec.n, gspec.h, gspec.L
-    r = min(r, default_radius(L))
     M = math.ceil(1.0 + r / L) * n
     j2 = np.arange(M // 2 + 1) ** 2
     # the transform at each level jx^2 + jy^2 + jz^2 = (|k| M h / 2 pi)^2
@@ -109,16 +104,18 @@ def kernel_multiplier(gspec, kspec):
 
     A read-only float64 array of shape (2n, 2n, n+1), the z half-spectrum
     of the (2n)^3 DFT of kernel_table. The full and tail variants are the
-    cutoff transforms at R and at a; the inner one is their difference.
+    cutoff transforms at sqrt(3) L and at a; the inner one is their
+    difference, taken from their cached multipliers.
     """
-    if kspec.R < default_radius(gspec.L) * (1.0 - 1e-12):
-        raise ValueError(
-            f"support radius R={kspec.R} does not cover the box diameter "
-            f"{default_radius(gspec.L):.6g}; free-space convolution would be wrong"
-        )
-    mult = _cutoff_multiplier(gspec, kspec.a if kspec.variant == "tail" else kspec.R)
+    reach = default_radius(gspec.L)
+    if kspec.a >= reach:
+        raise ValueError(f"truncation radius a={kspec.a} must be below the kernel's "
+                         f"reach sqrt(3) L = {reach:.6g}")
     if kspec.variant == "inner":
-        mult -= _cutoff_multiplier(gspec, kspec.a)
+        mult = (kernel_multiplier(gspec, KernelSpec("full"))
+                - kernel_multiplier(gspec, KernelSpec("tail", kspec.a)))
+    else:
+        mult = _cutoff_multiplier(gspec, kspec.a if kspec.variant == "tail" else reach)
     mult.setflags(write=False)
     return mult
 
@@ -219,18 +216,11 @@ def tail_norm_estimate(gspec, a, p=2.0, trials=32, seed=0, iters=200):
     multiplier's peak, 2*pi*a^2 for a <= L; for other p it maximizes
     ||T f||_p / ||f||_p over seeded random band-limited trial fields. Either
     way the result is a lower estimate and must sit below the l1 mass of
-    the tail table, which its negative lobes lift above 2*pi*a^2. Warns
-    when the grid cannot resolve the ball (h >= a).
+    the tail table, which its negative lobes lift above 2*pi*a^2.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
-    if gspec.h >= a:
-        warnings.warn(
-            f"truncation radius a={a} at or below grid spacing h={gspec.h}; "
-            "the discrete tail operator is degenerate and the estimate is vacuous",
-            stacklevel=2,
-        )
-    kspec = KernelSpec("tail", R=default_radius(gspec.L), a=a)
+    kspec = KernelSpec("tail", a=a)
     rng = np.random.default_rng(seed)
     if p == 2.0:
         f = Field(gspec, np.abs(rng.standard_normal((gspec.n,) * 3)) + 0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frnse.grid import GridSpec
-from frnse.kernel import KernelSpec, default_radius
+from frnse.kernel import KernelSpec
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def gspec32():
 
 @pytest.fixture
 def kfull():
-    return KernelSpec("full", R=default_radius(1.6))
+    return KernelSpec("full")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 
 from frnse import cli
 from frnse.cli import build_parser, main
+from frnse.config import parse_config
 from frnse.grid import GridSpec, zero_field
 from frnse.io import write_field
 
@@ -119,6 +120,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     # a truncation radius at or beyond the kernel's reach crashed in KernelSpec
     ("kernel-norms", "kernel-norms.cfg", "experiment.a_list=5.0,0.4"),
     ("verify", "verify-quick.cfg", "experiment.a_list=5.0,0.4"),
+    # so is kernel.a: the reach is sqrt(3) * grid.L = 2.77 at L = 1.6
+    ("solve", "gaussian-solve.cfg", ("kernel.a=2.8", "kernel.variant=tail")),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override
@@ -181,13 +184,20 @@ def test_good_initial_file_runs(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
-def test_full_verify_needs_a_list_above_h(tmp_path, capsys):
-    # truncation_convergence needs every radius resolved on the grid; the
-    # default a_list ends at 0.1, which is h at n=16
-    path = os.path.join(CONFIGS, "verify.cfg")
+def test_verify_accepts_a_list_at_or_below_h():
+    # the spectral tail keeps its full mass below the grid spacing, so no
+    # truncation radius needs resolving: h is 0.1 here, at n=16
+    with open(os.path.join(CONFIGS, "verify.cfg"), encoding="utf-8") as fh:
+        cfg = parse_config(fh.read(), ("grid.n=16", "experiment.a_list=0.2,0.1,0.05"))
+    assert min(cfg.experiment.a_list) < cfg.grid.h
+    cli._require_sections("verify", cfg)
+
+
+def test_kernel_R_override_exits_2(tmp_path, capsys):
+    path = os.path.join(CONFIGS, "gaussian-solve.cfg")
     out = tmp_path / "r"
-    assert main(["verify", "--config", path, "--set", "grid.n=16", "--out", str(out)]) == 2
-    assert "experiment.a_list" in capsys.readouterr().err
+    assert main(["solve", "--config", path, "--set", "kernel.R=3", "--out", str(out)]) == 2
+    assert "unknown key kernel.R" in capsys.readouterr().err
     assert not out.exists()
 
 

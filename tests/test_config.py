@@ -37,8 +37,7 @@ def test_minimal_config_defaults():
     assert cfg.grid.n == 16
     assert cfg.params.alpha1 == 1.0
     assert cfg.kernel.variant == "full"
-    # radius defaults to the smallest ball covering the box
-    assert cfg.kernel.R == pytest.approx(np.sqrt(3) * 1.6)
+    assert cfg.kernel.a == 0.0  # the kernel's reach comes from the grid
     assert cfg.initial.type == "gaussian"
     assert cfg.picard is None
     assert cfg.stepper is None
@@ -150,7 +149,6 @@ alpha2 = 0.25
 [kernel]
 variant = inner
 a = 0.3
-R = 4.0
 
 [initial]
 type = plane_wave
@@ -284,11 +282,30 @@ stepper.dt = 4e-3; 2e-3; 1e-3
         parse_config(text.replace("command = solve", "command = dance"))
 
 
-def test_kernel_radius_coverage_guard():
-    text = MINIMAL + "\n[kernel]\nvariant = full\nR = 1.0\n"
+@pytest.mark.parametrize("a", ["2.7712812921102037", "4.0"])
+def test_kernel_a_beyond_reach_cites_its_line(a):
+    # the reach is sqrt(3) * grid.L = 2.7712812921102037 at L = 1.6; the key
+    # is cited even when another kernel key follows it
+    text = MINIMAL + f"\n[kernel]\na = {a}\nvariant = tail\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert "constraint" in _kinds(err)
+    (issue,) = err.value.issues
+    assert issue.kind == "constraint"
+    assert "kernel.a" in issue.message and "reach" in issue.message
+    assert issue.line == text.splitlines().index(f"a = {a}") + 1
+    cfg = parse_config(text.replace(f"a = {a}", "a = 2.77"))
+    assert cfg.kernel.a == 2.77
+
+
+def test_kernel_R_is_an_unknown_key():
+    # the kernel's reach is the box's; a config that still sets R names it
+    text = MINIMAL + "\n[kernel]\nvariant = full\nR = auto\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    (issue,) = err.value.issues
+    assert issue.kind == "unknown-key"
+    assert "kernel.R" in issue.message
+    assert issue.line == text.splitlines().index("R = auto") + 1
 
 
 def test_build_initial_gaussian_l2_target():

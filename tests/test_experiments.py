@@ -16,7 +16,7 @@ from frnse.experiments import (ball_field, contraction_rows,
                                oracle_equivalence_rows, propagator_rows,
                                truncation_convergence)
 from frnse.grid import GridSpec, scaled_gaussian
-from frnse.kernel import KernelSpec, default_radius, kernel_table
+from frnse.kernel import KernelSpec, kernel_table
 from frnse.nonlinear import PhysParams
 from frnse.picard import PicardConfig, picard_solve
 from frnse.stepper import StepConfig, evolve
@@ -70,7 +70,7 @@ def test_kernel_norm_study(gspec32):
         assert est <= bound
         # the bound is the l1 mass of the tail table; the table sums to
         # 2 pi a^2 and has negative lobes, so the mass is larger
-        tail = kernel_table(gspec32, KernelSpec("tail", R=default_radius(gspec32.L), a=a))
+        tail = kernel_table(gspec32, KernelSpec("tail", a=a))
         assert bound == pytest.approx(np.abs(tail).sum(), rel=1e-14)
         assert tail.sum() == pytest.approx(2.0 * np.pi * a**2, rel=1e-12)
         assert bound > tail.sum()
@@ -143,12 +143,23 @@ def test_truncation_convergence_guards(gspec16, kfull):
                         quad="trapezoid")
     with pytest.raises(ValueError):
         truncation_convergence(phi, base, a_list=(0.2, 0.4))  # not decreasing
-    with pytest.raises(ValueError):
-        truncation_convergence(phi, base, a_list=(0.4, 0.05))  # below h
     inner = PicardConfig(T=0.1, m=4, params=PhysParams(1.0, 1.0),
-                         kspec=KernelSpec("inner", R=kfull.R, a=0.3))
+                         kspec=KernelSpec("inner", a=0.3))
     with pytest.raises(ValueError):
         truncation_convergence(phi, inner, a_list=(0.4, 0.2))
+
+
+def test_truncation_convergence_below_grid_spacing(gspec16, kfull):
+    # the battery's quick truncation problem, down to a = h/2 = 0.05: no
+    # radius needs resolving, and E(a) keeps shrinking below h
+    phi = scaled_gaussian(gspec16, 0.15, l2_target=0.5)
+    base = PicardConfig(T=0.15, m=16, kspec=kfull, params=PhysParams(0.05, 1.0),
+                        quad="simpson", tol=1e-12)
+    table, _, rows = truncation_convergence(phi, base, a_list=(0.4, 0.2, 0.1, 0.05))
+    assert [a for a, _ in table] == [0.4, 0.2, 0.1, 0.05]
+    errs = [e for _, e in table]
+    assert errs == pytest.approx([0.913, 0.730, 0.314, 0.094], abs=1e-3)
+    assert all(r.passed for r in rows if r.kind != "info")
 
 
 def test_truncation_convergence_runs(gspec16, kfull):

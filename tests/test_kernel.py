@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from frnse import kernel
 from frnse.grid import Field, GridSpec, l2_norm, random_band_limited
 from frnse.kernel import (KernelSpec, _workspace, apply_kernel,
                           default_radius, direct_convolution_oracle,
@@ -10,20 +12,18 @@ from frnse.kernel import (KernelSpec, _workspace, apply_kernel,
                           tail_norm_estimate)
 from frnse.nonlinear import density, potential
 
-R16 = default_radius(1.6)
-
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        KernelSpec("full", R=R16, a=0.1)
+        KernelSpec("full", a=0.1)
     with pytest.raises(ValueError):
-        KernelSpec("inner", R=R16)  # needs a
+        KernelSpec("inner")  # needs a
+    for a in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            KernelSpec("tail", a=a)
     with pytest.raises(ValueError):
-        KernelSpec("tail", R=R16, a=R16 * 2)
-    with pytest.raises(ValueError):
-        KernelSpec("sideways", R=R16)
-    with pytest.raises(ValueError):
-        KernelSpec("full", R=-1.0)
+        KernelSpec("sideways")
+    assert KernelSpec("tail", a=5.0).a == 5.0  # the reach is the grid's to check
 
 
 def test_multiplier_is_real_dft_of_table(gspec8, gspec16):
@@ -31,9 +31,9 @@ def test_multiplier_is_real_dft_of_table(gspec8, gspec16):
     # is real up to round-off and rfftn gives the multiplier back
     for gspec in (gspec8, gspec16):
         n = gspec.n
-        for kspec in (KernelSpec("full", R=R16),
-                      KernelSpec("inner", R=R16, a=0.3),
-                      KernelSpec("tail", R=R16, a=0.3)):
+        for kspec in (KernelSpec("full"),
+                      KernelSpec("inner", a=0.3),
+                      KernelSpec("tail", a=0.3)):
             table = kernel_table(gspec, kspec)
             dft = np.fft.fftn(table)
             assert np.max(np.abs(dft.imag)) <= 1e-14 * np.max(np.abs(dft.real))
@@ -49,19 +49,19 @@ def test_multiplier_is_real_dft_of_table(gspec8, gspec16):
 def test_table_additivity(gspec16):
     # the inner multiplier is the full one minus the tail, bitwise, at a
     # resolved and at a sub-resolution radius
-    full = kernel_multiplier(gspec16, KernelSpec("full", R=R16))
+    full = kernel_multiplier(gspec16, KernelSpec("full"))
     for a in (0.3, gspec16.h / 4.0):
-        inner = kernel_multiplier(gspec16, KernelSpec("inner", R=R16, a=a))
-        tail = kernel_multiplier(gspec16, KernelSpec("tail", R=R16, a=a))
+        inner = kernel_multiplier(gspec16, KernelSpec("inner", a=a))
+        tail = kernel_multiplier(gspec16, KernelSpec("tail", a=a))
         assert np.array_equal(inner, full - tail)
-        tables = [kernel_table(gspec16, KernelSpec(v, R=R16, a=a)) for v in ("inner", "tail")]
-        assert np.allclose(sum(tables), kernel_table(gspec16, KernelSpec("full", R=R16)),
+        tables = [kernel_table(gspec16, KernelSpec(v, a=a)) for v in ("inner", "tail")]
+        assert np.allclose(sum(tables), kernel_table(gspec16, KernelSpec("full")),
                            rtol=0.0, atol=1e-15)
 
 
 def test_table_values(gspec16):
     # away from the origin the spectral table approaches h^3/|d|
-    table = kernel_table(gspec16, KernelSpec("full", R=R16))
+    table = kernel_table(gspec16, KernelSpec("full"))
     h = gspec16.h
     assert table.shape == (32, 32, 32)
     assert table[3, 2, 1] == pytest.approx(h**3 / (h * np.sqrt(14.0)), rel=1e-3)
@@ -71,28 +71,47 @@ def test_table_values(gspec16):
     assert table[0, 31, 2] == table[0, 1, 2]
 
 
-def test_radius_guard(gspec16):
-    # the apply path builds the multiplier, so the multiplier holds the guard
-    with pytest.raises(ValueError):
-        kernel_multiplier(gspec16, KernelSpec("full", R=1.0))
-    with pytest.raises(ValueError):
-        kernel_table(gspec16, KernelSpec("full", R=1.0))
+def test_reach_guard(gspec16):
+    # a truncation radius must lie inside the box diameter sqrt(3) L; the
+    # apply path builds the multiplier, so the multiplier holds the guard
+    reach = default_radius(gspec16.L)
+    for a in (reach, 2.0 * reach):
+        for variant in ("inner", "tail"):
+            with pytest.raises(ValueError, match="reach"):
+                kernel_multiplier(gspec16, KernelSpec(variant, a=a))
+            with pytest.raises(ValueError, match="reach"):
+                kernel_table(gspec16, KernelSpec(variant, a=a))
+    # just inside the reach the tail is the whole kernel
+    near = kernel_multiplier(gspec16, KernelSpec("tail", a=reach * (1.0 - 1e-12)))
+    full = kernel_multiplier(gspec16, KernelSpec("full"))
+    assert np.allclose(near, full, rtol=0.0, atol=1e-9 * np.max(np.abs(full)))
 
 
-def test_cutoff_caps_at_box_diameter(gspec16):
-    # no displacement in the box is longer than sqrt(3) L, so every larger
-    # radius gives the same operator, and a period grid no larger
-    auto = kernel_multiplier(gspec16, KernelSpec("full", R=R16))
-    assert np.array_equal(kernel_multiplier(gspec16, KernelSpec("full", R=50.0)), auto)
-    assert np.array_equal(kernel_multiplier(gspec16, KernelSpec("tail", R=50.0, a=10.0)),
-                          auto)
+def test_inner_built_from_cached_full_and_tail(gspec16, monkeypatch):
+    # once the full multiplier is cached, an inner build cuts off only at a
+    kernel_multiplier.cache_clear()
+    full = kernel_multiplier(gspec16, KernelSpec("full"))
+    radii = []
+    cutoff = kernel._cutoff_multiplier
+
+    def recorded(gspec, r):
+        radii.append(r)
+        return cutoff(gspec, r)
+
+    monkeypatch.setattr(kernel, "_cutoff_multiplier", recorded)
+    inner = kernel_multiplier(gspec16, KernelSpec("inner", a=0.3))
+    assert radii == [0.3]
+    tail = kernel_multiplier(gspec16, KernelSpec("tail", a=0.3))
+    assert radii == [0.3]  # the inner build left the tail cached
+    assert np.array_equal(inner, full - tail)
+    assert not inner.flags.writeable
 
 
 def test_multiplier_build_memory():
     # the n=48 full multiplier is built on the even octant, one axis at a
     # time, and never forms the (3n)^3 period grid: it stays under 20.5 MiB
     build = kernel_multiplier.__wrapped__
-    gspec, kspec = GridSpec(48, 1.6), KernelSpec("full", R=R16)
+    gspec, kspec = GridSpec(48, 1.6), KernelSpec("full")
     tracemalloc.start()
     try:
         build(gspec, kspec)
@@ -107,7 +126,7 @@ def test_tail_zero_dc_near_analytic(gspec16, gspec32):
     # at every radius up to L: no cell is special, not even below h/2
     for gspec in (gspec16, gspec32):
         for a in (gspec.h / 4.0, 0.3, 0.45, gspec.L):
-            kspec = KernelSpec("tail", R=R16, a=a)
+            kspec = KernelSpec("tail", a=a)
             bound = tail_norm_bound(a)
             assert kernel_multiplier(gspec, kspec)[0, 0, 0] == pytest.approx(bound, rel=1e-15)
             dc = float(np.sum(kernel_table(gspec, kspec)))
@@ -117,9 +136,9 @@ def test_tail_zero_dc_near_analytic(gspec16, gspec32):
 def test_apply_matches_direct_oracle(gspec8, rng):
     rho = np.abs(random_band_limited(gspec8, rng).values) ** 2
     dens = Field(gspec8, rho)
-    for kspec in (KernelSpec("full", R=R16),
-                  KernelSpec("inner", R=R16, a=0.4),
-                  KernelSpec("tail", R=R16, a=0.4)):
+    for kspec in (KernelSpec("full"),
+                  KernelSpec("inner", a=0.4),
+                  KernelSpec("tail", a=0.4)):
         fast = apply_kernel(kspec, dens)
         slow = direct_convolution_oracle(kspec, dens)
         rel = l2_norm(fast - slow) / l2_norm(slow)
@@ -143,9 +162,9 @@ def test_pruned_apply_matches_padded_reference(n, rng):
     a = 1.2 * gspec.h
     re = rng.standard_normal((n, n, n))
     im = rng.standard_normal((n, n, n))
-    for kspec in (KernelSpec("full", R=R16),
-                  KernelSpec("inner", R=R16, a=a),
-                  KernelSpec("tail", R=R16, a=a)):
+    for kspec in (KernelSpec("full"),
+                  KernelSpec("inner", a=a),
+                  KernelSpec("tail", a=a)):
         for values in (re, re + 1j * im):
             ref = _padded_reference(gspec, kspec, values)
             out = apply_kernel(kspec, Field(gspec, values)).values
@@ -160,7 +179,7 @@ def test_pruned_apply_matches_padded_reference(n, rng):
 
 def test_apply_real_and_positive(gspec16, rng):
     rho = np.abs(random_band_limited(gspec16, rng).values) ** 2
-    out = apply_kernel(KernelSpec("full", R=R16), Field(gspec16, rho))
+    out = apply_kernel(KernelSpec("full"), Field(gspec16, rho))
     assert np.isrealobj(out.values) or np.max(np.abs(out.values.imag)) == 0.0
     # Newton potential of a nonnegative density is nonnegative
     assert float(np.min(out.values.real)) > -1e-12
@@ -168,7 +187,7 @@ def test_apply_real_and_positive(gspec16, rng):
 
 def test_apply_dtypes(gspec8, rng):
     # a real density gives a real potential; a complex one a complex potential
-    kspec = KernelSpec("full", R=R16)
+    kspec = KernelSpec("full")
     psi = random_band_limited(gspec8, rng)
     rho, pot = density(psi), potential(psi, kspec)
     assert rho.values.dtype == np.float64 and pot.values.dtype == np.float64
@@ -179,7 +198,7 @@ def test_apply_dtypes(gspec8, rng):
 def test_apply_result_survives_the_next_apply(gspec16, rng):
     # every apply runs in the one cached workspace of its grid size; a
     # result is a fresh array that a later apply on the same grid leaves alone
-    kspec = KernelSpec("full", R=R16)
+    kspec = KernelSpec("full")
     first = apply_kernel(kspec, Field(gspec16, rng.random((16, 16, 16))))
     kept = first.values.copy()
     second = apply_kernel(kspec, Field(gspec16, rng.random((16, 16, 16))))
@@ -193,7 +212,7 @@ def test_warm_real_apply_allocates_less_than_one_padded_spectrum(gspec16, rng):
     # with the multiplier and the workspace cached, a real apply allocates
     # only its padded real lines and its result, not a (2n, 2n, n+1)
     # complex spectrum of 32*32*17*16 bytes
-    kspec = KernelSpec("full", R=R16)
+    kspec = KernelSpec("full")
     dens = Field(gspec16, rng.random((16, 16, 16)))
     apply_kernel(kspec, dens)
     tracemalloc.start()
@@ -208,7 +227,7 @@ def test_warm_real_apply_allocates_less_than_one_padded_spectrum(gspec16, rng):
 def test_oracle_size_guard(gspec32, rng):
     dens = Field(gspec32, np.ones((32, 32, 32)))
     with pytest.raises(ValueError):
-        direct_convolution_oracle(KernelSpec("full", R=R16), dens)
+        direct_convolution_oracle(KernelSpec("full"), dens)
 
 
 def test_tail_norm_estimate_below_bound(gspec32):
@@ -217,17 +236,22 @@ def test_tail_norm_estimate_below_bound(gspec32):
     # mass of the table (Young), which the negative lobes make larger
     for a in (0.4, 0.2):
         est = tail_norm_estimate(gspec32, a, trials=8, seed=0, iters=120)
-        mult = kernel_multiplier(gspec32, KernelSpec("tail", R=R16, a=a))
-        table = kernel_table(gspec32, KernelSpec("tail", R=R16, a=a))
+        mult = kernel_multiplier(gspec32, KernelSpec("tail", a=a))
+        table = kernel_table(gspec32, KernelSpec("tail", a=a))
         assert mult[0, 0, 0] == pytest.approx(table.sum(), rel=1e-14)
         assert np.max(np.abs(mult)) == mult[0, 0, 0]
         assert est <= mult[0, 0, 0] * (1.0 + 1e-12) < np.abs(table).sum()
         assert est > 0.5 * tail_norm_bound(a)  # and not vacuously small
 
 
-def test_tail_norm_estimate_warns_unresolved(gspec16):
-    with pytest.warns(UserWarning):
-        tail_norm_estimate(gspec16, gspec16.h / 2.0, trials=2, seed=0, iters=10)
+def test_tail_norm_estimate_below_grid_spacing(gspec16):
+    # the spectral tail keeps its full mass below h: no warning, and the
+    # power iteration still finds almost all of 2 pi a^2
+    a = gspec16.h / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = tail_norm_estimate(gspec16, a, trials=2, seed=0, iters=200)
+    assert 0.9 * tail_norm_bound(a) <= est <= (1.0 + 1e-12) * tail_norm_bound(a)
 
 
 def test_tail_norm_bound_validation():

@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 from frnse.experiments import lipschitz_battery
 from frnse.grid import (GridSpec, inner, l2_norm, laplacian,
                         random_band_limited)
-from frnse.kernel import KernelSpec, default_radius
+from frnse.kernel import KernelSpec
 from frnse.nonlinear import (PhysParams, big_g1, density, g1, g2,
                              nonlinear_part, potential, potential_and_energy,
                              rhs)
-
-R16 = default_radius(1.6)
 
 
 def test_params_validation():
@@ -62,7 +60,7 @@ def test_homogeneity(mag, phase):
     # |c psi|^2 = |c|^2 |psi|^2 makes the three terms homogeneous of exact
     # degree 3 (g1), 4 (G1), and 5 (g2) — grid identities, not asymptotics
     spec = GridSpec(8, 1.6)
-    kspec = KernelSpec("full", R=R16)
+    kspec = KernelSpec("full")
     psi = random_band_limited(spec, np.random.default_rng(42))
     c = mag * np.exp(1j * phase)
     scaled = c * psi
@@ -89,8 +87,8 @@ def test_truncated_g1_dominated(gspec16, rng):
     # the inner-kernel term is pointwise dominated by the full one for any
     # nonnegative density (dropping a nonnegative kernel piece only shrinks)
     psi = random_band_limited(gspec16, rng)
-    full = np.abs(g1(psi, KernelSpec("full", R=R16)).values)
-    trunc = np.abs(g1(psi, KernelSpec("inner", R=R16, a=0.3)).values)
+    full = np.abs(g1(psi, KernelSpec("full")).values)
+    trunc = np.abs(g1(psi, KernelSpec("inner", a=0.3)).values)
     assert float(np.max(trunc - full)) <= 1e-12 * float(np.max(full))
 
 

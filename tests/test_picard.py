@@ -8,14 +8,11 @@ from frnse import nonlinear
 from frnse.errors import DivergenceDetected, NonConvergence
 from frnse.grid import (GridSpec, from_spectral, h1_norm, random_band_limited,
                         scaled_gaussian, to_spectral)
-from frnse.kernel import KernelSpec, default_radius
 from frnse.nonlinear import PhysParams
 from frnse.picard import (PicardConfig, _prefix_integrals, contraction_report,
                           duhamel_map, march_solve, picard_solve)
 from frnse.propagate import free_evolve, free_phase
 from frnse.trajectory import sup_h1_distance
-
-R16 = default_radius(1.6)
 
 
 def _samples(f, m, T):

@@ -5,13 +5,10 @@ import warnings
 from frnse.errors import DivergenceDetected
 from frnse.grid import (Field, GridSpec, h1_norm, scaled_gaussian,
                         random_band_limited, to_spectral, zero_field)
-from frnse.kernel import KernelSpec, default_radius
 from frnse import nonlinear
 from frnse.nonlinear import PhysParams, spectral_nonlinear_part
 from frnse.propagate import free_evolve, free_phase
 from frnse.stepper import StepConfig, evolve, ifrk4_step
-
-R16 = default_radius(1.6)
 
 
 def _gaussian(spec, h1_target=0.5):
