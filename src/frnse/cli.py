@@ -72,6 +72,7 @@ class RunContext:
         self.files = []
         self.errors = []
         self.summary = {}
+        self.timing = {}
         self.status = "ok"
 
     def path(self, name):
@@ -97,6 +98,7 @@ class RunContext:
             "finished": _iso(datetime.now(timezone.utc)),
             "status": self.status,
             "summary": self.summary,
+            "timing": self.timing,
             "files": sorted(self.files),
             "errors": self.errors,
         }
@@ -203,6 +205,7 @@ def cmd_verify(ctx):
         write_csv(ctx.path(f"{ctx.hash8}-{name}.csv"), header, rows)
     _print_rows(result.rows)
     failing = [r.check for r in result.failing()]
+    ctx.timing = result.timing
     ctx.summary = {
         "checks": len(result.rows),
         "failed": failing,

@@ -13,13 +13,18 @@ orders.
 verify_battery runs the whole battery on a parsed config, the same one the
 run's manifest records: the config sets the grid, physics, kernel and every
 [experiment] key, and experiment.scale picks the remaining sizes from
-SCALES, and prints one stderr line per section with its elapsed seconds;
-the timings never reach the tables.
+SCALES. Its sections run as independent jobs on up to two worker
+processes; it prints one stderr line per section with the seconds its job
+spent on it, and the timings never reach the tables.
 """
 
 import math
+import multiprocessing
+import os
 import sys
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -269,6 +274,23 @@ def stepper_order_study(phi, cfg, steps=(64, 128, 256)):
     return order, budget, finals
 
 
+#: The refinement ladders of cross_method_check, in the order of its rows.
+LADDERS = ("simpson", "trapezoid", "ifrk4")
+
+
+def cross_method_ladder(which, phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
+    """One ladder of cross_method_check: node doubling under the quadrature
+    rule `which`, or dt halving for which = "ifrk4". Returns (which, order,
+    budget, final), final the terminal state of the finest rung."""
+    if which == "ifrk4":
+        scfg = StepConfig(dt=pcfg.T / steps[0], T=pcfg.T, kspec=pcfg.kspec,
+                          params=pcfg.params, snapshot_every=10**9)
+        order, budget, finals = stepper_order_study(phi, scfg, steps)
+        return which, order, budget, finals[steps[-1]]
+    order, budget, sols = quadrature_order_study(phi, replace(pcfg, quad=which), ms)
+    return which, order, budget, sols[ms[-1]].final()
+
+
 def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
     """Fixed-point vs time-stepper agreement within measured error budgets.
 
@@ -278,21 +300,23 @@ def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
     finest solutions to sit below the summed Richardson budgets. Every
     fixed-point solve is a cold march_solve.
     """
-    rows = []
-    simpson_order, simpson_budget, simpson_sols = quadrature_order_study(
-        phi, replace(pcfg, quad="simpson"), ms
-    )
-    rows.append(_row("simpson-order", "scaling-law", simpson_order, 4.0,
-                     0.8 * 4.0 <= simpson_order <= 1.2 * 4.0, "tolerance 20%"))
-    trap_order, _, _ = quadrature_order_study(phi, replace(pcfg, quad="trapezoid"), ms)
-    rows.append(_row("trapezoid-order", "scaling-law", trap_order, 2.0,
-                     0.8 * 2.0 <= trap_order <= 1.2 * 2.0, "tolerance 20%"))
-    scfg = StepConfig(dt=pcfg.T / steps[0], T=pcfg.T, kspec=pcfg.kspec,
-                      params=pcfg.params, snapshot_every=10**9)
-    step_order, step_budget, finals = stepper_order_study(phi, scfg, steps)
-    rows.append(_row("ifrk4-order", "scaling-law", step_order, 4.0,
-                     0.8 * 4.0 <= step_order <= 1.2 * 4.0, "tolerance 20%"))
-    dist = h1_norm(simpson_sols[ms[-1]].final() - finals[steps[-1]])
+    return cross_method_rows([cross_method_ladder(w, phi, pcfg, ms, steps) for w in LADDERS])
+
+
+def cross_method_rows(ladders):
+    """cross_method_check's rows from its cross_method_ladder results, in
+    LADDERS order."""
+    (_, simpson_order, simpson_budget, simpson_final), (_, trap_order, _, _), \
+        (_, step_order, step_budget, step_final) = ladders
+    rows = [
+        _row("simpson-order", "scaling-law", simpson_order, 4.0,
+             0.8 * 4.0 <= simpson_order <= 1.2 * 4.0, "tolerance 20%"),
+        _row("trapezoid-order", "scaling-law", trap_order, 2.0,
+             0.8 * 2.0 <= trap_order <= 1.2 * 2.0, "tolerance 20%"),
+        _row("ifrk4-order", "scaling-law", step_order, 4.0,
+             0.8 * 4.0 <= step_order <= 1.2 * 4.0, "tolerance 20%"),
+    ]
+    dist = h1_norm(simpson_final - step_final)
     budget = simpson_budget + step_budget
     rows.append(
         _row("cross-method-agreement", "budget", dist, budget, dist <= budget,
@@ -612,6 +636,8 @@ SCALES = {
 class VerifyResult:
     rows: list
     tables: dict
+    #: {"workers": count, "sections": [(section, seconds), ...]}, in SECTIONS order
+    timing: dict
 
     def failing(self):
         return [r for r in self.rows if not r.passed]
@@ -623,17 +649,153 @@ def dependence_datum(L):
     return scaled_gaussian(GridSpec(16, L), 0.15, h1_target=0.5)
 
 
-def _section_clock():
-    """lap(name) prints to stderr the seconds since the previous lap, or
-    since the clock was made, as the battery section name ends."""
-    last = time.perf_counter()
+def _picard_config(cfg):
+    """The contraction solve's config, which the other solver studies vary."""
+    return PicardConfig(T=0.25, m=SCALES[cfg.experiment.scale]["picard_m"], kspec=cfg.kernel,
+                        params=cfg.params, quad="simpson", tol=1e-12)
 
-    def lap(name):
-        nonlocal last
-        now = time.perf_counter()
-        print(f"verify: {name} {now - last:.2f} s", file=sys.stderr, flush=True)
-        last = now
-    return lap
+
+def _smooth_problem(cfg):
+    """The smooth datum and config of the order studies and truncation."""
+    s = SCALES[cfg.experiment.scale]
+    phi = scaled_gaussian(cfg.grid, s["smooth_sigma"], l2_target=0.5)
+    pcfg = replace(_picard_config(cfg), m=s["order_ms"][0],
+                   params=PhysParams(0.05, cfg.params.alpha2))
+    return phi, pcfg
+
+
+# Each battery job is a generator function of the config (and its own
+# arguments) that yields (section, part) as it ends each section: part is a
+# cross_method_ladder result for "cross-method", else (rows, tables).
+
+def _oracle_job(cfg):
+    L, seed = cfg.grid.L, cfg.experiment.seed
+    rows = oracle_equivalence_rows(L=L, n=8, seed=seed)
+    rows.append(gaussian_potential_row(L=L))
+    yield "kernel-oracle", (rows, {})
+    # propagator exactness needs spectral headroom; cheap at n=32
+    yield "propagator", (propagator_rows(GridSpec(32, L), cfg.params.alpha1, seed=seed,
+                                         sigma=0.12), {})
+
+
+def _tail_job(cfg):
+    e = cfg.experiment
+    table, rows = kernel_norm_study(cfg.grid, e.a_list, p=e.p, trials=e.trials, seed=e.seed)
+    yield "tail-norms", (rows, {"tail_norms": (("a", "bound", "estimate"), table)})
+
+
+def _contraction_job(cfg):
+    e, s = cfg.experiment, SCALES[cfg.experiment.scale]
+    phi = scaled_gaussian(cfg.grid, s["sigma"], h1_target=0.5)
+    pcfg = _picard_config(cfg)
+    traj, report = picard_solve(phi, pcfg)
+    rows, _ = contraction_rows(report)
+    rows.append(_info("picard-fixed-point-balance", norm_law_check(traj, cfg.params, cfg.kernel),
+                      "balance defect finite-differenced on the fixed point's nodes"))
+    yield "contraction", (rows, {"picard": (
+        ("iteration", "increment", "residual"),
+        [(k, d, report.residual) for k, d in enumerate(report.increments)])})
+    # on a 16^3 grid at quick scale the dependence problem is the
+    # contraction problem: its solve is reused, not repeated
+    dep_cfg = replace(pcfg, m=s["dep_m"])
+    phi_dep = dependence_datum(cfg.grid.L)
+    same = dep_cfg == pcfg and np.array_equal(phi_dep.values, phi.values)
+    table, rows = continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
+                                        base=(traj, report) if same else None)
+    yield "dependence", (rows, {"dependence": (("delta", "ratio"), table)})
+
+
+def _ladder_job(cfg, which):
+    s = SCALES[cfg.experiment.scale]
+    phi, pcfg = _smooth_problem(cfg)
+    yield "cross-method", cross_method_ladder(which, phi, pcfg, s["order_ms"], s["order_steps"])
+
+
+def _normalization_job(cfg):
+    s = SCALES[cfg.experiment.scale]
+    rows, reports = normalization_study(cfg.grid, cfg.kernel, cfg.params, T=0.5,
+                                        dt=s["norm_dt"], sigma=s["sigma"],
+                                        seed=cfg.experiment.seed)
+    unit = reports["unit"]
+    yield "normalization", (rows, {"diagnostics": (
+        ("t", "l2", "h1", "G1", "balance_residual", "dt"),
+        list(zip(unit.times, unit.l2, unit.h1, unit.g1_energy, unit.balance_residual, unit.dts)))})
+
+
+def _truncation_job(cfg):
+    phi, pcfg = _smooth_problem(cfg)
+    trunc_cfg = replace(pcfg, T=0.15, m=SCALES[cfg.experiment.scale]["trunc_m"])
+    table, _, rows = truncation_convergence(phi, trunc_cfg, cfg.experiment.a_list)
+    yield "truncation", (rows, {"truncation": (("a", "error"), table)})
+
+
+def _ball_job(cfg):
+    e = cfg.experiment
+    gspec = GridSpec(16, cfg.grid.L)
+    rows, _ = inequality_battery(gspec, samples=e.samples, seed=e.seed)
+    yield "inequalities", (rows, {})
+    rows, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=e.pairs, seed=e.seed, gspec=gspec)
+    yield "lipschitz", (rows, {"probes": (
+        ("probe", "M", "seed", "pairs", "max_ratio", "fit_slope"), probes)})
+    yield "domination", (domination_rows(gspec, a=0.2,
+                                         samples=SCALES[e.scale]["domination_samples"],
+                                         seed=e.seed), {})
+
+
+#: The battery's sections, in the order of its rows and stderr lines.
+SECTIONS = ("kernel-oracle", "propagator", "tail-norms", "contraction", "cross-method",
+            "normalization", "truncation", "dependence", "inequalities", "lipschitz",
+            "domination")
+
+#: The battery's jobs with their arguments, longest first, so that the
+#: short ones fill in behind (seconds at quick scale on a 2-core host:
+#: 1.19, 1.17, 0.87, 0.73, 0.67, 0.41, 0.31, 0.24, 0.10).
+_JOBS = ((_ladder_job, "ifrk4"), (_normalization_job,), (_ladder_job, "trapezoid"),
+         (_ladder_job, "simpson"), (_ball_job,), (_contraction_job,), (_truncation_job,),
+         (_tail_job,), (_oracle_job,))
+
+
+def _run_job(job):
+    """Run one job, a generator function and its arguments, here. Returns
+    (section, seconds, part, warnings) for each section it ends, warnings
+    the (message, category, filename, lineno) of each raised meanwhile."""
+    fn, *args = job
+    result = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        for name, part in fn(*args):
+            now = time.perf_counter()
+            result.append((name, now - start, part,
+                           [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+            caught.clear()
+            start = now
+    return result
+
+
+def _worker_count():
+    """One battery worker per CPU this process may run on, at most 2."""
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _run_jobs(jobs, collect):
+    """Hand each job's _run_job result to collect as the job ends; returns
+    the worker count. With two workers the jobs run in a pool of forked
+    processes, which inherit every loaded module and cache; with one, here,
+    in turn. A job that raises cancels the jobs not yet started, and no
+    worker outlives the call."""
+    workers = _worker_count()
+    if workers < 2:
+        for result in map(_run_job, jobs):
+            collect(result)
+        return workers
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        for future in as_completed([pool.submit(_run_job, job) for job in jobs]):
+            collect(future.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return workers
 
 
 def verify_battery(cfg):
@@ -642,92 +804,44 @@ def verify_battery(cfg):
     cfg.experiment.scale picks the sizes in SCALES. The g2-lipschitz-slope
     row fails by design (see lipschitz_battery), so a full verify run exits
     red on exactly that row when everything else is healthy.
+
+    The jobs run on up to two worker processes (_run_jobs), and the rows and
+    tables come out in SECTIONS order whatever order the jobs end in. Once a
+    section and every section before it are done, the warnings its job
+    raised are raised again here, and one stderr line gives the seconds its
+    job spent on it (cross-method: the sum of its three ladders).
     """
-    lap = _section_clock()
-    e, gspec, params, kspec = cfg.experiment, cfg.grid, cfg.params, cfg.kernel
-    s = SCALES[e.scale]
-    L = gspec.L
-    rows = []
-    tables = {}
+    parts = {name: [] for name in SECTIONS}
+    timing = []
+    registry = {}  # "default" warnings show once per battery
 
-    rows += oracle_equivalence_rows(L=L, n=8, seed=e.seed)
-    rows.append(gaussian_potential_row(L=L))
-    lap("kernel-oracle")
-    # propagator exactness needs spectral headroom; cheap at n=32
-    rows += propagator_rows(GridSpec(32, L), params.alpha1, seed=e.seed, sigma=0.12)
-    lap("propagator")
+    def collect(result):
+        for name, seconds, part, caught in result:
+            parts[name].append((seconds, part, caught))
+        while len(timing) < len(SECTIONS):
+            name = SECTIONS[len(timing)]
+            done = parts[name]
+            if len(done) < (len(LADDERS) if name == "cross-method" else 1):
+                return
+            if name == "cross-method":
+                done.sort(key=lambda p: LADDERS.index(p[1][0]))
+            for _, _, caught in done:
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno,
+                                           registry=registry)
+            seconds = round(sum(s for s, _, _ in done), 2)
+            print(f"verify: {name} {seconds:.2f} s", file=sys.stderr, flush=True)
+            timing.append((name, seconds))
 
-    tail_table, tail_rows = kernel_norm_study(gspec, e.a_list, p=e.p, trials=e.trials,
-                                             seed=e.seed)
-    rows += tail_rows
-    tables["tail_norms"] = (("a", "bound", "estimate"), tail_table)
-    lap("tail-norms")
-
-    # contraction at the reference coefficients
-    phi_small = scaled_gaussian(gspec, s["sigma"], h1_target=0.5)
-    pcfg = PicardConfig(T=0.25, m=s["picard_m"], kspec=kspec, params=params,
-                        quad="simpson", tol=1e-12)
-    traj, report = picard_solve(phi_small, pcfg)
-    crows, _ = contraction_rows(report)
-    rows += crows
-    tables["picard"] = (
-        ("iteration", "increment", "residual"),
-        [(k, d, report.residual) for k, d in enumerate(report.increments)],
-    )
-    rows.append(_info(
-        "picard-fixed-point-balance",
-        norm_law_check(traj, params, kspec),
-        "balance defect finite-differenced on the fixed point's nodes",
-    ))
-    lap("contraction")
-
-    # smooth configuration for order studies and cross-validation
-    smooth_params = PhysParams(0.05, params.alpha2)
-    phi_smooth = scaled_gaussian(gspec, s["smooth_sigma"], l2_target=0.5)
-    pcfg_smooth = replace(pcfg, m=s["order_ms"][0], params=smooth_params)
-    rows += cross_method_check(phi_smooth, pcfg_smooth, s["order_ms"], s["order_steps"])
-    lap("cross-method")
-
-    nrows, nreports = normalization_study(gspec, kspec, params, T=0.5, dt=s["norm_dt"],
-                                          sigma=s["sigma"], seed=e.seed)
-    rows += nrows
-    unit = nreports["unit"]
-    tables["diagnostics"] = (
-        ("t", "l2", "h1", "G1", "balance_residual", "dt"),
-        list(zip(unit.times, unit.l2, unit.h1, unit.g1_energy,
-                 unit.balance_residual, unit.dts)),
-    )
-    lap("normalization")
-
-    trunc_cfg = replace(pcfg_smooth, T=0.15, m=s["trunc_m"])
-    ttable, _, trows = truncation_convergence(phi_smooth, trunc_cfg, e.a_list)
-    rows += trows
-    tables["truncation"] = (("a", "error"), ttable)
-    lap("truncation")
-
-    # on a 16^3 grid at quick scale the dependence problem is the
-    # contraction problem: its solve is reused, not repeated
-    dep_cfg = replace(pcfg, m=s["dep_m"])
-    phi_dep = dependence_datum(L)
-    same = dep_cfg == pcfg and np.array_equal(phi_dep.values, phi_small.values)
-    dtable, drows = continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
-                                          base=(traj, report) if same else None)
-    rows += drows
-    tables["dependence"] = (("delta", "ratio"), dtable)
-    lap("dependence")
-
-    bat_gspec = GridSpec(16, L)
-    irows, _ = inequality_battery(bat_gspec, samples=e.samples, seed=e.seed)
-    rows += irows
-    lap("inequalities")
-    lrows, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=e.pairs, seed=e.seed,
-                                      gspec=bat_gspec)
-    rows += lrows
-    lap("lipschitz")
-    rows += domination_rows(bat_gspec, a=0.2, samples=s["domination_samples"],
-                            seed=e.seed)
-    lap("domination")
-
+    workers = _run_jobs([(fn, cfg, *args) for fn, *args in _JOBS], collect)
+    rows, tables = [], {}
+    for name in SECTIONS:
+        found = [part for _, part, _ in parts[name]]
+        if name == "cross-method":
+            rows += cross_method_rows(found)
+        else:
+            ((section_rows, section_tables),) = found
+            rows += section_rows
+            tables.update(section_tables)
     tables["battery"] = check_table(rows)
-    tables["probes"] = (("probe", "M", "seed", "pairs", "max_ratio", "fit_slope"), probes)
-    return VerifyResult(rows=rows, tables=tables)
+    return VerifyResult(rows, tables, {"workers": workers, "sections": timing})

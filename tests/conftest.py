@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -45,3 +48,39 @@ def count_transforms(monkeypatch):
             monkeypatch.setattr(np.fft, name, counted)
         return calls
     return start
+
+
+class ForkLog:
+    """Records that forked worker processes add to and the test reads back:
+    each put is one O_APPEND write of a length-prefixed pickle, so records
+    from two processes never interleave."""
+
+    def __init__(self, path):
+        self.path = path
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+
+    def put(self, record):
+        data = pickle.dumps(record)
+        data = len(data).to_bytes(8, "little") + data
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            assert os.write(fd, data) == len(data), "short write to the log"
+        finally:
+            os.close(fd)
+
+    def records(self):
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        out, at = [], 0
+        while at < len(data):
+            size = int.from_bytes(data[at:at + 8], "little")
+            out.append(pickle.loads(data[at + 8:at + 8 + size]))
+            at += 8 + size
+        return out
+
+
+@pytest.fixture(scope="session")
+def fork_log(tmp_path_factory):
+    """Call it for a new ForkLog: make it before the code under test starts
+    its worker processes, so that they inherit the recorder that writes it."""
+    return lambda: ForkLog(tmp_path_factory.mktemp("fork-log") / "records")

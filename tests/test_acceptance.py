@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +45,15 @@ def _config(name):
     return parse_config((CONFIGS / name).read_text(encoding="utf-8"))
 
 
-def _recorded_battery(name):
+def _recorded_battery(name, log):
     """verify_battery on configs/<name>. Records the caller and solver of
-    every fixed-point solve (both solvers always start cold), every warning
-    raised, and stderr."""
-    solves = []
-
+    every fixed-point solve (both solvers always start cold) to log, a
+    ForkLog made before the battery starts its workers, and every warning
+    raised, and stderr. Two jobs run at a time, so the solves come in no
+    fixed order."""
     def recorded(solve, label):
         def call(phi, cfg):
-            solves.append((sys._getframe(1).f_code.co_name, label))
+            log.put((sys._getframe(1).f_code.co_name, label))
             return solve(phi, cfg)
         return call
 
@@ -63,14 +64,14 @@ def _recorded_battery(name):
         mp.setattr(experiments, "picard_solve", recorded(picard_solve, "picard"))
         mp.setattr(experiments, "march_solve", recorded(march_solve, "march"))
         result = verify_battery(_config(name))
-    return result, solves, caught, err.getvalue()
+    return result, Counter(log.records()), caught, err.getvalue()
 
 
 @pytest.fixture(scope="module")
-def full_run():
+def full_run(fork_log):
     """One full battery run, shared by criteria 01-09c and the full drift and
     solve guards."""
-    return _recorded_battery("verify.cfg")
+    return _recorded_battery("verify.cfg", fork_log())
 
 
 def _checks(run, *prefixes):
@@ -183,22 +184,22 @@ def test_criterion_09c_g1_ratio_stability(full_run):
 
 
 def test_full_battery_solve_sequence(full_run):
-    assert full_run[1] == [
-        ("verify_battery", "picard"),  # the contraction solve
-        *[("quadrature_order_study", "march")] * 6,  # Simpson and trapezoid ladders
-        *[("truncation_convergence", "march")] * 4,  # the full kernel, then 3 radii
+    assert full_run[1] == Counter({
+        ("_contraction_job", "picard"): 1,  # the contraction solve
+        ("quadrature_order_study", "march"): 6,  # Simpson and trapezoid ladders
+        ("truncation_convergence", "march"): 4,  # the full kernel, then 3 radii
         # the dependence problem (16^3, m 32) is not the contraction problem
         # (32^3, m 64) at full scale: its base is a Weissinger iteration anew
-        ("continuous_dependence", "picard"),
-        *[("continuous_dependence", "march")] * 3,
-    ]
+        ("continuous_dependence", "picard"): 1,
+        ("continuous_dependence", "march"): 3,
+    })
 
 
 @pytest.fixture(scope="module")
-def quick_run():
+def quick_run(fork_log):
     """One quick battery run, shared by criterion 10, the quick drift guard
     and the warning, solver and progress guards."""
-    return _recorded_battery("verify-quick.cfg")
+    return _recorded_battery("verify-quick.cfg", fork_log())
 
 
 def test_quick_battery_emits_no_box_decay_warning(quick_run):
@@ -209,16 +210,16 @@ def test_quick_battery_emits_no_box_decay_warning(quick_run):
 
 
 def test_quick_battery_measured_solves_start_cold(quick_run):
-    assert quick_run[1] == [
+    assert quick_run[1] == Counter({
         # the one Weissinger iteration: its increments feed contraction_rows
         # and, since at quick scale it is also the dependence base solve,
         # continuous_dependence's C_fit
-        ("verify_battery", "picard"),
+        ("_contraction_job", "picard"): 1,
         # every other solve only needs the fixed point: a cold march
-        *[("quadrature_order_study", "march")] * 6,  # Simpson and trapezoid ladders
-        *[("truncation_convergence", "march")] * 3,
-        *[("continuous_dependence", "march")] * 3,
-    ]
+        ("quadrature_order_study", "march"): 6,  # Simpson and trapezoid ladders
+        ("truncation_convergence", "march"): 3,
+        ("continuous_dependence", "march"): 3,
+    })
 
 
 def test_quick_battery_reports_each_section(quick_run):
@@ -232,9 +233,13 @@ def test_quick_battery_reports_each_section(quick_run):
 
 
 def test_criterion_10_determinism(tmp_path, quick_run):
-    with warnings.catch_warnings():
+    # the second run takes the in-process path, so the tables also show that
+    # it and the worker pool write the same bytes
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("ignore")
+        mp.setattr(experiments, "_worker_count", lambda: 1)
         r1, r2 = quick_run[0], verify_battery(_config("verify-quick.cfg"))
+    assert r2.timing["workers"] == 1
     dirs = [tmp_path / "one", tmp_path / "two"]
     for d, res in zip(dirs, (r1, r2)):
         os.makedirs(d)

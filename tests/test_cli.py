@@ -1,10 +1,13 @@
 import glob
 import json
+import multiprocessing
 import os
+import re
+import warnings
 
 import pytest
 
-from frnse import cli
+from frnse import cli, experiments
 from frnse.cli import build_parser, main
 from frnse.config import parse_config
 from frnse.grid import GridSpec, zero_field
@@ -346,6 +349,70 @@ def test_crash_still_writes_manifest(tmp_path, monkeypatch, capsys):
     assert error["message"] == "battery exploded"
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["verify crashed: RuntimeError: battery exploded"]
+
+
+def test_verify_times_sections_and_reraises_worker_warnings(tmp_path, monkeypatch, capsys):
+    def warned(fn, text):
+        def call(*args, **kwargs):
+            warnings.warn(text)
+            return fn(*args, **kwargs)
+        return call
+
+    # the lipschitz section's job ends before the kernel-oracle's, which is
+    # submitted last; the warnings still come back in battery order
+    for name in ("lipschitz_battery", "oracle_equivalence_rows"):
+        monkeypatch.setattr(experiments, name, warned(getattr(experiments, name), name))
+    cfg = _write(tmp_path, VERIFY)
+    out = tmp_path / "runs"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught if str(w.message).endswith(("_battery", "_rows"))] \
+        == ["oracle_equivalence_rows", "lipschitz_battery"]
+    assert multiprocessing.active_children() == []
+    (run_dir,) = _run_dirs(out)
+    timing = _manifest(run_dir)["timing"]
+    assert sorted(timing) == ["sections", "workers"]
+    assert timing["workers"] == min(2, len(os.sched_getaffinity(0)))
+    # the seconds of each stderr line, in battery order
+    lines = capsys.readouterr().err.splitlines()
+    shown = [[m.group(1), float(m.group(2))]
+             for m in (re.fullmatch(r"verify: (\S+) (\d+\.\d\d) s", line) for line in lines)]
+    assert timing["sections"] == shown
+    assert [name for name, _ in shown] == list(experiments.SECTIONS)
+
+
+def test_verify_worker_crash_cancels_pending_jobs(tmp_path, monkeypatch, capsys, fork_log):
+    # the IFRK4 ladder, the first job submitted, raises in a worker; the
+    # oracle job, the last, must never start
+    started = fork_log()
+    real = experiments.oracle_equivalence_rows
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("ladder exploded")
+
+    def oracle(*args, **kwargs):
+        started.put("oracle")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "stepper_order_study", boom)
+    monkeypatch.setattr(experiments, "oracle_equivalence_rows", oracle)
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+    cfg = _write(tmp_path, VERIFY)
+    out = tmp_path / "runs"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert multiprocessing.active_children() == []
+    assert started.records() == []
+    (run_dir,) = _run_dirs(out)
+    man = _manifest(run_dir)
+    assert man["status"] == "crashed"
+    (error,) = man["errors"]
+    assert (error["type"], error["message"]) == ("RuntimeError", "ladder exploded")
+    # the worker's own frames come back as the exception's cause
+    assert "_RemoteTraceback" in error["traceback"]
+    assert "in _ladder_job" in error["traceback"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "verify crashed: RuntimeError: ladder exploded"
 
 
 def test_sweep_records_crashed_and_invalid_points(tmp_path, monkeypatch):

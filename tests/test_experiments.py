@@ -265,9 +265,10 @@ def test_domination_rows(gspec8):
 
 
 
-def test_quick_config_reaches_the_battery(monkeypatch):
+def test_quick_config_reaches_the_battery(monkeypatch, fork_log):
     # every battery section is replaced by a recorder, so only the sizes
-    # that verify_battery hands to each section are measured
+    # that verify_battery hands to each section are measured; the sections
+    # run in worker processes, so the recorders write to a ForkLog
     text = """
 [grid]
 n = 12
@@ -286,7 +287,7 @@ deltas = 0.02, 0.002
 p = 3.0
 trials = 9
 """
-    calls = {}
+    log = fork_log()
     report = types.SimpleNamespace(increments=[], residual=0.0)
     unit = types.SimpleNamespace(times=[], l2=[], h1=[], g1_energy=[],
                                  balance_residual=[], dts=[])
@@ -294,19 +295,25 @@ trials = 9
         "oracle_equivalence_rows": [], "propagator_rows": [],
         "kernel_norm_study": ([], []), "picard_solve": (None, report),
         "contraction_rows": ([], None), "norm_law_check": 0.0,
-        "cross_method_check": [], "normalization_study": ([], {"unit": unit}),
+        "cross_method_ladder": ("simpson", 4.0, 0.0, None), "cross_method_rows": [],
+        "normalization_study": ([], {"unit": unit}),
         "truncation_convergence": ([], 0.0, []), "continuous_dependence": ([], []),
         "inequality_battery": ([], {}), "lipschitz_battery": ([], []),
         "domination_rows": [],
     }
     for name, value in returns.items():
         def record(*args, _name=name, _value=value, **kwargs):
-            calls[_name] = (args, kwargs)
+            log.put((_name, args, kwargs))
             return _value
         monkeypatch.setattr(experiments, name, record)
 
     experiments.verify_battery(parse_config(text))
+    records = log.records()
+    calls = {name: (args, kwargs) for name, args, kwargs in records}
     assert set(calls) == set(returns)
+    ladders = sorted(args[0] for name, args, _ in records if name == "cross_method_ladder")
+    assert ladders == sorted(experiments.LADDERS)
+    assert calls["cross_method_ladder"][0][3:] == ((16, 32, 64), (32, 64, 128))
     assert calls["kernel_norm_study"][0][:2] == (GridSpec(12, 1.6), (0.5, 0.3))
     assert calls["kernel_norm_study"][1] == {"p": 3.0, "trials": 9, "seed": 0}
     phi, pcfg = calls["picard_solve"][0]

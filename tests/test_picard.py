@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -155,6 +156,11 @@ def test_nonconvergence_carries_report(gspec8, kfull):
     assert report.iterations == 2
     with pytest.raises(ValueError):
         contraction_report(report)  # too few increments to fit
+    # a battery job's exception reaches the parent process pickled
+    again = pickle.loads(pickle.dumps(exc.value))
+    assert str(again) == str(exc.value)
+    assert again.report.increments == report.increments
+    assert (again.report.iterations, again.report.converged) == (2, False)
 
 
 def test_divergence_raises_without_overflow_warnings(gspec8, kfull):
