@@ -274,14 +274,15 @@ def stepper_order_study(phi, cfg, steps=(64, 128, 256)):
     return order, budget, finals
 
 
-#: The refinement ladders of cross_method_check, in the order of its rows.
+#: The refinement ladders of the cross-method check, in the order of its rows.
 LADDERS = ("simpson", "trapezoid", "ifrk4")
 
 
 def cross_method_ladder(which, phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
-    """One ladder of cross_method_check: node doubling under the quadrature
-    rule `which`, or dt halving for which = "ifrk4". Returns (which, order,
-    budget, final), final the terminal state of the finest rung."""
+    """One ladder of the cross-method check: node doubling under the
+    quadrature rule `which`, or dt halving for which = "ifrk4". Every
+    fixed-point solve is a cold march_solve. Returns (which, order, budget,
+    final), final the terminal state of the finest rung."""
     if which == "ifrk4":
         scfg = StepConfig(dt=pcfg.T / steps[0], T=pcfg.T, kspec=pcfg.kspec,
                           params=pcfg.params, snapshot_every=10**9)
@@ -291,21 +292,16 @@ def cross_method_ladder(which, phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)
     return which, order, budget, sols[ms[-1]].final()
 
 
-def cross_method_check(phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
+def cross_method_check(ladders):
     """Fixed-point vs time-stepper agreement within measured error budgets.
 
-    Runs node-doubling studies for both quadrature rules and dt-halving for
-    the stepper, checks each observed order against its nominal value
-    (tolerance 20%), then requires the terminal H1 distance between the two
-    finest solutions to sit below the summed Richardson budgets. Every
-    fixed-point solve is a cold march_solve.
+    ladders holds the cross_method_ladder results in LADDERS order: the
+    node-doubling studies of both quadrature rules and the stepper's
+    dt-halving. Checks each observed order against its nominal value
+    (tolerance 20%), then requires the terminal H1 distance between the
+    finest Simpson and IFRK4 solutions to sit below the sum of their
+    Richardson budgets.
     """
-    return cross_method_rows([cross_method_ladder(w, phi, pcfg, ms, steps) for w in LADDERS])
-
-
-def cross_method_rows(ladders):
-    """cross_method_check's rows from its cross_method_ladder results, in
-    LADDERS order."""
     (_, simpson_order, simpson_budget, simpson_final), (_, trap_order, _, _), \
         (_, step_order, step_budget, step_final) = ladders
     rows = [
@@ -747,12 +743,14 @@ SECTIONS = ("kernel-oracle", "propagator", "tail-norms", "contraction", "cross-m
             "normalization", "truncation", "dependence", "inequalities", "lipschitz",
             "domination")
 
-#: The battery's jobs with their arguments, longest first, so that the
-#: short ones fill in behind (seconds at quick scale on a 2-core host:
-#: 1.19, 1.17, 0.87, 0.73, 0.67, 0.41, 0.31, 0.24, 0.10).
-_JOBS = ((_ladder_job, "ifrk4"), (_normalization_job,), (_ladder_job, "trapezoid"),
-         (_ladder_job, "simpson"), (_ball_job,), (_contraction_job,), (_truncation_job,),
-         (_tail_job,), (_oracle_job,))
+#: The battery's jobs with their arguments: the three short jobs that end
+#: its first four sections first, so that their lines print early, then the
+#: rest longest first, so that the short ones fill in behind (seconds at
+#: quick scale on a 2-core host: 0.10, 0.24, 0.41, then 1.19, 1.17, 0.87,
+#: 0.73, 0.67, 0.31).
+_JOBS = ((_oracle_job,), (_tail_job,), (_contraction_job,), (_ladder_job, "ifrk4"),
+         (_normalization_job,), (_ladder_job, "trapezoid"), (_ladder_job, "simpson"),
+         (_ball_job,), (_truncation_job,))
 
 
 def _run_job(job):
@@ -838,7 +836,7 @@ def verify_battery(cfg):
     for name in SECTIONS:
         found = [part for _, part, _ in parts[name]]
         if name == "cross-method":
-            rows += cross_method_rows(found)
+            rows += cross_method_check(found)
         else:
             ((section_rows, section_tables),) = found
             rows += section_rows

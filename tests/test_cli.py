@@ -358,17 +358,19 @@ def test_verify_times_sections_and_reraises_worker_warnings(tmp_path, monkeypatc
             return fn(*args, **kwargs)
         return call
 
-    # the lipschitz section's job ends before the kernel-oracle's, which is
-    # submitted last; the warnings still come back in battery order
-    for name in ("lipschitz_battery", "oracle_equivalence_rows"):
+    # the dependence section's job, the contraction job, ends before the
+    # IFRK4 ladder of the cross-method section, which comes first in the
+    # battery; the warnings still come back in battery order
+    names = ("continuous_dependence", "stepper_order_study")
+    for name in names:
         monkeypatch.setattr(experiments, name, warned(getattr(experiments, name), name))
     cfg = _write(tmp_path, VERIFY)
     out = tmp_path / "runs"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
-    assert [str(w.message) for w in caught if str(w.message).endswith(("_battery", "_rows"))] \
-        == ["oracle_equivalence_rows", "lipschitz_battery"]
+    assert [str(w.message) for w in caught if str(w.message) in names] \
+        == ["stepper_order_study", "continuous_dependence"]
     assert multiprocessing.active_children() == []
     (run_dir,) = _run_dirs(out)
     timing = _manifest(run_dir)["timing"]
@@ -383,20 +385,20 @@ def test_verify_times_sections_and_reraises_worker_warnings(tmp_path, monkeypatc
 
 
 def test_verify_worker_crash_cancels_pending_jobs(tmp_path, monkeypatch, capsys, fork_log):
-    # the IFRK4 ladder, the first job submitted, raises in a worker; the
-    # oracle job, the last, must never start
+    # the IFRK4 ladder, the fourth job submitted, raises in a worker; the
+    # truncation job, the last, must never start
     started = fork_log()
-    real = experiments.oracle_equivalence_rows
+    real = experiments.truncation_convergence
 
     def boom(*args, **kwargs):
         raise RuntimeError("ladder exploded")
 
-    def oracle(*args, **kwargs):
-        started.put("oracle")
+    def truncation(*args, **kwargs):
+        started.put("truncation")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "stepper_order_study", boom)
-    monkeypatch.setattr(experiments, "oracle_equivalence_rows", oracle)
+    monkeypatch.setattr(experiments, "truncation_convergence", truncation)
     monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
     cfg = _write(tmp_path, VERIFY)
     out = tmp_path / "runs"

@@ -263,13 +263,8 @@ def test_domination_rows(gspec8):
     assert rows[0].passed
 
 
-
-
-def test_quick_config_reaches_the_battery(monkeypatch, fork_log):
-    # every battery section is replaced by a recorder, so only the sizes
-    # that verify_battery hands to each section are measured; the sections
-    # run in worker processes, so the recorders write to a ForkLog
-    text = """
+#: A quick-scale verify config for the battery tests whose sections are stubbed.
+BATTERY_CFG = """
 [grid]
 n = 12
 L = 1.6
@@ -287,7 +282,11 @@ deltas = 0.02, 0.002
 p = 3.0
 trials = 9
 """
-    log = fork_log()
+
+
+def _stub_sections(monkeypatch, log):
+    """Replace every battery section by a recorder that writes each call to
+    log and returns an empty result of the section's shape."""
     report = types.SimpleNamespace(increments=[], residual=0.0)
     unit = types.SimpleNamespace(times=[], l2=[], h1=[], g1_energy=[],
                                  balance_residual=[], dts=[])
@@ -295,7 +294,7 @@ trials = 9
         "oracle_equivalence_rows": [], "propagator_rows": [],
         "kernel_norm_study": ([], []), "picard_solve": (None, report),
         "contraction_rows": ([], None), "norm_law_check": 0.0,
-        "cross_method_ladder": ("simpson", 4.0, 0.0, None), "cross_method_rows": [],
+        "cross_method_ladder": ("simpson", 4.0, 0.0, None), "cross_method_check": [],
         "normalization_study": ([], {"unit": unit}),
         "truncation_convergence": ([], 0.0, []), "continuous_dependence": ([], []),
         "inequality_battery": ([], {}), "lipschitz_battery": ([], []),
@@ -306,8 +305,16 @@ trials = 9
             log.put((_name, args, kwargs))
             return _value
         monkeypatch.setattr(experiments, name, record)
+    return returns
 
-    experiments.verify_battery(parse_config(text))
+
+def test_quick_config_reaches_the_battery(monkeypatch, fork_log):
+    # every battery section is replaced by a recorder, so only the sizes
+    # that verify_battery hands to each section are measured; the sections
+    # run in worker processes, so the recorders write to a ForkLog
+    log = fork_log()
+    returns = _stub_sections(monkeypatch, log)
+    experiments.verify_battery(parse_config(BATTERY_CFG))
     records = log.records()
     calls = {name: (args, kwargs) for name, args, kwargs in records}
     assert set(calls) == set(returns)
@@ -323,3 +330,20 @@ trials = 9
     assert calls["inequality_battery"][1]["samples"] == 70
     assert calls["lipschitz_battery"][1]["pairs"] == 5
     assert calls["domination_rows"][1]["samples"] == 50
+
+
+def test_section_lines_precede_the_last_job(monkeypatch, fork_log, capsys):
+    # in-process the jobs run in the order they are submitted; the short
+    # jobs that end the first sections go first, so every section done
+    # before truncation, the last job, has its stderr line out before it starts
+    returns = _stub_sections(monkeypatch, fork_log())
+    shown = []
+
+    def truncation(*args, **kwargs):
+        shown.extend(line.split()[1] for line in capsys.readouterr().err.splitlines())
+        return returns["truncation_convergence"]
+
+    monkeypatch.setattr(experiments, "truncation_convergence", truncation)
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 1)
+    experiments.verify_battery(parse_config(BATTERY_CFG))
+    assert shown == list(experiments.SECTIONS[:experiments.SECTIONS.index("truncation")])
