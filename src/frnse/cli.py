@@ -16,20 +16,16 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .config import (ConfigError, ConfigIssue, _fmt_value, build_initial,
-                     config_hash, parse_config, serialize_config)
+from .config import (ConfigError, _fmt_value, build_initial, config_hash,
+                     parse_config, serialize_config)
 from .errors import DivergenceDetected, NonConvergence
-from .experiments import (check_table, dependence_datum, kernel_norm_study,
-                          verify_battery)
-from .grid import h1_norm
+from .experiments import check_table, kernel_norm_study, run_jobs, verify_battery
 from .io import (clear_incomplete, mark_incomplete, read_csv, write_csv,
                  write_field, write_manifest)
-from .kernel import default_radius
 from .picard import contraction_report, picard_solve
 from .stepper import evolve
 from .svg import line_chart
@@ -242,8 +238,7 @@ def _sweep_worker(task):
     raises for a bad config (hash8 None, code 2) or a crashed command."""
     index, text, overrides, parent_dir, command = task
     try:
-        cfg = parse_config(text, overrides)
-        _require_sections(command, cfg)
+        cfg = parse_config(text, overrides, command)
     except ConfigError as e:
         print(f"sweep point {index} ({', '.join(overrides)}): config error: {e}",
               file=sys.stderr)
@@ -254,7 +249,7 @@ def _sweep_worker(task):
     return index, h8, _execute(command, cfg, sub)
 
 
-def cmd_sweep(ctx, jobs):
+def cmd_sweep(ctx):
     cfg = ctx.cfg
     sw = cfg.sweep
     base_text = serialize_config(replace(cfg, sweep=None))
@@ -266,14 +261,9 @@ def cmd_sweep(ctx, jobs):
          ctx.run_dir, sw.command)
         for i, combo in enumerate(combos)
     ]
-    print(f"sweep: {len(tasks)} {sw.command} runs over {', '.join(keys)} "
-          f"(jobs={jobs})")
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(t) for t in tasks]
+    print(f"sweep: {len(tasks)} {sw.command} runs over {', '.join(keys)}")
+    results = []
+    run_jobs(_sweep_worker, tasks, results.append)
     by_index = {i: (h8, code) for i, h8, code in results}
     entries = []
     for i, _, overrides, _, _ in tasks:
@@ -302,18 +292,16 @@ _COMMANDS = {
     "picard": cmd_picard,
     "verify": cmd_verify,
     "kernel-norms": cmd_kernel_norms,
+    "sweep": cmd_sweep,
 }
 
 
-def _execute(command, cfg, run_dir, jobs=1):
+def _execute(command, cfg, run_dir):
     """Run one command in run_dir; every exception still leaves a manifest."""
     ctx = RunContext(command, cfg, run_dir)
     mark_incomplete(run_dir)
     try:
-        if command == "sweep":
-            code = cmd_sweep(ctx, jobs)
-        else:
-            code = _COMMANDS[command](ctx)
+        code = _COMMANDS[command](ctx)
     except Exception as e:  # the run boundary: record, report, exit 1
         ctx.fail(e)
         ctx.status = "crashed"
@@ -322,54 +310,6 @@ def _execute(command, cfg, run_dir, jobs=1):
         code = 1
     ctx.finish()
     return code
-
-
-def _require_sections(command, cfg):
-    """Reject, before a run directory exists, what the command would crash on."""
-    issues = []
-    if command == "sweep" and cfg.sweep is None:
-        issues.append(ConfigIssue("missing", 0, "sweep needs a [sweep] section"))
-    runs = cfg.sweep.command if command == "sweep" and cfg.sweep else command
-    over = "sweep over " if command == "sweep" else ""
-    section = {"solve": ("stepper", cfg.stepper), "picard": ("picard", cfg.picard)}
-    if runs in section and section[runs][1] is None:
-        issues.append(ConfigIssue(
-            "missing", 0, f"{over}{runs} needs a [{section[runs][0]}] section"))
-    if runs in section and cfg.initial.type == "file":
-        try:
-            build_initial(cfg)
-        except ConfigError as e:
-            issues += e.issues
-        except (OSError, ValueError) as e:
-            issues.append(ConfigIssue("constraint", 0, f"initial.path cannot be read: {e}"))
-    # a truncation radius must fall inside the kernel's support
-    reach = default_radius(cfg.grid.L)
-    if command in ("verify", "kernel-norms") and max(cfg.experiment.a_list) >= reach:
-        issues.append(ConfigIssue(
-            "constraint", 0,
-            f"{command} needs every experiment.a_list entry < {reach!r}, "
-            "the kernel's reach sqrt(3) * grid.L"))
-    if command == "verify":
-        # at alpha2 = 0 every rung of the order studies is exact, so they
-        # have no self-convergence differences to fit an order to
-        if cfg.params.alpha2 == 0:
-            issues.append(ConfigIssue(
-                "constraint", 0,
-                "verify needs physics.alpha2 != 0: the order studies measure "
-                "the nonlinearity's quadrature error"))
-        if cfg.kernel.variant != "full":
-            issues.append(ConfigIssue(
-                "constraint", 0,
-                f"verify needs kernel.variant = full, got {cfg.kernel.variant}"))
-        # continuous_dependence keeps each perturbation within half the datum
-        half = 0.5 * h1_norm(dependence_datum(cfg.grid.L))
-        if max(cfg.experiment.deltas) > half:
-            issues.append(ConfigIssue(
-                "constraint", 0,
-                f"verify needs every experiment.deltas entry <= {half!r}, "
-                "half the H1 norm of the dependence datum"))
-    if issues:
-        raise ConfigError(issues)
 
 
 def cmd_plot(paths, out_dir):
@@ -436,8 +376,6 @@ def build_parser():
                         help="same as --set experiment.seed=N, and wins over it")
         sp.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="override a config key")
-        if name == "sweep":
-            sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
     pp = sub.add_parser("plot", help="render CSV columns to an SVG line chart")
     pp.add_argument("csvs", nargs="+", help="CSV files to render")
     pp.add_argument("--out", default=None, help="directory for the SVGs")
@@ -448,9 +386,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "plot":
         return cmd_plot(args.csvs, args.out)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
@@ -459,19 +394,18 @@ def main(argv=None):
         return 2
     try:
         seed = () if args.seed is None else (f"experiment.seed={args.seed}",)
-        cfg = parse_config(text, tuple(args.overrides) + seed)
-        _require_sections(args.command, cfg)
+        cfg = parse_config(text, tuple(args.overrides) + seed, args.command)
     except ConfigError as e:
         print("config error:", file=sys.stderr)
         for issue in e.issues:
             print(f"  {issue}", file=sys.stderr)
         print("usage: frnse <command> --config FILE [--out DIR] [--seed N] "
-              "[--set SECTION.KEY=VALUE] [--jobs N (sweep)]", file=sys.stderr)
+              "[--set SECTION.KEY=VALUE]", file=sys.stderr)
         return 2
     root = _out_root(args.out, cfg)
     run_dir = _make_run_dir(root, config_hash(cfg)[:8])
     print(f"run directory: {run_dir}")
-    return _execute(args.command, cfg, run_dir, jobs=getattr(args, "jobs", 1))
+    return _execute(args.command, cfg, run_dir)
 
 
 if __name__ == "__main__":

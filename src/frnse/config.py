@@ -10,6 +10,11 @@ straight into the solvers' own validating GridSpec, PhysParams, KernelSpec,
 PicardConfig and StepConfig; [initial] and [experiment] into records
 generated from their SCHEMA keys, which the rows of CHECKS validate.
 
+Given a command, parse_config also holds the config to what the command
+needs: the CHECKS rows that serve it, its RUNS_ON section, and for solve and
+picard a readable initial file on the config's grid. Each issue cites its
+line, "override" for --set and --seed, or "config" where no line applies.
+
 serialize_config walks SECTION_ORDER and SCHEMA to produce a canonical form
 (fixed section and key order, repr floats) that re-parses to an equal
 config; config_hash is the SHA-256 of that canonical form minus the
@@ -17,12 +22,12 @@ config; config_hash is the SHA-256 of that canonical form minus the
 """
 
 import hashlib
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, make_dataclass, replace
 
 import numpy as np
 
-from .grid import (GridSpec, l2_norm, h1_norm, make_grid, scaled_gaussian,
-                   warn_if_cramped, Field)
+from .experiments import dependence_datum
+from .grid import GridSpec, h1_norm, l2_norm, plane_wave, scaled_gaussian, warn_if_cramped
 from .io import read_field
 from .kernel import KernelSpec, default_radius
 from .nonlinear import PhysParams
@@ -91,15 +96,18 @@ SECTION_ORDER = (
 
 SWEEP_COMMANDS = ("solve", "picard")
 
+#: The section each command runs on.
+RUNS_ON = {"solve": "stepper", "picard": "picard", "sweep": "sweep"}
+
 
 @dataclass(frozen=True)
 class ConfigIssue:
     kind: str  # syntax | unknown-key | duplicate | type | constraint | missing
-    line: int  # 0 for issues introduced by command-line overrides
+    line: int  # 0 for a command-line override, None where no line applies
     message: str
 
     def __str__(self):
-        where = f"line {self.line}" if self.line else "override"
+        where = "config" if self.line is None else f"line {self.line}" if self.line else "override"
         return f"{where}: [{self.kind}] {self.message}"
 
 
@@ -128,27 +136,42 @@ def _decreasing(values):
     return all(b < a for a, b in zip(values, values[1:]))
 
 
-#: (section, key, predicate, message) rows. A key that the text or an
-#: override sets must satisfy predicate(value, typed values of its section
-#: and the sections built before it, by name), or "section.key message" is
-#: reported at that key's line. Every default satisfies every row.
+def _below_reach(values, grid):
+    return grid is None or max(values) < default_radius(grid.L)
+
+
+#: (section, key, predicate, message, commands) rows. A key's value, set or
+#: default, must satisfy predicate(value, typed values of its section and the
+#: sections built before it, by name), or "section.key message" is reported at
+#: the key's line, else its section's header. A row serves the commands it
+#: names, None for all; every default satisfies every row serving all.
 CHECKS = (
-    ("kernel", "a", lambda v, s: s["grid"] is None or v < default_radius(s["grid"].L),
-     "must be below the kernel's reach sqrt(3) * grid.L"),
-    ("initial", "type", lambda v, s: v != "file" or s["path"], "= file needs initial.path"),
-    ("initial", "sigma", lambda v, s: v > 0, "must be positive"),
-    ("initial", "center", lambda v, s: len(v) == 3, "needs exactly 3 values"),
-    ("initial", "l2_norm", lambda v, s: s["h1_norm"] is None, "excludes initial.h1_norm"),
-    ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers"),
-    ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0"),
-    ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50"),
-    ("experiment", "pairs", lambda v, s: v >= 1, "must be >= 1"),
-    ("experiment", "a_list", lambda v, s: min(v) > 0, "entries must be positive"),
-    ("experiment", "a_list", lambda v, s: _decreasing(v), "must be strictly decreasing"),
-    ("experiment", "deltas", lambda v, s: min(v) > 0, "entries must be positive"),
-    ("experiment", "deltas", lambda v, s: _decreasing(v), "must be strictly decreasing"),
-    ("experiment", "p", lambda v, s: v > 1, "must be > 1"),
-    ("experiment", "trials", lambda v, s: v >= 1, "must be >= 1"),
+    ("kernel", "a", lambda v, s: _below_reach((v,), s["grid"]),
+     "must be below the kernel's reach sqrt(3) * grid.L", None),
+    ("initial", "type", lambda v, s: v != "file" or s["path"], "= file needs initial.path", None),
+    ("initial", "sigma", lambda v, s: v > 0, "must be positive", None),
+    ("initial", "center", lambda v, s: len(v) == 3, "needs exactly 3 values", None),
+    ("initial", "l2_norm", lambda v, s: s["h1_norm"] is None, "excludes initial.h1_norm", None),
+    ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers", None),
+    ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0", None),
+    ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50", None),
+    ("experiment", "pairs", lambda v, s: v >= 1, "must be >= 1", None),
+    ("experiment", "a_list", lambda v, s: min(v) > 0, "entries must be positive", None),
+    ("experiment", "a_list", lambda v, s: _decreasing(v), "must be strictly decreasing", None),
+    ("experiment", "deltas", lambda v, s: min(v) > 0, "entries must be positive", None),
+    ("experiment", "deltas", lambda v, s: _decreasing(v), "must be strictly decreasing", None),
+    ("experiment", "p", lambda v, s: v > 1, "must be > 1", None),
+    ("experiment", "trials", lambda v, s: v >= 1, "must be >= 1", None),
+    # at alpha2 = 0 verify's order studies have no quadrature error to fit,
+    # and its truncation study holds truncated kernels to the full one
+    ("physics", "alpha2", lambda v, s: v != 0, "must be nonzero for verify", ("verify",)),
+    ("kernel", "variant", lambda v, s: v == "full", "must be full for verify", ("verify",)),
+    ("experiment", "a_list", lambda v, s: _below_reach(v, s["grid"]),
+     "entries must be below the kernel's reach sqrt(3) * grid.L", ("verify", "kernel-norms")),
+    # continuous_dependence keeps each perturbation within half its datum
+    ("experiment", "deltas", lambda v, s: s["grid"] is None
+     or max(v) <= 0.5 * h1_norm(dependence_datum(s["grid"].L)),
+     "entries must be at most half the H1 norm of verify's dependence datum", ("verify",)),
 )
 
 
@@ -246,7 +269,7 @@ def _section_values(name, raw, section_lines, issues):
             values[key] = _convert(opt, text, name, key, lines[key], issues)
         elif opt.default is _REQUIRED:
             values[key] = None
-            issues.append(ConfigIssue("missing", section_lines.get(name, 0),
+            issues.append(ConfigIssue("missing", section_lines.get(name),
                                       f"{name}.{key} is required"))
         else:
             values[key] = opt.default
@@ -291,11 +314,44 @@ def apply_overrides(raw, overrides, issues):
     return forced
 
 
-def parse_config(text, overrides=()):
-    """Parse (and fully validate) a config; raises ConfigError on problems."""
+def _parse_sweep(raw, header, issues):
+    """The [sweep] section whose header is at line header, or None."""
+    command, axes = None, []
+    for (section, key), (text, line) in raw.items():
+        if section != "sweep":
+            continue
+        if key == "command":
+            if text in SWEEP_COMMANDS:
+                command = text
+            else:
+                _constraint(issues, line,
+                            f"sweep.command must be one of {', '.join(SWEEP_COMMANDS)}")
+            continue
+        sec, _, subkey = key.partition(".")
+        if subkey not in (SCHEMA.get(sec) or {}):
+            issues.append(ConfigIssue("unknown-key", line,
+                                      f"unknown sweep axis {key!r}, expected section.key"))
+            continue
+        values = tuple(_convert(SCHEMA[sec][subkey], p.strip(), sec, subkey, line, issues)
+                       for p in text.split(";"))
+        if None not in values:
+            axes.append((key, values))
+    if command is None:
+        _constraint(issues, header, "sweep.command is required")
+    if not axes:
+        _constraint(issues, header, "sweep needs at least one axis")
+    if command is not None and axes:
+        return SweepSection(command=command, axes=tuple(sorted(axes)))
+
+
+def parse_config(text, overrides=(), command=None):
+    """Parse (and fully validate) a config, for command if one is given (see
+    CHECKS and RUNS_ON); raises ConfigError on problems."""
     issues = []
     raw, section_lines = _tokenize(text, issues)
     forced = apply_overrides(raw, overrides, issues)
+    sweep = _parse_sweep(raw, section_lines["sweep"], issues) if "sweep" in section_lines else None
+    runs = (command, sweep.command) if command == "sweep" and sweep else (command,)
 
     built = {}
     for name, build in _BUILD.items():
@@ -303,15 +359,17 @@ def parse_config(text, overrides=()):
         required = any(opt.default is _REQUIRED for opt in SCHEMA[name].values())
         if name not in section_lines and name not in forced:
             if required:
-                issues.append(ConfigIssue("missing", 0, f"section [{name}] is required"))
+                issues.append(ConfigIssue("missing", None, f"section [{name}] is required"))
             if required or name in OPTIONAL_SECTIONS:
                 continue
         before = len(issues)
         values, lines = _section_values(name, raw, section_lines, issues)
-        for section, key, ok, message in CHECKS:
-            if section == name and key in lines and values[key] is not None \
+        for section, key, ok, message, serves in CHECKS:
+            if section == name and values[key] is not None \
+                    and (serves is None or any(c in serves for c in runs)) \
                     and not ok(values[key], {**built, **values}):
-                _constraint(issues, lines[key], f"{name}.{key} {message}")
+                _constraint(issues, lines.get(key, section_lines.get(name)),
+                            f"{name}.{key} {message}")
         if len(issues) > before:
             continue  # building would only repeat what is reported
         try:
@@ -319,43 +377,30 @@ def parse_config(text, overrides=()):
         except ValueError as e:
             # cite the section's last setting: an override, its last text line or header
             line = max(lines.values(), key=lambda l: l or 10**9,
-                       default=section_lines.get(name, 0))
+                       default=section_lines.get(name))
             _constraint(issues, line, f"{name}: {e}")
 
-    sweep = None
-    if "sweep" in section_lines:
-        command, axes = None, []
-        for (section, key), (text, line) in raw.items():
-            if section != "sweep":
-                continue
-            if key == "command":
-                if text in SWEEP_COMMANDS:
-                    command = text
-                else:
-                    _constraint(issues, line,
-                                f"sweep.command must be one of {', '.join(SWEEP_COMMANDS)}")
-                continue
-            sec, _, subkey = key.partition(".")
-            if subkey not in (SCHEMA.get(sec) or {}):
-                issues.append(ConfigIssue("unknown-key", line,
-                                          f"unknown sweep axis {key!r}, expected section.key"))
-                continue
-            values = tuple(_convert(SCHEMA[sec][subkey], p.strip(), sec, subkey, line, issues)
-                           for p in text.split(";"))
-            if None not in values:
-                axes.append((key, values))
-        if command is None:
-            _constraint(issues, section_lines["sweep"], "sweep.command is required")
-        if not axes:
-            _constraint(issues, section_lines["sweep"], "sweep needs at least one axis")
-        if command is not None and axes:
-            sweep = SweepSection(command=command, axes=tuple(sorted(axes)))
-
+    for runner in runs:
+        need = RUNS_ON.get(runner)
+        if need and need not in section_lines and need not in forced:
+            over = "sweep over " if runner != command else ""
+            issues.append(ConfigIssue("missing", None, f"{over}{runner} needs a [{need}] section"))
+    if not issues:
+        cfg = ExperimentConfig(sweep=sweep, **{_FIELD.get(name, name): section
+                                               for name, section in built.items()})
+        # solve and picard read an initial file before their run starts
+        if cfg.initial.type == "file" and not {"solve", "picard"}.isdisjoint(runs):
+            line = raw[("initial", "path")][1]
+            try:
+                build_initial(cfg)
+            except ConfigError as e:
+                issues += [replace(i, line=line) for i in e.issues]
+            except (OSError, ValueError) as e:
+                _constraint(issues, line, f"initial.path cannot be read: {e}")
     if issues:
         issues.sort(key=lambda i: i.line if i.line else 10**9)
         raise ConfigError(issues)
-    return ExperimentConfig(sweep=sweep, **{_FIELD.get(name, name): section
-                                            for name, section in built.items()})
+    return cfg
 
 
 def _fmt_value(v):
@@ -408,10 +453,7 @@ def build_initial(cfg):
             f = f * ini.amplitude
         return f
     if ini.type == "plane_wave":
-        g = make_grid(spec)
-        kvec = 2.0 * np.pi / spec.L * np.asarray(ini.k, dtype=float)
-        xg, yg, zg = np.meshgrid(g.x, g.x, g.x, indexing="ij")
-        f = Field(spec, ini.amplitude * np.exp(1j * (kvec[0] * xg + kvec[1] * yg + kvec[2] * zg)))
+        f = ini.amplitude * plane_wave(spec, ini.k)
         if ini.l2_norm is not None:
             f = f * (ini.l2_norm / l2_norm(f))
         elif ini.h1_norm is not None:
@@ -420,7 +462,7 @@ def build_initial(cfg):
     field, _ = read_field(ini.path)
     if field.spec != spec:
         raise ConfigError([ConfigIssue(
-            "constraint", 0,
+            "constraint", None,
             f"initial.path field is {field.spec.n}^3, L={field.spec.L}; "
             f"config grid is {spec.n}^3, L={spec.L}",
         )])

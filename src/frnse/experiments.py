@@ -13,8 +13,8 @@ orders.
 verify_battery runs the whole battery on a parsed config, the same one the
 run's manifest records: the config sets the grid, physics, kernel and every
 [experiment] key, and experiment.scale picks the remaining sizes from
-SCALES. Its sections run as independent jobs on up to two worker
-processes; it prints one stderr line per section with the seconds its job
+SCALES. Its sections run as independent jobs on one worker process per
+CPU; it prints one stderr line per section with the seconds its job
 spent on it, and the timings never reach the tables.
 """
 
@@ -35,8 +35,8 @@ from .grid import (
     h1_norm,
     l2_norm,
     lp_norm,
-    make_grid,
     min_image_r2,
+    plane_wave,
     random_band_limited,
     scaled_gaussian,
     warn_if_cramped,
@@ -130,10 +130,8 @@ def gaussian_potential_row(L=1.6, n=32, sigma=0.12):
 def propagator_rows(gspec, alpha1, seed=0, sigma=0.12, gauss_times=(1e-3, 2e-3)):
     """Plane-wave phase, unitarity, group law, and the analytic Gaussian."""
     rows = []
-    g = make_grid(gspec)
-    xg, yg, zg = np.meshgrid(g.x, g.x, g.x, indexing="ij")
     k0 = 2.0 * np.pi / gspec.L * np.array([1.0, 2.0, 0.0])
-    pw = Field(gspec, np.exp(1j * (k0[0] * xg + k0[1] * yg + k0[2] * zg)))
+    pw = plane_wave(gspec, (1, 2, 0))
     t = 0.0371
     expected = np.exp(-1j * alpha1 * float(k0 @ k0) * t) * pw.values
     err = float(np.max(np.abs(free_evolve(pw, t, alpha1).values - expected)))
@@ -772,24 +770,24 @@ def _run_job(job):
 
 
 def _worker_count():
-    """One battery worker per CPU this process may run on, at most 2."""
-    return min(2, len(os.sched_getaffinity(0)))
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
-def _run_jobs(jobs, collect):
-    """Hand each job's _run_job result to collect as the job ends; returns
-    the worker count. With two workers the jobs run in a pool of forked
-    processes, which inherit every loaded module and cache; with one, here,
-    in turn. A job that raises cancels the jobs not yet started, and no
-    worker outlives the call."""
-    workers = _worker_count()
+def run_jobs(fn, tasks, collect):
+    """Hand fn(task) to collect for each task as it ends; returns the worker
+    count, one per CPU this process may run on, at most one per task. Two
+    or more take the tasks in order in a pool of forked processes, which
+    inherit every loaded module and cache; one runs them here, in turn. A
+    task that raises cancels those not yet started; no worker outlives it."""
+    workers = min(_worker_count(), len(tasks))
     if workers < 2:
-        for result in map(_run_job, jobs):
+        for result in map(fn, tasks):
             collect(result)
         return workers
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        for future in as_completed([pool.submit(_run_job, job) for job in jobs]):
+        for future in as_completed([pool.submit(fn, task) for task in tasks]):
             collect(future.result())
     finally:
         pool.shutdown(cancel_futures=True)
@@ -803,7 +801,7 @@ def verify_battery(cfg):
     row fails by design (see lipschitz_battery), so a full verify run exits
     red on exactly that row when everything else is healthy.
 
-    The jobs run on up to two worker processes (_run_jobs), and the rows and
+    The jobs run on one worker process per CPU (run_jobs), and the rows and
     tables come out in SECTIONS order whatever order the jobs end in. Once a
     section and every section before it are done, the warnings its job
     raised are raised again here, and one stderr line gives the seconds its
@@ -831,7 +829,7 @@ def verify_battery(cfg):
             print(f"verify: {name} {seconds:.2f} s", file=sys.stderr, flush=True)
             timing.append((name, seconds))
 
-    workers = _run_jobs([(fn, cfg, *args) for fn, *args in _JOBS], collect)
+    workers = run_jobs(_run_job, [(fn, cfg, *args) for fn, *args in _JOBS], collect)
     rows, tables = [], {}
     for name in SECTIONS:
         found = [part for _, part, _ in parts[name]]

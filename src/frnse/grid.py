@@ -182,6 +182,14 @@ def random_band_limited(spec, rng, band_fraction=2.0 / 3.0):
     return from_spectral(spec, coeffs)
 
 
+def plane_wave(spec, k):
+    """The plane wave exp(i k.x) for integer wave numbers k, in units of 2 pi / L."""
+    x = make_grid(spec).x
+    kx, ky, kz = 2.0 * np.pi / spec.L * np.asarray(k, dtype=float)
+    return Field(spec, np.exp(1j * (kx * x[:, None, None] + ky * x[None, :, None]
+                                    + kz * x[None, None, :])))
+
+
 def min_image_r2(spec, center=None):
     """Squared minimum-image distance of every grid point to center.
 

@@ -25,12 +25,12 @@ FIELD_MAGIC = "FRNSE-FIELD"
 FORMAT_VERSION = "v1"
 
 
-def _parse_header(line, magic, keys):
+def _parse_header(line):
     parts = line.split()
-    if len(parts) != 2 + len(keys) or parts[0] != magic or parts[1] != FORMAT_VERSION:
-        raise ValueError(f"bad {magic} header: {line!r}")
+    if len(parts) != 5 or parts[0] != FIELD_MAGIC or parts[1] != FORMAT_VERSION:
+        raise ValueError(f"bad {FIELD_MAGIC} header: {line!r}")
     out = {}
-    for part, key in zip(parts[2:], keys):
+    for part, key in zip(parts[2:], ("n", "L", "t")):
         k, _, v = part.partition("=")
         if k != key:
             raise ValueError(f"expected {key}= in header, got {part!r}")
@@ -55,7 +55,7 @@ def read_field(path):
     """Read a snapshot back; returns (field, t)."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").rstrip("\n")
-        meta = _parse_header(header, FIELD_MAGIC, ("n", "L", "t"))
+        meta = _parse_header(header)
         n, L, t = int(meta["n"]), float(meta["L"]), float(meta["t"])
         payload = fh.read()
     expected = n**3 * 2 * 8

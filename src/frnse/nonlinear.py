@@ -17,7 +17,7 @@ experiments.lipschitz_battery measures. Each kernel apply forms |psi|^2 once:
 potential_and_energy gives the potential and G1 from that one density.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class PhysParams:
             raise ValueError(f"alpha2 must be nonnegative, got {self.alpha2}")
         object.__setattr__(self, "alpha1", float(self.alpha1))
         object.__setattr__(self, "alpha2", float(self.alpha2))
-
-    def free(self):
-        """Same dispersion, coupling switched off."""
-        return replace(self, alpha2=0.0)
 
 
 def density(psi):

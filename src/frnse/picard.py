@@ -312,7 +312,6 @@ class ContractionReport:
     ratios_decreasing: bool
     increments_decreasing: bool
     degenerate: bool
-    used: int
 
 
 def contraction_report(report):
@@ -334,7 +333,6 @@ def contraction_report(report):
             ratios_decreasing=True,
             increments_decreasing=True,
             degenerate=True,
-            used=len(inc),
         )
     floor = 1e-13 * inc[0]
     usable = []
@@ -366,5 +364,4 @@ def contraction_report(report):
         ratios_decreasing=ratios_decreasing,
         increments_decreasing=increments_decreasing,
         degenerate=False,
-        used=len(usable),
     )

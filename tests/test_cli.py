@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import warnings
+from concurrent.futures import Future
 
 import pytest
 
@@ -191,9 +192,9 @@ def test_verify_accepts_a_list_at_or_below_h():
     # the spectral tail keeps its full mass below the grid spacing, so no
     # truncation radius needs resolving: h is 0.1 here, at n=16
     with open(os.path.join(CONFIGS, "verify.cfg"), encoding="utf-8") as fh:
-        cfg = parse_config(fh.read(), ("grid.n=16", "experiment.a_list=0.2,0.1,0.05"))
+        cfg = parse_config(fh.read(), ("grid.n=16", "experiment.a_list=0.2,0.1,0.05"),
+                           command="verify")
     assert min(cfg.experiment.a_list) < cfg.grid.h
-    cli._require_sections("verify", cfg)
 
 
 def test_kernel_R_override_exits_2(tmp_path, capsys):
@@ -216,7 +217,45 @@ def test_bad_seed_flag_exits_2(tmp_path, capsys):
 def test_missing_required_section_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, BASE)  # no [stepper]
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-    assert "stepper" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stepper" in err
+    # no --set was given, and the missing section has no line to cite
+    assert "override" not in err
+    assert "config: [missing] solve needs a [stepper] section" in err
+
+
+@pytest.mark.parametrize("command, config, old, new, key", [
+    ("verify", "verify-quick.cfg", "alpha2 = 1.0", "alpha2 = 0.0", "physics.alpha2"),
+    ("verify", "verify-quick.cfg", "variant = full", "a = 0.2\nvariant = inner", "kernel.variant"),
+    ("verify", "verify-quick.cfg", "pairs = 4", "pairs = 4\ndeltas = 0.3, 0.1",
+     "experiment.deltas"),
+    ("kernel-norms", "kernel-norms.cfg", "a_list = 0.4, 0.2, 0.1", "a_list = 5.0, 0.4",
+     "experiment.a_list"),
+])
+def test_command_rule_broken_in_the_file_cites_its_line(tmp_path, capsys, command, config,
+                                                        old, new, key):
+    # these were reported as overrides, at no line
+    with open(os.path.join(CONFIGS, config), encoding="utf-8") as fh:
+        text = fh.read().replace(old, new)
+    out = tmp_path / "r"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    assert f"line {line}: [constraint] {key}" in err
+    assert "override" not in err
+    assert not out.exists()
+
+
+def test_command_rule_broken_by_a_default_cites_the_section_header(tmp_path, capsys):
+    # at L = 0.2 the kernel's reach is 0.35, below the default a_list's 0.4
+    path = os.path.join(CONFIGS, "verify.cfg")
+    out = tmp_path / "r"
+    assert main(["verify", "--config", path, "--set", "grid.L=0.2", "--out", str(out)]) == 2
+    with open(path, encoding="utf-8") as fh:
+        header = fh.read().splitlines().index("[experiment]") + 1
+    err = capsys.readouterr().err
+    assert f"line {header}: [constraint] experiment.a_list entries must be below" in err
+    assert not out.exists()
 
 
 def test_set_and_seed_land_in_manifest(tmp_path):
@@ -375,7 +414,7 @@ def test_verify_times_sections_and_reraises_worker_warnings(tmp_path, monkeypatc
     (run_dir,) = _run_dirs(out)
     timing = _manifest(run_dir)["timing"]
     assert sorted(timing) == ["sections", "workers"]
-    assert timing["workers"] == min(2, len(os.sched_getaffinity(0)))
+    assert timing["workers"] == min(len(os.sched_getaffinity(0)), len(experiments._JOBS))
     # the seconds of each stderr line, in battery order
     lines = capsys.readouterr().err.splitlines()
     shown = [[m.group(1), float(m.group(2))]
@@ -445,43 +484,37 @@ picard.m = 4; 8; 1
     assert sub["status"] == "crashed"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
-    cfg = _write(tmp_path, PICARD + "\n[sweep]\ncommand = picard\npicard.m = 4\n")
-    out = tmp_path / "runs"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_sweep_pool_no_larger_than_its_points(tmp_path, monkeypatch):
-    # a stand-in pool that records its size and runs the points in turn
+    # a stand-in pool that records its size and runs each point as submitted
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures):
+            pass
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # one worker per CPU, at most one per point
+    for cpus, points, workers in ((64, 2, 2), (3, 4, 3)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        ms = "; ".join(str(4 + 2 * i) for i in range(points))
+        cfg = _write(tmp_path, PICARD + f"\n[sweep]\ncommand = picard\npicard.m = {ms}\n")
+        out = tmp_path / f"runs-{cpus}"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert sizes.pop() == workers
+        (run_dir,) = _run_dirs(out)
+        assert [r["exit"] for r in _manifest(run_dir)["summary"]["runs"]] == [0] * points
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    cfg = _write(tmp_path, PICARD + "\n[sweep]\ncommand = picard\npicard.m = 4; 8\n")
-    out = tmp_path / "runs"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "64"]) == 0
-    assert sizes == [2]
-    (run_dir,) = _run_dirs(out)
-    assert [r["exit"] for r in _manifest(run_dir)["summary"]["runs"]] == [0, 0]
 
-
-def test_jobs_only_on_sweep():
-    args = build_parser().parse_args(["sweep", "--config", "x.cfg", "--jobs", "3"])
-    assert args.jobs == 3
+@pytest.mark.parametrize("command", ["solve", "picard", "verify", "sweep", "kernel-norms"])
+def test_jobs_flag_is_rejected(command):
+    # every command runs on the CPUs it may use; there is no --jobs
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["solve", "--config", "x.cfg", "--jobs", "3"])
+        build_parser().parse_args([command, "--config", "x.cfg", "--jobs", "3"])

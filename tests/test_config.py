@@ -87,6 +87,21 @@ def test_constructor_error_cites_the_sections_last_setting():
     assert issue.line == 0  # cited as the override
 
 
+def test_command_rows_serve_only_their_command():
+    text = MINIMAL.replace("alpha2 = 1.0", "alpha2 = 0.0")
+    assert parse_config(text) == parse_config(text, command="kernel-norms")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, command="verify")
+    (issue,) = err.value.issues
+    assert "physics.alpha2" in issue.message
+    assert issue.line == text.splitlines().index("alpha2 = 0.0") + 1
+    # a missing section has no line to cite
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL, command="picard")
+    (issue,) = err.value.issues
+    assert (issue.line, str(issue)) == (None, "config: [missing] picard needs a [picard] section")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "\n[grid]\nn = 32\n")

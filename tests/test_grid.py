@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from frnse.grid import (Field, GridSpec, boundary_decay, from_spectral,
                         gaussian_field, h1_norm, inner, l2_norm, laplacian,
-                        lp_norm, make_grid, random_band_limited,
+                        lp_norm, make_grid, plane_wave, random_band_limited,
                         scaled_gaussian, to_spectral, warn_if_cramped,
                         zero_field)
 
@@ -178,3 +178,13 @@ def test_min_image_center(gspec32):
     v = np.abs(f.values)
     assert v[0, 0, 0] == pytest.approx(1.0)
     assert v[-1, -1, -1] > 0.5  # one grid step away across the seam
+
+
+def test_plane_wave_equals_its_meshgrid_samples():
+    # broadcasting sums the same three products in the same order
+    spec = GridSpec(8, 1.6)
+    x = make_grid(spec).x
+    xg, yg, zg = np.meshgrid(x, x, x, indexing="ij")
+    k = 2.0 * np.pi / spec.L * np.array([1.0, 2.0, -3.0])
+    ref = np.exp(1j * (k[0] * xg + k[1] * yg + k[2] * zg))
+    assert np.array_equal(plane_wave(spec, (1, 2, -3)).values, ref)

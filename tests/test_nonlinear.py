@@ -16,7 +16,6 @@ def test_params_validation():
         PhysParams(0.0, 1.0)
     with pytest.raises(ValueError):
         PhysParams(1.0, -0.5)
-    assert PhysParams(1.0, 0.0).free().alpha2 == 0.0
 
 
 def test_density_and_terms(gspec8, rng, kfull):

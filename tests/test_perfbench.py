@@ -39,6 +39,19 @@ def test_setup_probe_accepts_workload_arguments(name):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
+def test_setup_probe_parses_what_the_command_runs(name):
+    # setup_probe.py times parse_config without the command; the command's
+    # own rows only reject, so both must give the same config
+    from frnse.cli import build_parser
+    from frnse.config import parse_config
+
+    args = build_parser().parse_args(RUN.seeded_argv(RUN.WORKLOADS[name], 0))
+    text = (ROOT / args.config).read_text(encoding="utf-8")
+    overrides = tuple(args.overrides)
+    assert parse_config(text, overrides) == parse_config(text, overrides, args.command)
+
+
 def _traced_targets():
     """TARGETS of perfbench/traced.py, read without importing it."""
     tree = ast.parse((PERFBENCH / "traced.py").read_text(encoding="utf-8"))
