@@ -6,6 +6,9 @@ that is cleared only after the manifest lands, and filenames prefixed with
 the first 8 hex digits of the config hash. A command that raises still
 writes its manifest, with status "crashed" and the exception in "errors".
 
+The battery (experiments) and the SVG writer are imported by the commands
+that run them, so solve and picard load only the solver stack.
+
 Exit codes: 0 ok, 1 failed assertions, solver errors or a crash, 2 config
 problems.
 """
@@ -20,15 +23,13 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .config import (ConfigError, _fmt_value, build_initial, config_hash,
-                     parse_config, serialize_config)
+from .config import (ConfigError, build_initial, config_hash, parse_config,
+                     serialize_config)
 from .errors import DivergenceDetected, NonConvergence
-from .experiments import check_table, kernel_norm_study, run_jobs, verify_battery
-from .io import (clear_incomplete, mark_incomplete, read_csv, write_csv,
-                 write_field, write_manifest)
+from .io import (clear_incomplete, format_value, mark_incomplete, read_csv,
+                 write_csv, write_field, write_manifest)
 from .picard import contraction_report, picard_solve
 from .stepper import evolve
-from .svg import line_chart
 
 
 def _iso(dt):
@@ -195,6 +196,8 @@ def cmd_picard(ctx):
 
 
 def cmd_verify(ctx):
+    from .experiments import verify_battery  # loaded here, before its pool forks
+
     result = verify_battery(ctx.cfg)
     for name in sorted(result.tables):
         header, rows = result.tables[name]
@@ -217,6 +220,8 @@ def cmd_verify(ctx):
 
 
 def cmd_kernel_norms(ctx):
+    from .experiments import check_table, kernel_norm_study
+
     cfg = ctx.cfg
     e = cfg.experiment
     table, rows = kernel_norm_study(cfg.grid, e.a_list, p=e.p, trials=e.trials,
@@ -250,6 +255,8 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(ctx):
+    from .experiments import run_jobs
+
     cfg = ctx.cfg
     sw = cfg.sweep
     base_text = serialize_config(replace(cfg, sweep=None))
@@ -257,7 +264,7 @@ def cmd_sweep(ctx):
     combos = list(itertools.product(*[vals for _, vals in sw.axes]))
     tasks = [
         (i, base_text,
-         tuple(f"{k}={_fmt_value(v)}" for k, v in zip(keys, combo)),
+         tuple(f"{k}={format_value(v)}" for k, v in zip(keys, combo)),
          ctx.run_dir, sw.command)
         for i, combo in enumerate(combos)
     ]
@@ -313,6 +320,8 @@ def _execute(command, cfg, run_dir):
 
 
 def cmd_plot(paths, out_dir):
+    from .svg import line_chart
+
     code = 0
     for path in paths:
         try:

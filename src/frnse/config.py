@@ -14,9 +14,12 @@ Given a command, parse_config also holds the config to what the command
 needs: the CHECKS rows that serve it, its RUNS_ON section, and for solve and
 picard a readable initial file on the config's grid. Each issue cites its
 line, "override" for --set and --seed, or "config" where no line applies.
+dependence_datum, verify's continuous-dependence datum, lives here beside
+the row that holds experiment.deltas against it; the battery imports it
+from here, so parsing a config never loads the battery.
 
 serialize_config walks SECTION_ORDER and SCHEMA to produce a canonical form
-(fixed section and key order, repr floats) that re-parses to an equal
+(io.format_value, fixed section and key order) that re-parses to an equal
 config; config_hash is the SHA-256 of that canonical form minus the
 [output] section, so relocating output never changes the hash.
 """
@@ -24,11 +27,8 @@ config; config_hash is the SHA-256 of that canonical form minus the
 import hashlib
 from dataclasses import dataclass, make_dataclass, replace
 
-import numpy as np
-
-from .experiments import dependence_datum
 from .grid import GridSpec, h1_norm, l2_norm, plane_wave, scaled_gaussian, warn_if_cramped
-from .io import read_field
+from .io import format_value, read_field
 from .kernel import KernelSpec, default_radius
 from .nonlinear import PhysParams
 from .picard import PicardConfig
@@ -130,6 +130,12 @@ InitialSpec = make_dataclass("InitialSpec", list(SCHEMA["initial"]), frozen=True
                              namespace={"__module__": __name__})
 ExperimentSection = make_dataclass("ExperimentSection", list(SCHEMA["experiment"]),
                                    frozen=True, namespace={"__module__": __name__})
+
+
+def dependence_datum(L):
+    """The continuous-dependence datum of verify: a Gaussian of width 0.15
+    and H1 norm 0.5 on a 16^3 grid of box length L."""
+    return scaled_gaussian(GridSpec(16, L), 0.15, h1_target=0.5)
 
 
 def _decreasing(values):
@@ -403,18 +409,6 @@ def parse_config(text, overrides=(), command=None):
     return cfg
 
 
-def _fmt_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, tuple):
-        return ", ".join(_fmt_value(x) for x in v)
-    return str(v)
-
-
 def serialize_config(cfg, include_output=True):
     """Canonical text form; re-parses to an equal config."""
     parts = []
@@ -424,7 +418,7 @@ def serialize_config(cfg, include_output=True):
             continue
         if name == "sweep":
             pairs = [("command", section.command)]
-            pairs += [(key, "; ".join(_fmt_value(v) for v in values))
+            pairs += [(key, "; ".join(format_value(v) for v in values))
                       for key, values in section.axes]
         elif name == "output":
             pairs = [("dir", section)]
@@ -432,7 +426,7 @@ def serialize_config(cfg, include_output=True):
             pairs = [(key, getattr(section, key)) for key in SCHEMA[name]
                      if not (name == "kernel" and key == "a" and section.variant == "full")]
         parts.append(f"[{name}]")
-        parts += [f"{key} = {_fmt_value(value)}" for key, value in pairs if value is not None]
+        parts += [f"{key} = {format_value(value)}" for key, value in pairs if value is not None]
         parts.append("")
     return "\n".join(parts)
 

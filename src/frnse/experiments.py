@@ -29,6 +29,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from .config import dependence_datum
 from .grid import (
     Field,
     GridSpec,
@@ -112,9 +113,10 @@ def oracle_equivalence_rows(L=1.6, n=8, seed=0):
     return rows
 
 
-def gaussian_potential_row(L=1.6, n=32, sigma=0.12):
+def gaussian_potential_row(L=1.6, n=32):
     """Relative L2 error of the full kernel against the Newton potential of a
     centered Gaussian, (2 pi sigma^2)^{3/2} erf(r / (sqrt(2) sigma)) / r."""
+    sigma = 0.12
     gspec = GridSpec(n, L)
     r2 = min_image_r2(gspec)
     r = np.sqrt(r2)
@@ -127,7 +129,7 @@ def gaussian_potential_row(L=1.6, n=32, sigma=0.12):
                 f"n={n}, sigma={sigma}")
 
 
-def propagator_rows(gspec, alpha1, seed=0, sigma=0.12, gauss_times=(1e-3, 2e-3)):
+def propagator_rows(gspec, alpha1, seed=0):
     """Plane-wave phase, unitarity, group law, and the analytic Gaussian."""
     rows = []
     k0 = 2.0 * np.pi / gspec.L * np.array([1.0, 2.0, 0.0])
@@ -151,8 +153,9 @@ def propagator_rows(gspec, alpha1, seed=0, sigma=0.12, gauss_times=(1e-3, 2e-3))
     back = h1_norm(free_evolve(moved, -t, alpha1) - psi) / h1_norm(psi)
     rows.append(_row("propagator-inverse", "identity", back, 1e-12, back < 1e-12))
 
+    sigma = 0.12
     phi = warn_if_cramped(scaled_gaussian(gspec, sigma))
-    for tg in gauss_times:
+    for tg in (1e-3, 2e-3):
         ref = free_gaussian_exact(gspec, sigma, tg, alpha1)
         rel = l2_norm(free_evolve(phi, tg, alpha1) - ref) / l2_norm(ref)
         rows.append(
@@ -334,7 +337,7 @@ def norm_law_check(traj, params, kspec):
     return float(np.max(np.abs(res[1:-1])))
 
 
-def normalization_study(gspec, kspec, params, T=0.5, dt=2.5e-3, sigma=0.12, seed=0):
+def normalization_study(gspec, kspec, params, T=0.5, dt=2.5e-3, sigma=0.12):
     """Unit-norm conservation and sub-unit norm growth along stepper runs.
 
     Returns (rows, reports): the unit-L2 run must keep | ||psi||^2 - 1 |
@@ -637,12 +640,6 @@ class VerifyResult:
         return [r for r in self.rows if not r.passed]
 
 
-def dependence_datum(L):
-    """The continuous-dependence datum of verify_battery: a Gaussian of
-    width 0.15 and H1 norm 0.5 on a 16^3 grid of box length L."""
-    return scaled_gaussian(GridSpec(16, L), 0.15, h1_target=0.5)
-
-
 def _picard_config(cfg):
     """The contraction solve's config, which the other solver studies vary."""
     return PicardConfig(T=0.25, m=SCALES[cfg.experiment.scale]["picard_m"], kspec=cfg.kernel,
@@ -668,8 +665,7 @@ def _oracle_job(cfg):
     rows.append(gaussian_potential_row(L=L))
     yield "kernel-oracle", (rows, {})
     # propagator exactness needs spectral headroom; cheap at n=32
-    yield "propagator", (propagator_rows(GridSpec(32, L), cfg.params.alpha1, seed=seed,
-                                         sigma=0.12), {})
+    yield "propagator", (propagator_rows(GridSpec(32, L), cfg.params.alpha1, seed=seed), {})
 
 
 def _tail_job(cfg):
@@ -708,8 +704,7 @@ def _ladder_job(cfg, which):
 def _normalization_job(cfg):
     s = SCALES[cfg.experiment.scale]
     rows, reports = normalization_study(cfg.grid, cfg.kernel, cfg.params, T=0.5,
-                                        dt=s["norm_dt"], sigma=s["sigma"],
-                                        seed=cfg.experiment.seed)
+                                        dt=s["norm_dt"], sigma=s["sigma"])
     unit = reports["unit"]
     yield "normalization", (rows, {"diagnostics": (
         ("t", "l2", "h1", "G1", "balance_residual", "dt"),

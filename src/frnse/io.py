@@ -66,14 +66,22 @@ def read_field(path):
     return Field(GridSpec(n, L), values), t
 
 
-def _cell(value):
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+def format_value(value):
+    """The canonical text of a CSV cell or config value: true/false, str of
+    an int, repr of a float, a tuple's items joined by ", ", else str."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    text = str(value)
+    if isinstance(value, tuple):
+        return ", ".join(format_value(x) for x in value)
+    return str(value)
+
+
+def _cell(value):
+    text = format_value(value)
     if any(ch in text for ch in ',"\n'):
         return '"' + text.replace('"', '""') + '"'
     return text

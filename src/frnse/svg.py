@@ -13,6 +13,7 @@ PALETTE = (
     "#7f7f7f",
 )
 
+WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 44
 
 
@@ -41,13 +42,12 @@ def _fmt(v):
     return "%.6g" % v
 
 
-def line_chart(series, title="", xlabel="", ylabel="", width=720, height=480,
-               logx=False, logy=False):
-    """Render (name, xs, ys) series to an SVG string.
+def line_chart(series, title="", xlabel="", ylabel=""):
+    """Render (name, xs, ys) series to an SVG string on linear axes.
 
-    Log axes silently drop nonpositive points. Output is a pure function of
-    the inputs (fixed palette, fixed float formatting), so identical data
-    gives identical bytes.
+    Nonfinite points are dropped. Output is a pure function of the inputs
+    (fixed palette, fixed float formatting), so identical data gives
+    identical bytes.
     """
     cleaned = []
     for name, xs, ys in series:
@@ -55,21 +55,14 @@ def line_chart(series, title="", xlabel="", ylabel="", width=720, height=480,
             (float(x), float(y))
             for x, y in zip(xs, ys)
             if math.isfinite(float(x)) and math.isfinite(float(y))
-            and (not logx or x > 0) and (not logy or y > 0)
         ]
         if pts:
             cleaned.append((str(name), pts))
     if not cleaned:
         raise ValueError("nothing to plot")
 
-    def tx(v):
-        return math.log10(v) if logx else v
-
-    def ty(v):
-        return math.log10(v) if logy else v
-
-    xs_all = [tx(x) for _, pts in cleaned for x, _ in pts]
-    ys_all = [ty(y) for _, pts in cleaned for _, y in pts]
+    xs_all = [x for _, pts in cleaned for x, _ in pts]
+    ys_all = [y for _, pts in cleaned for _, y in pts]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -81,8 +74,8 @@ def line_chart(series, title="", xlabel="", ylabel="", width=720, height=480,
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - MARGIN_L - MARGIN_R
-    plot_h = height - MARGIN_T - MARGIN_B
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -92,13 +85,13 @@ def line_chart(series, title="", xlabel="", ylabel="", width=720, height=480,
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica,Arial,sans-serif">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="Helvetica,Arial,sans-serif">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     if title:
         out.append(
-            f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.2f}" y="22" text-anchor="middle" '
             f'font-size="15" fill="#222222">{_escape(title)}</text>'
         )
     out.append(
@@ -111,10 +104,9 @@ def line_chart(series, title="", xlabel="", ylabel="", width=720, height=480,
             f'<line x1="{x:.2f}" y1="{MARGIN_T + plot_h}" x2="{x:.2f}" '
             f'y2="{MARGIN_T + plot_h + 4}" stroke="#333333" stroke-width="1"/>'
         )
-        label = f"1e{v:g}" if logx else _fmt(v)
         out.append(
             f'<text x="{x:.2f}" y="{MARGIN_T + plot_h + 16}" text-anchor="middle" '
-            f'font-size="11" fill="#222222">{label}</text>'
+            f'font-size="11" fill="#222222">{_fmt(v)}</text>'
         )
     for v in _nice_ticks(y_lo, y_hi):
         y = py(v)
@@ -126,14 +118,13 @@ def line_chart(series, title="", xlabel="", ylabel="", width=720, height=480,
             f'<line x1="{MARGIN_L}" y1="{y:.2f}" x2="{MARGIN_L + plot_w}" y2="{y:.2f}" '
             f'stroke="#dddddd" stroke-width="0.5"/>'
         )
-        label = f"1e{v:g}" if logy else _fmt(v)
         out.append(
             f'<text x="{MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="11" fill="#222222">{label}</text>'
+            f'font-size="11" fill="#222222">{_fmt(v)}</text>'
         )
     if xlabel:
         out.append(
-            f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{height - 8}" '
+            f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 8}" '
             f'text-anchor="middle" font-size="12" fill="#222222">{_escape(xlabel)}</text>'
         )
     if ylabel:
@@ -144,7 +135,7 @@ def line_chart(series, title="", xlabel="", ylabel="", width=720, height=480,
         )
     for i, (name, pts) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
-        path = " ".join(f"{px(tx(x)):.2f},{py(ty(y)):.2f}" for x, y in pts)
+        path = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         out.append(
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
 
@@ -93,6 +95,21 @@ def test_solve_run_produces_artifacts(tmp_path):
     snaps = [n for n in names if ".field" in n]
     assert len(snaps) == man["summary"]["snapshots"]
     assert sorted(man["files"]) == man["files"]
+
+
+@pytest.mark.parametrize("command, text", [("solve", SOLVE), ("picard", PICARD)])
+def test_solvers_load_neither_battery_nor_pool(tmp_path, command, text):
+    # a fresh interpreter, so that no other test's imports are seen
+    cfg = _write(tmp_path, text)
+    script = ("import sys; from frnse.cli import main; code = main(sys.argv[1:]); "
+              "print(sorted(set(sys.modules) & {'frnse.experiments', 'frnse.svg', "
+              "'concurrent.futures', 'multiprocessing'})); sys.exit(code)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, "--config", cfg, "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -375,7 +392,7 @@ def test_crash_still_writes_manifest(tmp_path, monkeypatch, capsys):
     def boom(cfg):
         raise RuntimeError("battery exploded")
 
-    monkeypatch.setattr(cli, "verify_battery", boom)
+    monkeypatch.setattr(experiments, "verify_battery", boom)
     cfg = _write(tmp_path, VERIFY)
     out = tmp_path / "runs"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1

@@ -19,13 +19,6 @@ def test_markup_escaped():
     assert "<b>" not in out
 
 
-def test_logy_drops_nonpositive():
-    out = line_chart([("s", [1, 2, 3], [1.0, -1.0, 10.0])], logy=True)
-    assert out.startswith("<svg")
-    with pytest.raises(ValueError):
-        line_chart([("s", [1, 2], [-1.0, 0.0])], logy=True)
-
-
 def test_empty_series_raises():
     with pytest.raises(ValueError):
         line_chart([])
