@@ -54,7 +54,7 @@ from .nonlinear import PhysParams, big_g1, density, g1, potential_and_energy
 from .picard import PicardConfig, contraction_report, march_solve, picard_solve
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
-from .trajectory import dot_values, norm_law_residuals, sup_h1_distance
+from .trajectory import Trajectory, dot_values, norm_law_residuals, sup_h1_distance
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,7 @@ def norm_law_check(traj, params, kspec):
 
     Central-differences the node norms of the trajectory; needs >= 3 nodes.
     """
-    l2 = [l2_norm(f) for f in traj.fields]
-    g1v = [big_g1(f, kspec) for f in traj.fields]
+    l2, g1v = zip(*((l2_norm(f), big_g1(f, kspec)) for f in traj.fields))
     res = norm_law_residuals(traj.times, l2, g1v, params)
     return float(np.max(np.abs(res[1:-1])))
 
@@ -386,12 +385,12 @@ def truncation_convergence(phi, base, a_list):
     a_list = [float(a) for a in a_list]
     if any(a2 >= a1 for a1, a2 in zip(a_list, a_list[1:])):
         raise ValueError("a_list must be strictly decreasing")
-    full_traj, _ = march_solve(phi, base)
+    full = tuple(march_solve(phi, base)[0].fields)
     table = []
     for a in a_list:
         kspec = KernelSpec("inner", a=a)
         traj, _ = march_solve(phi, replace(base, kspec=kspec))
-        table.append((a, float(sup_h1_distance(traj.fields, full_traj.fields))))
+        table.append((a, float(sup_h1_distance(traj.fields, full))))
     errs = [e for _, e in table]
     monotone = all(e2 <= e1 * (1.0 + 1e-9) for e1, e2 in zip(errs, errs[1:]))
     rows = [
@@ -430,10 +429,11 @@ def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
     ana = contraction_report(base_report)
     direction = random_band_limited(phi.spec, np.random.default_rng([seed, 7]))
     direction = direction * (1.0 / h1_norm(direction))
+    base_fields = tuple(base_traj.fields)
     table = []
     for d in deltas:
         traj, _ = march_solve(phi + d * direction, cfg)
-        table.append((d, float(sup_h1_distance(traj.fields, base_traj.fields) / d)))
+        table.append((d, float(sup_h1_distance(traj.fields, base_fields) / d)))
     ratios = [r for _, r in table]
     bound = float(np.exp(ana.C_fit * cfg.T) * 1.25)
     rows = [
@@ -679,17 +679,20 @@ def _contraction_job(cfg):
     phi = scaled_gaussian(cfg.grid, s["sigma"], h1_target=0.5)
     pcfg = _picard_config(cfg)
     traj, report = picard_solve(phi, pcfg)
+    # on a 16^3 grid at quick scale the dependence problem is the
+    # contraction problem: its solve is reused, not repeated, and its node
+    # fields, read by both sections, are built once
+    dep_cfg = replace(pcfg, m=s["dep_m"])
+    phi_dep = dependence_datum(cfg.grid.L)
+    same = dep_cfg == pcfg and np.array_equal(phi_dep.values, phi.values)
+    if same:
+        traj = Trajectory(traj.times, tuple(traj.fields))
     rows, _ = contraction_rows(report)
     rows.append(_info("picard-fixed-point-balance", norm_law_check(traj, cfg.params, cfg.kernel),
                       "balance defect finite-differenced on the fixed point's nodes"))
     yield "contraction", (rows, {"picard": (
         ("iteration", "increment", "residual"),
         [(k, d, report.residual) for k, d in enumerate(report.increments)])})
-    # on a 16^3 grid at quick scale the dependence problem is the
-    # contraction problem: its solve is reused, not repeated
-    dep_cfg = replace(pcfg, m=s["dep_m"])
-    phi_dep = dependence_datum(cfg.grid.L)
-    same = dep_cfg == pcfg and np.array_equal(phi_dep.values, phi.values)
     table, rows = continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
                                         base=(traj, report) if same else None)
     yield "dependence", (rows, {"dependence": (("delta", "ratio"), table)})

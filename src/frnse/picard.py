@@ -17,7 +17,10 @@ U_j -> phi_hat + integral_0^{t_j} e^{-i a1 s Lap} N(psi(s)) ds and the free
 trajectory is phi_hat at every node. A map costs each node two transforms
 (to psi_j and back) and one phase, regardless of m. The propagator is
 unitary, so both sup-node H^1 distances are Parseval sums on coefficients
-in hand; a Trajectory is built once, when the solve returns.
+in hand. A solve holds its m+1 node coefficients, which each map replaces
+in place as it streams over the nodes, and a window of at most four
+integrands and three prefixes: (m+1)+7 complex n^3 arrays. The Trajectory
+it returns keeps the coefficients and builds a node's Field when it is read.
 
 Two solvers reach the fixed point of the same discrete system. The
 Weissinger (Picard, Jacobi) iteration of picard_solve is the one the paper's
@@ -42,11 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, NonConvergence
-from .grid import from_spectral, spectral_h1_norm, to_spectral
+from .grid import spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
 from .nonlinear import PhysParams, spectral_nonlinear_part
 from .propagate import free_phase
-from .trajectory import Trajectory
+from .trajectory import NodeFields, Trajectory
 
 QUAD_RULES = ("trapezoid", "simpson")
 
@@ -103,39 +106,45 @@ def _node_integral(P, W, j, dt, quad):
     return P[j - 1] + (dt / 24.0) * (9.0 * W[j] + 19.0 * W[j - 1] - 5.0 * W[j - 2] + W[j - 3])
 
 
-def _prefix_integrals(W, dt, quad):
-    """Running integrals P_j = integral_0^{t_j} W ds at every node."""
-    P = [np.zeros_like(W[0])]
-    for j in range(1, len(W)):
-        P.append(_node_integral(P, W, j, dt, quad))
-    return P
-
-
 def _integrand(spec, t, u, cfg):
     """Interaction-picture integrand e^{-i a1 t Lap} N(psi(t)) at one node."""
     e = free_phase(spec, t, cfg.params.alpha1)
     return spectral_nonlinear_part(spec, u * e, cfg.params, cfg.kspec) * e.conj()
 
 
-def duhamel_map(spec, coeffs, phi_hat, cfg):
-    """One application of the Duhamel map in the interaction picture.
+def _images(spec, coeffs, phi_hat, cfg):
+    """Yield (j, image of U_j) in node order. Node j's integrand is taken
+    from coeffs[j] when node j is reached (Simpson's node 1 also takes node
+    2's), so the caller may replace coeffs[j] once its image is yielded."""
+    dt = cfg.T / cfg.m
+    P, W = {0: np.zeros_like(phi_hat)}, {}
+    for j in range(cfg.m + 1):
+        for i in (j, 2) if j == 1 and cfg.quad == "simpson" else (j,):
+            if i not in W:
+                W[i] = _integrand(spec, cfg.times[i], coeffs[i], cfg)
+        if j:
+            P[j] = _node_integral(P, W, j, dt, cfg.quad)
+        P.pop(j - 2, None)
+        W.pop(j - 3, None)
+        yield j, P[j] + phi_hat
 
-    coeffs holds the m+1 node coefficients U_j and phi_hat the coefficients
-    of the initial datum; returns the m+1 coefficients of the image. Node 0
-    of the image is phi_hat plus a zero integral.
-    """
+
+def duhamel_map(spec, coeffs, phi_hat, cfg):
+    """One Jacobi step of the Duhamel map in the interaction picture, in
+    place on the list coeffs of the m+1 node coefficients U_j (phi_hat: the
+    datum's). Each U_j is replaced by its image, node 0's phi_hat plus a zero
+    integral, once the image is measured. Returns (increment, excursion), the
+    sup-node H^1 distances of the image from the old nodes and from phi_hat."""
     if len(coeffs) != cfg.m + 1:
         raise ValueError("node count does not match the configuration")
-    W = [_integrand(spec, t, u, cfg) for t, u in zip(cfg.times, coeffs)]
-    P = _prefix_integrals(W, cfg.T / cfg.m, cfg.quad)
-    for p in P:
-        p += phi_hat
-    return P
-
-
-def _sup_h1_distance(spec, coeffs_a, coeffs_b):
-    """Sup-node H^1 distance of two coefficient lists, by Parseval."""
-    return max(spectral_h1_norm(spec, a - b) for a, b in zip(coeffs_a, coeffs_b))
+    delta = excursion = 0.0
+    for j, new in _images(spec, coeffs, phi_hat, cfg):
+        if not np.isfinite(new).all():
+            raise DivergenceDetected("non-finite field during fixed-point iteration")
+        delta = max(delta, spectral_h1_norm(spec, new - coeffs[j]))
+        excursion = max(excursion, spectral_h1_norm(spec, new - phi_hat))
+        coeffs[j] = new
+    return delta, excursion
 
 
 @dataclass(frozen=True)
@@ -194,10 +203,7 @@ def _finish(phi, cfg, coeffs, increments, residual, iterations, phi_h1, excursio
             f"{cfg.max_iter} {what}; horizon T={cfg.T} too large for contraction?",
             report=report,
         )
-    spec, a1 = phi.spec, cfg.params.alpha1
-    fields = [phi] + [from_spectral(spec, u * free_phase(spec, t, a1))
-                      for t, u in zip(cfg.times[1:], coeffs[1:])]
-    return Trajectory(cfg.times, fields), report
+    return Trajectory(cfg.times, NodeFields(phi, cfg.times, coeffs, cfg.params.alpha1)), report
 
 
 def picard_solve(phi, cfg):
@@ -219,16 +225,13 @@ def picard_solve(phi, cfg):
         # overflow on a diverging iterate (in the map or in the H^1 norms of
         # a huge but finite one) is expected and reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            new = duhamel_map(spec, cur, phi_hat, cfg)
-            if not all(np.isfinite(u).all() for u in new):
-                raise DivergenceDetected("non-finite field during fixed-point iteration")
-            delta = _sup_h1_distance(spec, new, cur)
-            excursion = max(excursion, _sup_h1_distance(spec, new, [phi_hat] * len(new)))
+            delta, reach = duhamel_map(spec, cur, phi_hat, cfg)
+        excursion = max(excursion, reach)
         increments.append(float(delta))
-        cur = new
         if delta < cfg.tol:
             break
-    residual = (_sup_h1_distance(spec, duhamel_map(spec, cur, phi_hat, cfg), cur)
+    residual = (max(spectral_h1_norm(spec, new - cur[j])
+                    for j, new in _images(spec, cur, phi_hat, cfg))
                 if increments[-1] < cfg.tol else increments[-1])
     return _finish(phi, cfg, cur, increments, residual, len(increments), phi_h1,
                    excursion, "iterations")

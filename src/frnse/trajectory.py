@@ -1,10 +1,34 @@
 """Time-sampled solutions: node fields, node distances, norm-law residuals."""
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import h1_norm
+from .grid import from_spectral, h1_norm
+from .propagate import free_phase
+
+
+class NodeFields(Sequence):
+    """A Duhamel solve's node Fields, read from its interaction-picture
+    coefficients U_j: node j is from_spectral(U_j e^{-i a1 t_j |k|^2}), built
+    each time it is read, node 0 the datum phi itself. Slices are views."""
+
+    def __init__(self, phi, times, coeffs, alpha1, nodes=None):
+        self._args = (phi, times, coeffs, alpha1)
+        self._nodes = range(len(coeffs)) if nodes is None else nodes
+
+    def __len__(self):
+        return len(self._nodes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return NodeFields(*self._args, self._nodes[i])
+        phi, times, coeffs, alpha1 = self._args
+        j = self._nodes[i]
+        if j == 0:
+            return phi
+        return from_spectral(phi.spec, coeffs[j] * free_phase(phi.spec, times[j], alpha1))
 
 
 @dataclass(frozen=True)
@@ -12,24 +36,24 @@ class Trajectory:
     """A solution sampled at increasing times t_0 < ... < t_m.
 
     All fields share one grid. Node times need not be uniform (the adaptive
-    stepper produces nonuniform snapshots); the fixed-point solver always
-    builds uniform ones.
+    stepper produces nonuniform snapshots); the fixed-point solvers always
+    build uniform ones, and keep their node coefficients as NodeFields.
     """
 
     times: tuple
-    fields: tuple
+    fields: Sequence
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
-        fields = tuple(self.fields)
+        fields = self.fields
+        if not isinstance(fields, NodeFields):  # on phi's grid; reading them would build them
+            fields = tuple(fields)
+            if any(f.spec != fields[0].spec for f in fields):
+                raise ValueError("trajectory fields live on different grids")
         if len(times) != len(fields):
             raise ValueError("times and fields length mismatch")
         if not fields:
             raise ValueError("trajectory needs at least one node")
-        spec = fields[0].spec
-        for f in fields:
-            if f.spec != spec:
-                raise ValueError("trajectory fields live on different grids")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)

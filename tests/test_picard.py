@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ import warnings
 from frnse import nonlinear
 from frnse.errors import DivergenceDetected, NonConvergence
 from frnse.grid import (GridSpec, from_spectral, h1_norm, random_band_limited,
-                        scaled_gaussian, to_spectral)
+                        scaled_gaussian, spectral_h1_norm, to_spectral)
+from frnse.kernel import _workspace, kernel_multiplier
 from frnse.nonlinear import PhysParams
-from frnse.picard import (PicardConfig, _prefix_integrals, contraction_report,
+from frnse.picard import (PicardConfig, _integrand, _node_integral, contraction_report,
                           duhamel_map, march_solve, picard_solve)
 from frnse.propagate import free_evolve, free_phase
 from frnse.trajectory import sup_h1_distance
@@ -19,6 +21,14 @@ from frnse.trajectory import sup_h1_distance
 def _samples(f, m, T):
     t = np.linspace(0.0, T, m + 1)
     return [np.array([f(x)]) for x in t], t
+
+
+def _prefix_integrals(W, dt, quad):
+    # every node's running integral P_j by _node_integral, P_0 = 0
+    P = [np.zeros_like(W[0])]
+    for j in range(1, len(W)):
+        P.append(_node_integral(P, W, j, dt, quad))
+    return P
 
 
 def test_config_validation(kfull):
@@ -80,13 +90,19 @@ def test_simpson_fourth_order_convergence():
 
 def test_duhamel_free_case(gspec8, rng, kfull):
     # with alpha2 = 0 the integrand vanishes: whatever the input, the image
-    # is phi_hat at every node, i.e. the free trajectory of phi
+    # is phi_hat at every node, i.e. the free trajectory of phi, and the
+    # map reports its distances from the input and from phi_hat
     phi = random_band_limited(gspec8, rng)
     cfg = PicardConfig(T=0.4, m=4, kspec=kfull, params=PhysParams(1.0, 0.0))
     phi_hat = to_spectral(phi)
     start = [to_spectral(random_band_limited(gspec8, rng)) for _ in cfg.times]
-    for u in duhamel_map(gspec8, start, phi_hat, cfg):
+    old = [u.copy() for u in start]
+    delta, excursion = duhamel_map(gspec8, start, phi_hat, cfg)
+    assert len(start) == cfg.m + 1
+    for u in start:
         assert np.array_equal(u, phi_hat)
+    assert delta == max(spectral_h1_norm(gspec8, phi_hat - u) for u in old)
+    assert excursion == 0.0
     traj, _ = march_solve(phi, cfg)
     for t, f in zip(traj.times, traj.fields):
         ref = free_evolve(phi, float(t), 1.0)
@@ -98,9 +114,11 @@ def test_duhamel_node_zero_is_phi(gspec8, rng, kfull):
     phi = phi * (0.3 / h1_norm(phi))  # inside the contraction regime
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
     phi_hat = to_spectral(phi)
-    out = duhamel_map(gspec8, [phi_hat] * (cfg.m + 1), phi_hat, cfg)
-    assert len(out) == cfg.m + 1
-    assert np.array_equal(out[0], phi_hat)
+    nodes = [phi_hat] * (cfg.m + 1)
+    duhamel_map(gspec8, nodes, phi_hat, cfg)
+    assert len(nodes) == cfg.m + 1
+    assert np.array_equal(nodes[0], phi_hat)
+    assert not np.array_equal(nodes[1], phi_hat)
     traj, _ = picard_solve(phi, cfg)
     assert traj.fields[0] is phi
     assert np.allclose(traj.times, cfg.times)
@@ -110,8 +128,31 @@ def test_duhamel_validates_nodes(gspec8, rng, kfull):
     phi = random_band_limited(gspec8, rng)
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
     phi_hat = to_spectral(phi)
+    nodes = [phi_hat, phi_hat]
     with pytest.raises(ValueError):
-        duhamel_map(gspec8, [phi_hat, phi_hat], phi_hat, cfg)
+        duhamel_map(gspec8, nodes, phi_hat, cfg)
+    assert nodes[0] is phi_hat and nodes[1] is phi_hat  # left untouched
+
+
+@pytest.mark.parametrize("quad, m", [("trapezoid", 4), ("simpson", 4), ("simpson", 6)])
+def test_duhamel_map_in_place_is_bitwise_jacobi(gspec8, kfull, quad, m):
+    # the streaming map replaces U_j in place, yet every integrand must be
+    # taken at the old nodes (Simpson's node 1 reads W_2 before U_1 moves):
+    # the image equals the map built from all old integrands, bit for bit
+    rng = np.random.default_rng([m, len(quad)])
+    phi = random_band_limited(gspec8, rng)
+    phi = phi * (0.3 / h1_norm(phi))
+    cfg = PicardConfig(T=0.2, m=m, kspec=kfull, params=PhysParams(1.0, 1.0), quad=quad)
+    phi_hat = to_spectral(phi)
+    old = [to_spectral(random_band_limited(gspec8, rng) * 0.3) for _ in cfg.times]
+    W = [_integrand(gspec8, t, u, cfg) for t, u in zip(cfg.times, old)]
+    ref = [p + phi_hat for p in _prefix_integrals(W, cfg.T / m, quad)]
+    nodes = list(old)
+    delta, excursion = duhamel_map(gspec8, nodes, phi_hat, cfg)
+    for got, want in zip(nodes, ref):
+        assert np.array_equal(got, want)
+    assert delta == max(spectral_h1_norm(gspec8, r - u) for r, u in zip(ref, old))
+    assert excursion == max(spectral_h1_norm(gspec8, r - phi_hat) for r in ref)
 
 
 def test_picard_converges_small_data(gspec16, kfull):
@@ -130,17 +171,42 @@ def test_picard_converges_small_data(gspec16, kfull):
 
 
 def test_picard_transform_counts(gspec8, kfull, count_transforms):
-    # each map sends every node through one inverse and one forward n^3
-    # transform; phi is transformed once and nodes 1..m once more on return
+    # each map, and the residual pass, sends every node through one inverse
+    # and one forward n^3 transform; phi is transformed once, and the
+    # returned trajectory transforms a node back only when it is read
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
     cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="trapezoid", tol=1e-12, max_iter=40)
     calls = count_transforms()
-    _, report = picard_solve(phi, cfg)
+    traj, report = picard_solve(phi, cfg)
     maps, nodes = report.iterations + 1, cfg.m + 1
-    assert calls == {"fftn": 1 + maps * nodes, "ifftn": maps * nodes + cfg.m}
+    assert calls == {"fftn": 1 + maps * nodes, "ifftn": maps * nodes}
+    traj.final()
+    assert calls == {"fftn": 1 + maps * nodes, "ifftn": maps * nodes + 1}
+
+
+def test_picard_memory_holds_one_node_list(gspec16, kfull):
+    # the solve holds its m+1 nodes, the map's window of integrands and
+    # prefixes, one integrand's temporaries and, if this process has not
+    # built them yet, the cached multiplier and kernel workspace; three node
+    # lists (iterate, integrands, prefixes) would need 3(m+1) arrays
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec16, 0.15, h1_target=0.5)
+    cfg = PicardConfig(T=0.25, m=32, kspec=kfull, params=PhysParams(1.0, 1.0),
+                       quad="simpson", tol=1e-12)
+    tracemalloc.start()
+    try:
+        _, report = picard_solve(phi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node = 16 * gspec16.n**3
+    cached = kernel_multiplier(gspec16, kfull).nbytes + _workspace(gspec16.n).nbytes
+    assert report.converged
+    assert peak < (cfg.m + 1 + 24) * node + cached
 
 
 def test_nonconvergence_carries_report(gspec8, kfull):

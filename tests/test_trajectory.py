@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from frnse.grid import GridSpec, random_band_limited, zero_field
+from frnse.grid import GridSpec, from_spectral, random_band_limited, to_spectral, zero_field
 from frnse.nonlinear import PhysParams
-from frnse.trajectory import (Trajectory, dot_values, norm_law_residuals,
+from frnse.propagate import free_phase
+from frnse.trajectory import (NodeFields, Trajectory, dot_values, norm_law_residuals,
                               sup_h1_distance)
 
 
@@ -19,6 +20,25 @@ def test_trajectory_validation(gspec8, rng):
     traj = Trajectory([0.0, 0.5, 1.0], [f, f, f])
     assert len(traj) == 3
     assert traj.final() is traj.fields[-1]
+
+
+def test_node_fields_built_when_read(gspec8, rng):
+    # a Duhamel trajectory keeps coefficients: node j reads as the Field of
+    # U_j e^{-i a1 t_j |k|^2}, bit for bit, node 0 as phi itself; a slice
+    # is a view that builds nothing until read
+    phi = random_band_limited(gspec8, rng)
+    times = np.linspace(0.0, 0.3, 4)
+    coeffs = [to_spectral(phi)] + [to_spectral(random_band_limited(gspec8, rng))
+                                   for _ in times[1:]]
+    traj = Trajectory(times, NodeFields(phi, times, coeffs, 0.7))
+    assert len(traj) == 4 and traj.fields[0] is phi and traj.spec == gspec8
+    for j in range(1, 4):
+        want = from_spectral(gspec8, coeffs[j] * free_phase(gspec8, times[j], 0.7))
+        assert np.array_equal(traj.fields[j].values, want.values)
+    assert np.array_equal(traj.final().values, traj.fields[3].values)
+    evens = traj.fields[::2]
+    assert isinstance(evens, NodeFields) and len(evens) == 2 and evens[0] is phi
+    assert np.array_equal(evens[-1].values, traj.fields[2].values)
 
 
 def test_sup_h1_distance(gspec8, rng):
