@@ -54,7 +54,7 @@ from .nonlinear import PhysParams, big_g1, density, g1, potential_and_energy
 from .picard import PicardConfig, contraction_report, march_solve, picard_solve
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
-from .trajectory import Trajectory, dot_values, norm_law_residuals, sup_h1_distance
+from .trajectory import dot_values, norm_law_residuals, sup_h1_distance
 
 
 @dataclass(frozen=True)
@@ -244,20 +244,22 @@ def _order_and_budget(diffs):
 def quadrature_order_study(phi, cfg, ms=(32, 64, 128)):
     """Self-convergence of the fixed-point solution under node doubling.
 
-    Solves at each m by a cold march_solve, measures sup-node H1 differences
-    on common nodes, and returns (order, budget, solutions): the observed
-    order, plus a Richardson error budget for the finest solve (factor-2
-    safety).
+    Solves at each m by a cold march_solve, measures the sup-node H1
+    difference from the previous rung on common nodes as soon as a rung is
+    solved, and keeps only the latest rung. Returns (order, budget, finest):
+    the observed order, a Richardson error budget for the finest solve
+    (factor-2 safety) and that solve's trajectory.
     """
     if len(ms) < 3 or any(m2 != 2 * m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("ms must be at least 3 doubling node counts")
-    sols = {}
+    diffs, coarse = [], None
     for m in ms:
-        sols[m], _ = march_solve(phi, replace(cfg, m=m))
-    diffs = [sup_h1_distance(sols[m1].fields, sols[m2].fields[::2])
-             for m1, m2 in zip(ms, ms[1:])]
+        fine, _ = march_solve(phi, replace(cfg, m=m))
+        if coarse is not None:
+            diffs.append(sup_h1_distance(coarse.fields, fine.fields[::2]))
+        coarse = fine
     order, budget = _order_and_budget(diffs)
-    return order, budget, sols
+    return order, budget, fine
 
 
 def stepper_order_study(phi, cfg, steps=(64, 128, 256)):
@@ -289,8 +291,8 @@ def cross_method_ladder(which, phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)
                           params=pcfg.params, snapshot_every=10**9)
         order, budget, finals = stepper_order_study(phi, scfg, steps)
         return which, order, budget, finals[steps[-1]]
-    order, budget, sols = quadrature_order_study(phi, replace(pcfg, quad=which), ms)
-    return which, order, budget, sols[ms[-1]].final()
+    order, budget, finest = quadrature_order_study(phi, replace(pcfg, quad=which), ms)
+    return which, order, budget, finest.final()
 
 
 def cross_method_check(ladders):
@@ -385,12 +387,12 @@ def truncation_convergence(phi, base, a_list):
     a_list = [float(a) for a in a_list]
     if any(a2 >= a1 for a1, a2 in zip(a_list, a_list[1:])):
         raise ValueError("a_list must be strictly decreasing")
-    full = tuple(march_solve(phi, base)[0].fields)
+    full = march_solve(phi, base)[0].fields
     table = []
     for a in a_list:
         kspec = KernelSpec("inner", a=a)
         traj, _ = march_solve(phi, replace(base, kspec=kspec))
-        table.append((a, float(sup_h1_distance(traj.fields, full))))
+        table.append((a, sup_h1_distance(traj.fields, full)))
     errs = [e for _, e in table]
     monotone = all(e2 <= e1 * (1.0 + 1e-9) for e1, e2 in zip(errs, errs[1:]))
     rows = [
@@ -429,11 +431,10 @@ def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
     ana = contraction_report(base_report)
     direction = random_band_limited(phi.spec, np.random.default_rng([seed, 7]))
     direction = direction * (1.0 / h1_norm(direction))
-    base_fields = tuple(base_traj.fields)
     table = []
     for d in deltas:
         traj, _ = march_solve(phi + d * direction, cfg)
-        table.append((d, float(sup_h1_distance(traj.fields, base_fields) / d)))
+        table.append((d, sup_h1_distance(traj.fields, base_traj.fields) / d))
     ratios = [r for _, r in table]
     bound = float(np.exp(ana.C_fit * cfg.T) * 1.25)
     rows = [
@@ -680,13 +681,11 @@ def _contraction_job(cfg):
     pcfg = _picard_config(cfg)
     traj, report = picard_solve(phi, pcfg)
     # on a 16^3 grid at quick scale the dependence problem is the
-    # contraction problem: its solve is reused, not repeated, and its node
-    # fields, read by both sections, are built once
+    # contraction problem: its solve is reused, not repeated, and the
+    # dependence distances read its node coefficients, not its fields
     dep_cfg = replace(pcfg, m=s["dep_m"])
     phi_dep = dependence_datum(cfg.grid.L)
     same = dep_cfg == pcfg and np.array_equal(phi_dep.values, phi.values)
-    if same:
-        traj = Trajectory(traj.times, tuple(traj.fields))
     rows, _ = contraction_rows(report)
     rows.append(_info("picard-fixed-point-balance", norm_law_check(traj, cfg.params, cfg.kernel),
                       "balance defect finite-differenced on the fixed point's nodes"))

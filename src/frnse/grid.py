@@ -114,10 +114,6 @@ class Field:
     __rmul__ = __mul__
 
 
-def zero_field(spec):
-    return Field(spec, np.zeros((spec.n,) * 3, dtype=np.complex128))
-
-
 def to_spectral(f):
     """Forward transform; returns coefficients F with f(x) = sum F(k) e^{ik.x}."""
     return np.fft.fftn(f.values, norm="forward")
@@ -150,18 +146,6 @@ def lp_norm(f, p):
     if p < 1:
         raise ValueError(f"Lp norm requires p >= 1, got {p}")
     return float((f.spec.h**3 * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def inner(f, g):
-    """L2 inner product <f, g> = h^3 sum conj(f) g (conjugate-linear in f)."""
-    f._check(g)
-    return complex(f.spec.h**3 * np.sum(np.conj(f.values) * g.values))
-
-
-def laplacian(f):
-    """Spectral Laplacian."""
-    g = make_grid(f.spec)
-    return from_spectral(f.spec, to_spectral(f) * (-g.ksq))
 
 
 def random_band_limited(spec, rng, band_fraction=2.0 / 3.0):

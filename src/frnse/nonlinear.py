@@ -1,4 +1,4 @@
-"""Nonlocal nonlinearities and the full semilinear right-hand side.
+"""Nonlocal nonlinearities: the nonlinear part of the semilinear equation.
 
 The evolution solved throughout is
 
@@ -6,9 +6,10 @@ The evolution solved throughout is
 
 with the self-interaction term g1(psi) = psi * K(|psi|^2), the interaction
 energy G1(psi) = integral |psi|^2 K(|psi|^2), and the normalization/friction
-term g2(psi) = G1(psi) * psi.  Swapping the full kernel for an
-inner-truncated one turns g1 into its regularized version with the
-singularity removed.
+term g2(psi) = G1(psi) * psi.  This module forms alpha2*(g1 - g2)
+(nonlinear_part); the solvers apply the Laplacian term in spectral space.
+Swapping the full kernel for an inner-truncated one turns g1 into its
+regularized version with the singularity removed.
 
 Exact homogeneities (used heavily by the test batteries): g1 has degree 3
 (g1(c*psi) = c|c|^2 g1(psi)), G1 degree 4, g2 degree 5 — so the Lipschitz
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, from_spectral, laplacian, to_spectral
+from .grid import Field, from_spectral, to_spectral
 from .kernel import apply_kernel
 
 
@@ -91,11 +92,6 @@ def big_g1(psi, kspec):
     return potential_and_energy(psi, kspec)[1]
 
 
-def g2(psi, kspec):
-    """Normalization term G1(psi) * psi, so ||g2(psi)|| = G1(psi) ||psi||."""
-    return big_g1(psi, kspec) * psi
-
-
 def _nonlinear_and_g1(psi, params, kspec):
     """nonlinear_part(psi) and G1(psi) from one kernel application, which is
     made even when alpha2 = 0. Forms alpha2*(V - G1)*psi with one real factor."""
@@ -120,18 +116,3 @@ def spectral_nonlinear_part(spec, coeffs, params, kspec):
     coefficients are coeffs: the one trip through physical space that the
     Duhamel integrand and the stepper stages make."""
     return to_spectral(nonlinear_part(from_spectral(spec, coeffs), params, kspec))
-
-
-def rhs(psi, params, kspec):
-    """Full right-hand side i*alpha1*Lap(psi) + alpha2*g1 - alpha2*g2.
-
-    Satisfies the balance identity Re<psi, rhs(psi)> =
-    alpha2 * G1(psi) * (1 - ||psi||_L2^2) for the full kernel: the Laplacian
-    contribution is purely imaginary, g1 contributes +alpha2*G1, and g2
-    contributes -alpha2*G1*||psi||^2.
-    """
-    lap = laplacian(psi)
-    out = 1j * params.alpha1 * lap.values
-    if params.alpha2 != 0.0:
-        out = out + nonlinear_part(psi, params, kspec).values
-    return Field(psi.spec, out)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import from_spectral, h1_norm
+from .grid import from_spectral, spectral_h1_norm
 from .propagate import free_phase
 
 
@@ -70,11 +70,22 @@ class Trajectory:
         return self.fields[-1]
 
 
-def sup_h1_distance(fields_a, fields_b):
-    """max over nodes of ||a_j - b_j||_H1 (the discretized X-norm distance)."""
-    if len(fields_a) != len(fields_b):
+def sup_h1_distance(a, b):
+    """max over nodes of ||a_j - b_j||_H1 (the discretized X-norm distance)
+    between two NodeFields, as the Parseval sum on U^a_j - U^b_j: both nodes
+    carry the same unimodular free phase, which cancels, so no Field is built
+    and nothing is transformed. Node 0's coefficients are phi_hat."""
+    (phi_a, times_a, coeffs_a, alpha_a), (phi_b, times_b, coeffs_b, alpha_b) = a._args, b._args
+    if len(a) != len(b):
         raise ValueError("node count mismatch")
-    return max(h1_norm(a - b) for a, b in zip(fields_a, fields_b))
+    if phi_a.spec != phi_b.spec:
+        raise ValueError("grid mismatch")
+    if not np.array_equal([times_a[j] for j in a._nodes], [times_b[j] for j in b._nodes]):
+        raise ValueError("node times differ")
+    if alpha_a != alpha_b:
+        raise ValueError("alpha1 differs")
+    return max(spectral_h1_norm(phi_a.spec, coeffs_a[i] - coeffs_b[j])
+               for i, j in zip(a._nodes, b._nodes))
 
 
 def dot_values(times, values):

@@ -8,12 +8,13 @@ import sys
 import warnings
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from frnse import cli, experiments
 from frnse.cli import build_parser, main
 from frnse.config import parse_config
-from frnse.grid import GridSpec, zero_field
+from frnse.grid import Field, GridSpec
 from frnse.io import write_field
 
 BASE = """
@@ -165,12 +166,16 @@ def _file_initial(tmp_path, command, payload):
     return text + (PICARD if command == "picard" else SOLVE)[len(BASE):]
 
 
+def _zero_field(n):
+    return Field(GridSpec(n, 1.6), np.zeros((n, n, n), complex))
+
+
 def _same_grid(path):
-    write_field(str(path), zero_field(GridSpec(8, 1.6)))
+    write_field(str(path), _zero_field(8))
 
 
 def _other_grid(path):
-    write_field(str(path), zero_field(GridSpec(16, 1.6)))
+    write_field(str(path), _zero_field(16))
 
 
 def _truncated(path):

@@ -4,10 +4,9 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 from frnse.grid import (Field, GridSpec, boundary_decay, from_spectral,
-                        gaussian_field, h1_norm, inner, l2_norm, laplacian,
-                        lp_norm, make_grid, plane_wave, random_band_limited,
-                        scaled_gaussian, to_spectral, warn_if_cramped,
-                        zero_field)
+                        gaussian_field, h1_norm, l2_norm, lp_norm, make_grid,
+                        plane_wave, random_band_limited, scaled_gaussian,
+                        to_spectral, warn_if_cramped)
 
 
 def test_spec_validation():
@@ -55,7 +54,7 @@ def test_field_keeps_float64_and_makes_the_rest_complex128(gspec8, rng):
         assert Field(gspec8, values).values.dtype == np.complex128
     # arithmetic keeps a real field real and mixes up to complex
     assert (f + f).values.dtype == np.float64 and (2.0 * f).values.dtype == np.float64
-    assert (f + zero_field(gspec8)).values.dtype == np.complex128
+    assert (f + Field(gspec8, np.zeros((8, 8, 8), complex))).values.dtype == np.complex128
 
 
 def test_spectral_round_trip(gspec16, rng):
@@ -74,7 +73,8 @@ def test_plane_wave_norms(gspec16):
     ksq = float(k @ k)
     assert l2_norm(pw) == pytest.approx(np.sqrt(V), rel=1e-12)
     assert h1_norm(pw) == pytest.approx(np.sqrt(V * (1.0 + ksq)), rel=1e-12)
-    lap = laplacian(pw)
+    # the spectral Laplacian multiplies each coefficient by -|k|^2
+    lap = from_spectral(gspec16, -g.ksq * to_spectral(pw))
     assert np.max(np.abs(lap.values + ksq * pw.values)) < 1e-9
 
 
@@ -106,16 +106,6 @@ def test_norm_scaling(re, im):
     c = complex(re, im)
     for nrm in (l2_norm, h1_norm, lambda x: lp_norm(x, 3.0)):
         assert nrm(c * f) == pytest.approx(abs(c) * nrm(f), rel=1e-10, abs=1e-12)
-
-
-def test_inner_product(gspec8, rng):
-    f = random_band_limited(gspec8, rng)
-    g = random_band_limited(gspec8, rng)
-    ip = inner(f, g)
-    assert inner(g, f) == pytest.approx(np.conj(ip), rel=1e-12)
-    assert inner(f, f).real == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
-    # conjugate-linear in the first slot
-    assert inner(1j * f, g) == pytest.approx(-1j * ip, rel=1e-12)
 
 
 def test_band_limited_band(gspec16, rng):
@@ -162,12 +152,6 @@ def test_warn_if_cramped_only_when_called():
         f = scaled_gaussian(spec, 0.3, l2_target=1.0)
     with pytest.warns(UserWarning, match="box boundary"):
         assert warn_if_cramped(f) is f
-
-
-def test_zero_field(gspec8):
-    z = zero_field(gspec8)
-    assert l2_norm(z) == 0.0
-    assert not z.values.any()
 
 
 def test_min_image_center(gspec32):

@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frnse.experiments import lipschitz_battery
-from frnse.grid import (GridSpec, inner, l2_norm, laplacian,
-                        random_band_limited)
+from frnse.grid import (GridSpec, from_spectral, l2_norm, make_grid,
+                        random_band_limited, to_spectral)
 from frnse.kernel import KernelSpec
-from frnse.nonlinear import (PhysParams, big_g1, density, g1, g2,
-                             nonlinear_part, potential, potential_and_energy,
-                             rhs)
+from frnse.nonlinear import (PhysParams, big_g1, density, g1, nonlinear_part,
+                             potential, potential_and_energy)
+
+
+def _g2(psi, kspec):
+    """g2(psi) = G1(psi) psi, the part of nonlinear_part at alpha2 = 1 that
+    is not g1."""
+    return g1(psi, kspec) - nonlinear_part(psi, PhysParams(1.0, 1.0), kspec)
 
 
 def test_params_validation():
@@ -31,7 +36,9 @@ def test_density_and_terms(gspec8, rng, kfull):
     assert G1 >= 0.0
     pot2, energy = potential_and_energy(psi, kfull)
     assert np.array_equal(pot2.values, pot.values) and energy == G1
-    assert np.array_equal(g2(psi, kfull).values, G1 * psi.values)
+    # nonlinear_part is (V - G1) psi: g1 - g2 with g2 = G1 psi
+    part = nonlinear_part(psi, PhysParams(1.0, 1.0), kfull)
+    assert np.array_equal(part.values, (pot.values - G1) * psi.values)
 
 
 def test_nonlinear_part_shortcuts(gspec8, rng, kfull):
@@ -41,15 +48,8 @@ def test_nonlinear_part_shortcuts(gspec8, rng, kfull):
     assert not np.any(z.values)
     # otherwise alpha2 * (g1 - g2) with one kernel application
     n = nonlinear_part(psi, PhysParams(1.0, 2.0), kfull)
-    ref = 2.0 * (g1(psi, kfull).values - g2(psi, kfull).values)
+    ref = 2.0 * (g1(psi, kfull).values - big_g1(psi, kfull) * psi.values)
     assert np.allclose(n.values, ref, rtol=1e-13, atol=1e-16)
-
-
-def test_rhs_free_case(gspec8, rng, kfull):
-    psi = random_band_limited(gspec8, rng)
-    free = rhs(psi, PhysParams(0.7, 0.0), kfull)
-    assert np.allclose(free.values, 0.7j * laplacian(psi).values,
-                       rtol=1e-13, atol=1e-16)
 
 
 @settings(max_examples=20, deadline=None)
@@ -67,16 +67,18 @@ def test_homogeneity(mag, phase):
         mag**3 * l2_norm(g1(psi, kspec)), rel=1e-10)
     assert big_g1(scaled, kspec) == pytest.approx(
         mag**4 * big_g1(psi, kspec), rel=1e-10)
-    assert l2_norm(g2(scaled, kspec)) == pytest.approx(
-        mag**5 * l2_norm(g2(psi, kspec)), rel=1e-10)
+    assert l2_norm(_g2(scaled, kspec)) == pytest.approx(
+        mag**5 * l2_norm(_g2(psi, kspec)), rel=1e-10)
 
 
 def test_balance_identity(gspec8, rng, kfull):
-    # Re <psi, rhs(psi)> = alpha2 G1 (1 - ||psi||^2): the linear part is
-    # skew-adjoint and g1 contributes exactly G1
+    # Re <psi, i a1 Lap psi + nonlinear_part(psi)> = alpha2 G1 (1 - ||psi||^2):
+    # the spectral Laplacian term is skew-adjoint and g1 contributes exactly G1
     psi = random_band_limited(gspec8, rng)
     params = PhysParams(1.3, 0.8)
-    val = inner(psi, rhs(psi, params, kfull)).real
+    lap = from_spectral(gspec8, -make_grid(gspec8).ksq * to_spectral(psi))
+    rhs = 1j * params.alpha1 * lap.values + nonlinear_part(psi, params, kfull).values
+    val = (gspec8.h**3 * np.vdot(psi.values, rhs)).real  # <f, g> = h^3 sum conj(f) g
     expected = 0.8 * big_g1(psi, kfull) * (1.0 - l2_norm(psi) ** 2)
     scale = max(abs(expected), 1.0)
     assert abs(val - expected) < 1e-11 * scale
