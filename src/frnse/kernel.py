@@ -17,10 +17,13 @@ The padded array is never formed. The apply is a pruned real transform: an
 rfft of length 2n along z over the n^2 nonzero lines, then length-2n ffts
 along y (n planes) and x, a product with the kernel's real half-spectrum
 (shape (2n, 2n, n+1)), and the inverse steps in reverse order, each one
-cropped back to n. All steps run in one complex (2n, 2n, n+1) workspace per
-grid size, kept between applies; only its padding is zeroed again. A real
-(float64) density gives a float64 potential; a complex density is convolved
-as its real part and then its imaginary part, by linearity.
+cropped back to n. One forward transform of a density serves any number of
+multipliers, with one product and inverse per multiplier. All steps run in
+one complex (2n, 2n, n+1) workspace per grid size, kept between applies,
+plus a second one when a density meets several multipliers; only the
+padding is zeroed again. A real (float64) density gives a float64
+potential; a complex density is convolved as its real part and then its
+imaginary part, by linearity.
 
 The operator is spectral (Vico, Greengard and Ferrando, "Fast convolution
 with free-space Green's functions", J. Comput. Phys. 323, 2016): 1/|x| cut
@@ -128,21 +131,23 @@ def kernel_table(gspec, kspec):
 
 
 @lru_cache(maxsize=4)
-def _workspace(n):
-    """The complex (2n, 2n, n+1) spectrum buffer _convolve_real reuses.
-    Shared state: one apply per grid size may run at a time in a process."""
+def _workspace(n, slot=0):
+    """A complex (2n, 2n, n+1) buffer _convolve_real reuses: slot 0 for the
+    spectrum, 1 for all products but the last. Shared state: one apply per
+    grid size may run at a time in a process."""
     return np.empty((2 * n, 2 * n, n + 1), dtype=np.complex128)
 
 
-def _convolve_real(mult, vals):
-    """Zero-padded circular convolution of a real (n, n, n) array.
+def _convolve_real(vals, *mults):
+    """Zero-padded circular convolutions of a real (n, n, n) array, a list
+    of one per multiplier.
 
-    Forward: rfft along z over the n^2 lines, fft along y over n planes,
-    fft along x; inverse in reverse order, cropping to n after each step.
-    Every step works in place on the cached workspace of the grid size;
-    the forward rfft overwrites its data block, so only the two padding
-    blocks (x >= n, and y >= n below it) are zeroed again. The result is a
-    fresh array, never a view of the workspace.
+    Forward once: rfft along z over the n^2 lines, fft along y over n
+    planes, fft along x; per multiplier, the product and the inverse in
+    reverse order, cropping to n after each step. Every step works in place
+    on the cached workspaces of the grid size; the forward rfft overwrites
+    its data block, so only the two padding blocks (x >= n, and y >= n
+    below it) are zeroed again. Each result is a fresh array.
     """
     n = vals.shape[-1]
     N = 2 * n
@@ -153,10 +158,14 @@ def _convolve_real(mult, vals):
     np.fft.rfft(vals, n=N, axis=-1, out=low[:, :n])
     np.fft.fft(low, axis=-2, out=low)
     np.fft.fft(s, axis=-3, out=s)
-    s *= mult
-    np.fft.ifft(s, axis=-3, out=s)
-    np.fft.ifft(low, axis=-2, out=low)
-    return np.fft.irfft(low[:, :n], n=N, axis=-1)[..., :n]
+    out, last = [], len(mults) - 1
+    for i, mult in enumerate(mults):
+        t = s if i == last else _workspace(n, 1)
+        np.multiply(s, mult, out=t)
+        np.fft.ifft(t, axis=-3, out=t)
+        np.fft.ifft(t[:n], axis=-2, out=t[:n])
+        out.append(np.fft.irfft(t[:n, :n], n=N, axis=-1)[..., :n])
+    return out
 
 
 def apply_kernel(kspec, density):
@@ -172,9 +181,10 @@ def apply_kernel(kspec, density):
     mult = kernel_multiplier(spec, kspec)
     vals = density.values
     if np.isrealobj(vals):
-        return Field(spec, _convolve_real(mult, vals))
-    re = _convolve_real(mult, vals.real)
-    return Field(spec, re + 1j * _convolve_real(mult, vals.imag))
+        return Field(spec, *_convolve_real(vals, mult))
+    re, = _convolve_real(vals.real, mult)
+    im, = _convolve_real(vals.imag, mult)
+    return Field(spec, re + 1j * im)
 
 
 def direct_convolution_oracle(kspec, density):
@@ -208,40 +218,52 @@ def tail_norm_bound(a):
     return 2.0 * np.pi * a**2
 
 
-def tail_norm_estimate(gspec, a, p=2.0, trials=32, seed=0, iters=200):
-    """Empirical lower estimate of the L^p operator norm of the tail kernel.
+def _power_estimate(gspec, kspec, seed, iters):
+    """Power iteration on the symmetric restricted operator of kspec from a
+    seeded nonnegative field: its L^2 operator norm from below."""
+    rng = np.random.default_rng(seed)
+    f = Field(gspec, np.abs(rng.standard_normal((gspec.n,) * 3)) + 0.1)
+    est = 0.0
+    for _ in range(iters):
+        g = apply_kernel(kspec, f)
+        nrm = l2_norm(g)
+        if nrm == 0.0:
+            return 0.0
+        new_est = nrm / l2_norm(f)
+        if abs(new_est - est) <= 1e-13 * max(est, 1.0):
+            est = new_est
+            break
+        est = new_est
+        f = g * (1.0 / nrm)
+    return float(est)
 
-    For p = 2 runs power iteration on the symmetric restricted operator,
-    starting from a seeded nonnegative field, and stays below the
+
+def tail_norm_estimates(gspec, a_list, p=2.0, trials=32, seed=0, iters=200):
+    """Empirical lower estimates of the L^p operator norm of the tail
+    kernel, one per radius in a_list.
+
+    For p = 2 each radius runs its own power iteration, and stays below the
     multiplier's peak, 2*pi*a^2 for a <= L; for other p it maximizes
-    ||T f||_p / ||f||_p over seeded random band-limited trial fields. Either
-    way the result is a lower estimate and must sit below the l1 mass of
-    the tail table, which its negative lobes lift above 2*pi*a^2.
+    ||T f||_p / ||f||_p over seeded random band-limited trial fields, each
+    drawn, normed and transformed forward once for all radii. Either way
+    each result is a lower estimate and must sit below the l1 mass of its
+    tail table, which the negative lobes lift above 2*pi*a^2.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
-    kspec = KernelSpec("tail", a=a)
-    rng = np.random.default_rng(seed)
+    kspecs = [KernelSpec("tail", a=a) for a in a_list]
     if p == 2.0:
-        f = Field(gspec, np.abs(rng.standard_normal((gspec.n,) * 3)) + 0.1)
-        est = 0.0
-        for _ in range(iters):
-            g = apply_kernel(kspec, f)
-            nrm = l2_norm(g)
-            if nrm == 0.0:
-                return 0.0
-            new_est = nrm / l2_norm(f)
-            if abs(new_est - est) <= 1e-13 * max(est, 1.0):
-                est = new_est
-                break
-            est = new_est
-            f = g * (1.0 / nrm)
-        return float(est)
-    best = 0.0
+        return [_power_estimate(gspec, kspec, seed, iters) for kspec in kspecs]
+    mults = [kernel_multiplier(gspec, kspec) for kspec in kspecs]
+    rng = np.random.default_rng(seed)
+    best = [0.0] * len(mults)
     for _ in range(trials):
         f = random_band_limited(gspec, rng)
         denom = lp_norm(f, p)
         if denom == 0.0:
             continue
-        best = max(best, lp_norm(apply_kernel(kspec, f), p) / denom)
-    return float(best)
+        re, im = _convolve_real(f.values.real, *mults), _convolve_real(f.values.imag, *mults)
+        best = [max(b, lp_norm(Field(gspec, r + 1j * i), p) / denom)
+                for b, r, i in zip(best, re, im)]
+        del re, im  # the next trial's convolutions need the room
+    return [float(b) for b in best]

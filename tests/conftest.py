@@ -37,10 +37,10 @@ def rng():
 
 @pytest.fixture
 def count_transforms(monkeypatch):
-    """Call it to start counting numpy's fftn and ifftn calls; it returns
-    the live counts."""
-    def start():
-        calls = {"fftn": 0, "ifftn": 0}
+    """Call it to start counting numpy's fftn and ifftn calls, or the
+    numpy.fft functions it is given; it returns the live counts."""
+    def start(names=("fftn", "ifftn")):
+        calls = dict.fromkeys(names, 0)
         for name in calls:
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 calls[_name] += 1

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from frnse.grid import Field, GridSpec, random_band_limited
+from frnse.grid import Field, random_band_limited
 from frnse.io import (clear_incomplete, mark_incomplete, read_csv, read_field,
                       write_csv, write_field, write_manifest)
 

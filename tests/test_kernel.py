@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from frnse import kernel
-from frnse.grid import Field, GridSpec, l2_norm, random_band_limited
-from frnse.kernel import (KernelSpec, _workspace, apply_kernel,
+from frnse.grid import Field, GridSpec, l2_norm, lp_norm, random_band_limited
+from frnse.kernel import (KernelSpec, _convolve_real, _workspace, apply_kernel,
                           default_radius, direct_convolution_oracle,
                           kernel_multiplier, kernel_table, tail_norm_bound,
-                          tail_norm_estimate)
+                          tail_norm_estimates)
 from frnse.nonlinear import density, potential
 
 
@@ -145,6 +145,37 @@ def test_apply_matches_direct_oracle(gspec8, rng):
         assert rel < 1e-10
 
 
+SHARED_KSPECS = (KernelSpec("full"), KernelSpec("inner", a=0.4), KernelSpec("tail", a=0.4))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_shared_forward_equals_single_applies(n, rng):
+    # one forward transform against several multipliers gives, bit for bit,
+    # the single applies the direct oracle vouches for
+    gspec = GridSpec(n, 1.6)
+    mults = [kernel_multiplier(gspec, kspec) for kspec in SHARED_KSPECS]
+    psi = random_band_limited(gspec, rng)
+    for dens in (Field(gspec, np.abs(psi.values) ** 2), psi):
+        vals = dens.values
+        if np.isrealobj(vals):
+            shared = _convolve_real(vals, *mults)
+        else:
+            parts = zip(_convolve_real(vals.real, *mults), _convolve_real(vals.imag, *mults))
+            shared = [re + 1j * im for re, im in parts]
+        for kspec, out in zip(SHARED_KSPECS, shared):
+            assert np.array_equal(out, apply_kernel(kspec, dens).values)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shared_forward_transform_counts(gspec8, rng, count_transforms, k):
+    # k multipliers: rfft, fft, fft once, then ifft, ifft, irfft per multiplier
+    mults = [kernel_multiplier(gspec8, kspec) for kspec in SHARED_KSPECS[:k]]
+    vals = rng.random((8, 8, 8))
+    calls = count_transforms(("rfft", "fft", "ifft", "irfft"))
+    assert len(_convolve_real(vals, *mults)) == k
+    assert calls == {"rfft": 1, "fft": 2, "ifft": 2 * k, "irfft": k}
+
+
 def _padded_reference(gspec, kspec, values):
     # the unpruned apply: full complex DFT of the 2x zero-padded density
     # times the full real DFT of the table, cropped back to n
@@ -234,8 +265,9 @@ def test_tail_norm_estimate_below_bound(gspec32):
     # the power-iteration estimate must sit under the multiplier's peak,
     # its zero frequency 2 pi a^2 (the table's sum), and so under the l1
     # mass of the table (Young), which the negative lobes make larger
-    for a in (0.4, 0.2):
-        est = tail_norm_estimate(gspec32, a, trials=8, seed=0, iters=120)
+    a_list = (0.4, 0.2)
+    for a, est in zip(a_list, tail_norm_estimates(gspec32, a_list, trials=8, seed=0,
+                                                  iters=120)):
         mult = kernel_multiplier(gspec32, KernelSpec("tail", a=a))
         table = kernel_table(gspec32, KernelSpec("tail", a=a))
         assert mult[0, 0, 0] == pytest.approx(table.sum(), rel=1e-14)
@@ -250,8 +282,24 @@ def test_tail_norm_estimate_below_grid_spacing(gspec16):
     a = gspec16.h / 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = tail_norm_estimate(gspec16, a, trials=2, seed=0, iters=200)
+        est, = tail_norm_estimates(gspec16, (a,), trials=2, seed=0, iters=200)
     assert 0.9 * tail_norm_bound(a) <= est <= (1.0 + 1e-12) * tail_norm_bound(a)
+
+
+def test_lp_tail_norm_estimates_equal_a_loop_per_radius(gspec16):
+    # at p != 2 the trials are drawn once for all radii; each estimate is
+    # bitwise the one a per-radius loop gets from the same seeded draws
+    p, trials, seed, a_list = 3.0, 3, 7, (0.4, 0.2, 0.1)
+    ests = tail_norm_estimates(gspec16, a_list, p=p, trials=trials, seed=seed)
+    for a, est in zip(a_list, ests):
+        kspec = KernelSpec("tail", a=a)
+        rng = np.random.default_rng(seed)
+        best = 0.0
+        for _ in range(trials):
+            f = random_band_limited(gspec16, rng)
+            best = max(best, lp_norm(apply_kernel(kspec, f), p) / lp_norm(f, p))
+        assert est == best
+        assert 0.0 < est < np.abs(kernel_table(gspec16, kspec)).sum()
 
 
 def test_tail_norm_bound_validation():

@@ -8,13 +8,13 @@ import warnings
 
 from frnse import nonlinear
 from frnse.errors import DivergenceDetected, NonConvergence
-from frnse.grid import (GridSpec, from_spectral, h1_norm, random_band_limited,
-                        scaled_gaussian, spectral_h1_norm, to_spectral)
+from frnse.grid import (GridSpec, h1_norm, random_band_limited, scaled_gaussian,
+                        spectral_h1_norm, to_spectral)
 from frnse.kernel import _workspace, kernel_multiplier
 from frnse.nonlinear import PhysParams
 from frnse.picard import (PicardConfig, _integrand, _node_integral, contraction_report,
                           duhamel_map, march_solve, picard_solve)
-from frnse.propagate import free_evolve, free_phase
+from frnse.propagate import free_evolve
 from frnse.trajectory import sup_h1_distance
 
 

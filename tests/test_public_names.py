@@ -1,4 +1,5 @@
-"""The package exports no name that only the tests use."""
+"""The package exports no name that only the tests use, and no test module
+imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,35 @@ def test_scan_ignores_definitions_and_docstrings(tmp_path):
                                    "def _private():\n    pass\n")
     (tmp_path / "b.py").write_text("from .a import g\nimport a\n\na.C\n")
     assert unused_public_names(tmp_path) == [("a", "f")]
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unread_imports(tests):
+    """(module, name) of each name a tests/*.py module binds by an import
+    but never reads."""
+    unread = []
+    for path in sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in read:
+                        unread.append((path.stem, bound))
+    return unread
+
+
+def test_every_test_import_is_read():
+    assert unread_imports(TESTS) == []
+
+
+def test_import_scan_counts_reads_only(tmp_path):
+    (tmp_path / "t.py").write_text("import os.path\nimport numpy as np\n"
+                                   "from a import b, c as d\n\n"
+                                   "def f():\n    from g import h\n    b = 1\n"
+                                   "    return np.pi, os.sep, d\n")
+    assert unread_imports(tmp_path) == [("t", "b"), ("t", "h")]
