@@ -158,6 +158,8 @@ CHECKS = (
     ("initial", "sigma", lambda v, s: v > 0, "must be positive", None),
     ("initial", "center", lambda v, s: len(v) == 3, "needs exactly 3 values", None),
     ("initial", "l2_norm", lambda v, s: s["h1_norm"] is None, "excludes initial.h1_norm", None),
+    ("initial", "l2_norm", lambda v, s: v > 0, "must be positive", None),
+    ("initial", "h1_norm", lambda v, s: v > 0, "must be positive", None),
     ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers", None),
     ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0", None),
     ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50", None),

@@ -50,11 +50,11 @@ from .kernel import (
     tail_norm_bound,
     tail_norm_estimates,
 )
-from .nonlinear import PhysParams, big_g1, density, g1, potential_and_energy
+from .nonlinear import PhysParams, density, g1, potential_and_energy
 from .picard import PicardConfig, contraction_report, march_solve, picard_solve
 from .propagate import free_evolve, free_gaussian_exact
 from .stepper import StepConfig, evolve
-from .trajectory import dot_values, norm_law_residuals, sup_h1_distance
+from .trajectory import norm_law_residuals, sup_h1_distance
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ def norm_law_check(traj, params, kspec):
 
     Central-differences the node norms of the trajectory; needs >= 3 nodes.
     """
-    l2, g1v = zip(*((l2_norm(f), big_g1(f, kspec)) for f in traj.fields))
+    l2, g1v = zip(*((l2_norm(f), potential_and_energy(f, kspec)[1]) for f in traj.fields))
     res = norm_law_residuals(traj.times, l2, g1v, params)
     return float(np.max(np.abs(res[1:-1])))
 
@@ -360,7 +360,7 @@ def normalization_study(gspec, kspec, params, T=0.5, dt=2.5e-3, sigma=0.12):
     phi_half = scaled_gaussian(gspec, sigma, l2_target=0.5)
     _, rep2 = evolve(phi_half, cfg)
     reports["half"] = rep2
-    deriv = dot_values(rep2.times, rep2.l2**2)
+    deriv = np.gradient(rep2.l2**2, rep2.times, edge_order=2)
     min_deriv = float(np.min(deriv))
     rows.append(_row("norm-law-subunit-growth", "monotonicity", min_deriv, 0.0,
                      rep2.completed() and min_deriv > 0.0,

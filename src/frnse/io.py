@@ -42,13 +42,9 @@ def write_field(path, field, t=0.0):
     """Write a field snapshot; t is the node time stored in the header."""
     n, L = field.spec.n, field.spec.L
     header = f"{FIELD_MAGIC} {FORMAT_VERSION} n={n} L={L!r} t={float(t)!r}\n"
-    flat = field.values.ravel()
-    data = np.empty((flat.size, 2), dtype="<f8")
-    data[:, 0] = flat.real
-    data[:, 1] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(field.values.astype("<c16").tobytes())
 
 
 def read_field(path):
@@ -61,8 +57,7 @@ def read_field(path):
     expected = n**3 * 2 * 8
     if len(payload) != expected:
         raise ValueError(f"payload is {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(n**3, 2)
-    values = (data[:, 0] + 1j * data[:, 1]).reshape(n, n, n)
+    values = np.frombuffer(payload, dtype="<c16").reshape(n, n, n)
     return Field(GridSpec(n, L), values), t
 
 

@@ -6,23 +6,30 @@ The evolution solved throughout is
 
 with the self-interaction term g1(psi) = psi * K(|psi|^2), the interaction
 energy G1(psi) = integral |psi|^2 K(|psi|^2), and the normalization/friction
-term g2(psi) = G1(psi) * psi.  This module forms alpha2*(g1 - g2)
-(nonlinear_part); the solvers apply the Laplacian term in spectral space.
-Swapping the full kernel for an inner-truncated one turns g1 into its
-regularized version with the singularity removed.
+term g2(psi) = G1(psi) * psi.  The solvers apply the Laplacian term in
+spectral space; this module gives them the rest in six names:
+
+  PhysParams            alpha1 and alpha2, for the solvers and the battery;
+  density, potential    |psi|^2 and K(|psi|^2), which g1 reads;
+  g1                    psi * K(|psi|^2), for the battery's probes;
+  potential_and_energy  K(|psi|^2) and G1(psi) from one density, for
+                        nonlinear_part and the battery's G1 and g2;
+  nonlinear_part        the coefficients of alpha2*(g1 - g2) and G1(psi) from
+                        one kernel apply: the one nonlinearity of the
+                        stepper's stages and accepted steps and of the
+                        Duhamel integrand.
 
 Exact homogeneities (used heavily by the test batteries): g1 has degree 3
 (g1(c*psi) = c|c|^2 g1(psi)), G1 degree 4, g2 degree 5 — so the Lipschitz
 constant of g2 on an H^1 ball of radius M grows like M^4, as
-experiments.lipschitz_battery measures. Each kernel apply forms |psi|^2 once:
-potential_and_energy gives the potential and G1 from that one density.
+experiments.lipschitz_battery measures.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, from_spectral, to_spectral
+from .grid import Field, to_spectral
 from .kernel import apply_kernel
 
 
@@ -84,35 +91,11 @@ def potential_and_energy(psi, kspec):
     return pot, raw
 
 
-def big_g1(psi, kspec):
-    """Interaction energy G1(psi) = integral of |psi|^2 K(|psi|^2).
-
-    Degree-4 homogeneous: big_g1(c*psi) = |c|^4 big_g1(psi).
-    """
-    return potential_and_energy(psi, kspec)[1]
-
-
-def _nonlinear_and_g1(psi, params, kspec):
-    """nonlinear_part(psi) and G1(psi) from one kernel application, which is
-    made even when alpha2 = 0. Forms alpha2*(V - G1)*psi with one real factor."""
-    pot, g1v = potential_and_energy(psi, kspec)
-    factor = params.alpha2 * (pot.values - g1v)
-    return Field(psi.spec, factor * psi.values), g1v
-
-
 def nonlinear_part(psi, params, kspec):
-    """alpha2*(g1(psi) - g2(psi)) with a single kernel application.
-
-    This is the stiffness-free piece of the right-hand side, shared by the
-    time stepper stages and the Duhamel integrand.
-    """
-    if params.alpha2 == 0.0:
-        return Field(psi.spec, np.zeros_like(psi.values))
-    return _nonlinear_and_g1(psi, params, kspec)[0]
-
-
-def spectral_nonlinear_part(spec, coeffs, params, kspec):
-    """Spectral coefficients of nonlinear_part at the field whose spectral
-    coefficients are coeffs: the one trip through physical space that the
-    Duhamel integrand and the stepper stages make."""
-    return to_spectral(nonlinear_part(from_spectral(spec, coeffs), params, kspec))
+    """(coefficients, G1): the spectral coefficients of alpha2*(g1(psi) -
+    g2(psi)) = alpha2*(V - G1)*psi, the stiffness-free piece of the right-hand
+    side, and G1(psi), from one kernel apply, made even when alpha2 = 0."""
+    pot, g1v = potential_and_energy(psi, kspec)
+    part = Field(psi.spec, params.alpha2 * (pot.values - g1v) * psi.values)
+    del pot  # not held through the transform
+    return to_spectral(part), g1v

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, NonConvergence
-from .grid import spectral_h1_norm, to_spectral
+from .grid import from_spectral, spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
-from .nonlinear import PhysParams, spectral_nonlinear_part
+from .nonlinear import PhysParams, nonlinear_part
 from .propagate import free_phase
 from .trajectory import NodeFields, Trajectory
 
@@ -109,7 +109,7 @@ def _node_integral(P, W, j, dt, quad):
 def _integrand(spec, t, u, cfg):
     """Interaction-picture integrand e^{-i a1 t Lap} N(psi(t)) at one node."""
     e = free_phase(spec, t, cfg.params.alpha1)
-    return spectral_nonlinear_part(spec, u * e, cfg.params, cfg.kspec) * e.conj()
+    return nonlinear_part(from_spectral(spec, u * e), cfg.params, cfg.kspec)[0] * e.conj()
 
 
 def _images(spec, coeffs, phi_hat, cfg):

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DivergenceDetected
 from .grid import from_spectral, l2_norm, spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
-from .nonlinear import PhysParams, _nonlinear_and_g1, spectral_nonlinear_part
+from .nonlinear import PhysParams, nonlinear_part
 from .propagate import free_phase
 from .trajectory import Trajectory, norm_law_residuals
 
@@ -71,16 +71,16 @@ def ifrk4_step(spec, coeffs, dt, cfg, first):
     evolve computes it once per accepted state, together with that state's
     G1, and reuses it when a step is rejected and retried. The other RK4
     stage derivatives of u(t) = e^{-i a1 t Lap} psi(t) each take one trip
-    through physical space (spectral_nonlinear_part) and a handful of
-    diagonal multipliers. Raises DivergenceDetected if the result is not
-    finite.
+    through physical space (from_spectral, then nonlinear_part) and a
+    handful of diagonal multipliers. Raises DivergenceDetected if the result
+    is not finite.
     """
     a1 = cfg.params.alpha1
     e = free_phase(spec, dt / 2.0, a1)
     e2 = free_phase(spec, dt, a1)
 
     def stage(u):
-        return spectral_nonlinear_part(spec, u, cfg.params, cfg.kspec)
+        return nonlinear_part(from_spectral(spec, u), cfg.params, cfg.kspec)[0]
 
     nb = stage((coeffs + (dt / 2.0) * first) * e)
     nc = stage(coeffs * e + (dt / 2.0) * nb)
@@ -138,9 +138,9 @@ def evolve(phi, cfg):
 
     def accept(t, step, state, h1v):
         """Record an accepted state; return its first stage."""
-        nl, g1v = _nonlinear_and_g1(state, cfg.params, cfg.kspec)
+        first, g1v = nonlinear_part(state, cfg.params, cfg.kspec)
         rows.append((t, l2_norm(state), h1v, g1v, step))
-        return to_spectral(nl)
+        return first
 
     cur, state, t = to_spectral(phi), phi, 0.0
     h1v = spectral_h1_norm(spec, cur)

@@ -88,44 +88,13 @@ def sup_h1_distance(a, b):
                for i, j in zip(a._nodes, b._nodes))
 
 
-def dot_values(times, values):
-    """Second-order time derivative estimates on (possibly nonuniform) nodes.
-
-    Interior nodes use the three-point nonuniform central stencil; the
-    endpoints use one-sided three-point stencils. Needs at least 3 nodes.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.shape != y.shape or t.ndim != 1 or len(t) < 3:
-        raise ValueError("need matching 1D arrays with at least 3 nodes")
-    out = np.empty_like(y)
-    hl = t[1:-1] - t[:-2]
-    hr = t[2:] - t[1:-1]
-    out[1:-1] = (
-        hl**2 * y[2:] - hr**2 * y[:-2] + (hr**2 - hl**2) * y[1:-1]
-    ) / (hl * hr * (hl + hr))
-    # one-sided second-order endpoints
-    h0, h1_ = t[1] - t[0], t[2] - t[1]
-    out[0] = (
-        -(2 * h0 + h1_) / (h0 * (h0 + h1_)) * y[0]
-        + (h0 + h1_) / (h0 * h1_) * y[1]
-        - h0 / (h1_ * (h0 + h1_)) * y[2]
-    )
-    ha, hb = t[-2] - t[-3], t[-1] - t[-2]
-    out[-1] = (
-        hb / (ha * (ha + hb)) * y[-3]
-        - (ha + hb) / (ha * hb) * y[-2]
-        + (2 * hb + ha) / (hb * (ha + hb)) * y[-1]
-    )
-    return out
-
-
 def norm_law_residuals(times, l2, g1v, params):
     """Residual of d/dt ||psi||^2 = 2*alpha2*G1(psi)*(1 - ||psi||^2) per node.
 
-    Finite-differences the stored node norms (dot_values) and subtracts the
+    Differentiates the stored node norms with np.gradient (second order on
+    nonuniform nodes, ends included; needs 3 nodes) and subtracts the
     predicted right-hand side; returns the signed residual array.
     """
     msq = np.asarray(l2, dtype=float) ** 2
     predicted = 2.0 * params.alpha2 * np.asarray(g1v, dtype=float) * (1.0 - msq)
-    return dot_values(times, msq) - predicted
+    return np.gradient(msq, times, edge_order=2) - predicted

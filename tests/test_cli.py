@@ -144,6 +144,10 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("verify", "verify-quick.cfg", "experiment.a_list=5.0,0.4"),
     # so is kernel.a: the reach is sqrt(3) * grid.L = 2.77 at L = 1.6
     ("solve", "gaussian-solve.cfg", ("kernel.a=2.8", "kernel.variant=tail")),
+    # a norm target at or below zero ran on the datum of its absolute value
+    ("solve", "gaussian-solve.cfg", "initial.l2_norm=-1"),
+    ("solve", "gaussian-solve.cfg", "initial.l2_norm=0"),
+    ("picard", "picard-demo.cfg", "initial.h1_norm=-0.5"),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override

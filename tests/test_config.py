@@ -73,6 +73,21 @@ def test_bad_experiment_value_cites_line(line, key):
     assert issue.line == text.splitlines().index(line) + 1
 
 
+@pytest.mark.parametrize("key, value", [("l2_norm", "-1"), ("l2_norm", "0"),
+                                        ("h1_norm", "-0.5")])
+def test_norm_target_must_be_positive(key, value):
+    # a negative target scaled the datum to its absolute value, zero to zero
+    line = f"{key} = {value}"
+    text = MINIMAL + "\n[initial]\n" + line + "\n"
+    for source, overrides, where in ((text, (), text.splitlines().index(line) + 1),
+                                     (MINIMAL, (f"initial.{key}={value}",), 0)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(source, overrides)
+        (issue,) = err.value.issues
+        assert (issue.kind, issue.line) == ("constraint", where)
+        assert issue.message == f"initial.{key} must be positive"
+
+
 def test_constructor_error_cites_the_sections_last_setting():
     # KernelSpec rejects a truncation radius on the full kernel
     text = MINIMAL + "\n[kernel]\nvariant = full\na = 0.3\n"

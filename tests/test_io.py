@@ -21,6 +21,21 @@ def test_field_round_trip_bit_exact(tmp_path, gspec8, rng):
     assert g.values.tobytes() == f.values.tobytes()
 
 
+def test_field_round_trip_keeps_signed_zeros_and_non_finite(tmp_path, gspec8, rng):
+    # rebuilding values as re + 1j*im turned -0.0 real parts into +0.0 and
+    # 2+inf*j into nan+inf*j; the samples and the bytes on disk both survive
+    vals = random_band_limited(gspec8, rng).values.copy()
+    vals.real[0, 0, :4] = -0.0
+    vals.imag[0, 0, :4] = (np.inf, -np.inf, np.nan, -0.0)
+    vals[1, 1, 1] = complex(2.0, np.inf)
+    path, again = str(tmp_path / "f.field"), str(tmp_path / "g.field")
+    write_field(path, Field(gspec8, vals))
+    g, _ = read_field(path)
+    assert np.array_equal(g.values.view(np.uint64), vals.view(np.uint64))
+    write_field(again, g)
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
 def test_float_field_round_trip(tmp_path, gspec8, rng):
     # a density or a potential is a float64 Field; its snapshot reads back
     # with the same values and zero imaginary parts

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frnse.experiments import lipschitz_battery
-from frnse.grid import (GridSpec, from_spectral, l2_norm, make_grid,
+from frnse.grid import (Field, GridSpec, from_spectral, l2_norm, make_grid,
                         random_band_limited, to_spectral)
 from frnse.kernel import KernelSpec
-from frnse.nonlinear import (PhysParams, big_g1, density, g1, nonlinear_part,
-                             potential, potential_and_energy)
+from frnse.nonlinear import (PhysParams, density, g1, nonlinear_part, potential,
+                             potential_and_energy)
 
 
 def _g2(psi, kspec):
     """g2(psi) = G1(psi) psi, the part of nonlinear_part at alpha2 = 1 that
     is not g1."""
-    return g1(psi, kspec) - nonlinear_part(psi, PhysParams(1.0, 1.0), kspec)
+    part = nonlinear_part(psi, PhysParams(1.0, 1.0), kspec)[0]
+    return g1(psi, kspec) - from_spectral(psi.spec, part)
 
 
 def test_params_validation():
@@ -27,29 +28,30 @@ def test_density_and_terms(gspec8, rng, kfull):
     psi = random_band_limited(gspec8, rng)
     rho = density(psi)
     assert np.allclose(rho.values, np.abs(psi.values) ** 2)
-    pot = potential(psi, kfull)
+    pot, G1 = potential_and_energy(psi, kfull)
+    assert np.array_equal(potential(psi, kfull).values, pot.values)
     assert np.array_equal(g1(psi, kfull).values, psi.values * pot.values)
-    G1 = big_g1(psi, kfull)
     # the direct quadrature, no clamp
     direct = gspec8.h**3 * float(np.sum(rho.values.real * pot.values.real))
     assert G1 == pytest.approx(direct, rel=1e-12)
     assert G1 >= 0.0
-    pot2, energy = potential_and_energy(psi, kfull)
-    assert np.array_equal(pot2.values, pot.values) and energy == G1
-    # nonlinear_part is (V - G1) psi: g1 - g2 with g2 = G1 psi
-    part = nonlinear_part(psi, PhysParams(1.0, 1.0), kfull)
-    assert np.array_equal(part.values, (pot.values - G1) * psi.values)
+    # nonlinear_part is (V - G1) psi in coefficients, g1 - g2 with g2 = G1 psi,
+    # and G1 from the same potential
+    part, energy = nonlinear_part(psi, PhysParams(1.0, 1.0), kfull)
+    assert energy == G1
+    assert np.array_equal(part, to_spectral(Field(gspec8, (pot.values - G1) * psi.values)))
 
 
 def test_nonlinear_part_shortcuts(gspec8, rng, kfull):
     psi = random_band_limited(gspec8, rng)
-    # alpha2 = 0: exactly zero
-    z = nonlinear_part(psi, PhysParams(1.0, 0.0), kfull)
-    assert not np.any(z.values)
+    # alpha2 = 0: exactly zero, though the kernel is still applied for G1
+    z, energy = nonlinear_part(psi, PhysParams(1.0, 0.0), kfull)
+    assert not np.any(z)
+    assert energy == potential_and_energy(psi, kfull)[1] > 0.0
     # otherwise alpha2 * (g1 - g2) with one kernel application
-    n = nonlinear_part(psi, PhysParams(1.0, 2.0), kfull)
-    ref = 2.0 * (g1(psi, kfull).values - big_g1(psi, kfull) * psi.values)
-    assert np.allclose(n.values, ref, rtol=1e-13, atol=1e-16)
+    n = nonlinear_part(psi, PhysParams(1.0, 2.0), kfull)[0]
+    ref = to_spectral(2.0 * (g1(psi, kfull) - energy * psi))
+    assert np.max(np.abs(n - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @settings(max_examples=20, deadline=None)
@@ -65,8 +67,8 @@ def test_homogeneity(mag, phase):
     scaled = c * psi
     assert l2_norm(g1(scaled, kspec)) == pytest.approx(
         mag**3 * l2_norm(g1(psi, kspec)), rel=1e-10)
-    assert big_g1(scaled, kspec) == pytest.approx(
-        mag**4 * big_g1(psi, kspec), rel=1e-10)
+    assert potential_and_energy(scaled, kspec)[1] == pytest.approx(
+        mag**4 * potential_and_energy(psi, kspec)[1], rel=1e-10)
     assert l2_norm(_g2(scaled, kspec)) == pytest.approx(
         mag**5 * l2_norm(_g2(psi, kspec)), rel=1e-10)
 
@@ -77,9 +79,10 @@ def test_balance_identity(gspec8, rng, kfull):
     psi = random_band_limited(gspec8, rng)
     params = PhysParams(1.3, 0.8)
     lap = from_spectral(gspec8, -make_grid(gspec8).ksq * to_spectral(psi))
-    rhs = 1j * params.alpha1 * lap.values + nonlinear_part(psi, params, kfull).values
+    part, G1 = nonlinear_part(psi, params, kfull)
+    rhs = 1j * params.alpha1 * lap.values + from_spectral(gspec8, part).values
     val = (gspec8.h**3 * np.vdot(psi.values, rhs)).real  # <f, g> = h^3 sum conj(f) g
-    expected = 0.8 * big_g1(psi, kfull) * (1.0 - l2_norm(psi) ** 2)
+    expected = 0.8 * G1 * (1.0 - l2_norm(psi) ** 2)
     scale = max(abs(expected), 1.0)
     assert abs(val - expected) < 1e-11 * scale
 

@@ -1,5 +1,6 @@
-"""The package exports no name that only the tests use, and no test module
-imports a name it never reads."""
+"""The package exports no name that only the tests use, no module of it
+imports another's private name, and no test module imports a name it never
+reads."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,32 @@ def test_scan_ignores_definitions_and_docstrings(tmp_path):
                                    "def _private():\n    pass\n")
     (tmp_path / "b.py").write_text("from .a import g\nimport a\n\na.C\n")
     assert unused_public_names(tmp_path) == [("a", "f")]
+
+
+def private_imports(src):
+    """(module, name) of each _-prefixed name, dunders aside, that a src/*.py
+    module imports from another module of the package."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == src.name):
+                found += [(path.stem, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_private_cross_module_import():
+    assert private_imports(SRC) == []
+
+
+def test_private_import_scan(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("def _f():\n    pass\n\n\ndef g():\n    return _f\n")
+    (pkg / "b.py").write_text("import os\nfrom os import _exit\nfrom pkg.a import _f\n"
+                              "from .a import _f, g\nfrom . import _a, __version__\n")
+    assert private_imports(pkg) == [("b", "_f"), ("b", "_f"), ("b", "_a")]
 
 
 TESTS = Path(__file__).resolve().parent

@@ -9,8 +9,7 @@ from frnse.grid import (Field, GridSpec, from_spectral, h1_norm, random_band_lim
 from frnse.nonlinear import PhysParams
 from frnse.picard import PicardConfig, march_solve, picard_solve
 from frnse.propagate import free_phase
-from frnse.trajectory import (NodeFields, Trajectory, dot_values, norm_law_residuals,
-                              sup_h1_distance)
+from frnse.trajectory import NodeFields, Trajectory, norm_law_residuals, sup_h1_distance
 
 
 def test_trajectory_validation(gspec8, rng):
@@ -104,18 +103,20 @@ def test_sup_h1_distance_needs_the_same_phase(gspec8, rng):
     assert sup_h1_distance(nodes[::2], NodeFields(phi, times, coeffs, 0.7)[::2]) == 0.0
 
 
-def test_dot_values_exact_on_quadratics():
-    # the nonuniform 3-point stencil differentiates quadratics exactly,
-    # endpoints included
+def test_norm_law_residuals_exact_on_quadratics():
+    # with G1 = 0 the residual is the derivative of ||psi||^2 itself; the
+    # nonuniform 3-point stencil differentiates quadratics exactly, endpoints
+    # included
     t = np.array([0.0, 0.1, 0.25, 0.4, 0.7])
-    y = 3.0 * t**2 - 2.0 * t + 1.0
-    expect = 6.0 * t - 2.0
-    assert np.max(np.abs(dot_values(t, y) - expect)) < 1e-12
+    msq = 3.0 * t**2 - 2.0 * t + 1.0
+    res = norm_law_residuals(t, np.sqrt(msq), np.zeros_like(t), PhysParams(1.0, 1.0))
+    assert np.max(np.abs(res - (6.0 * t - 2.0))) < 1e-12
 
 
-def test_dot_values_needs_three():
+def test_norm_law_residuals_needs_three():
     with pytest.raises(ValueError):
-        dot_values(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        norm_law_residuals(np.array([0.0, 1.0]), np.array([1.0, 0.5]), np.zeros(2),
+                           PhysParams(1.0, 1.0))
 
 
 def test_norm_law_residual_zero_on_manufactured_data():
