@@ -10,7 +10,7 @@ The battery (experiments) and the SVG writer are imported by the commands
 that run them, so solve and picard load only the solver stack.
 
 Exit codes: 0 ok, 1 failed assertions, solver errors or a crash, 2 config
-problems.
+problems, including a datum found bad once its run built it (then recorded).
 """
 
 import argparse
@@ -80,10 +80,6 @@ class RunContext:
         self.errors.append({"type": type(exc).__name__, "message": str(exc)})
         self.status = "failed"
 
-    def fail_checks(self, names):
-        self.errors += [{"type": "CheckFailed", "message": n} for n in names]
-        self.status = "failed"
-
     def finish(self):
         manifest = {
             "format": "frnse-run-manifest v1",
@@ -103,13 +99,28 @@ class RunContext:
         clear_incomplete(self.run_dir)
 
 
-def _print_rows(rows):
+def _write_tables(ctx, tables):
+    """Write each (header, rows) table of tables as {hash8}-{name}.csv."""
+    for name in sorted(tables):
+        write_csv(ctx.path(f"{ctx.hash8}-{name}.csv"), *tables[name])
+
+
+def _report_checks(ctx, rows, tables, **summary):
+    """Write the tables, print the check rows and fail the run on each
+    failing row; returns the failing rows' names."""
+    _write_tables(ctx, tables)
     for r in rows:
         mark = "PASS" if r.passed else "FAIL"
         if r.kind == "info":
             print(f"  info {r.check}: {r.measured:.6g}  {r.detail}")
         else:
             print(f"  {mark} {r.check}: measured {r.measured:.6g} vs {r.threshold:.6g}")
+    failing = [r.check for r in rows if not r.passed]
+    ctx.summary = {**summary, "failed": failing}
+    if failing:
+        ctx.errors += [{"type": "CheckFailed", "message": n} for n in failing]
+        ctx.status = "failed"
+    return failing
 
 
 def cmd_solve(ctx):
@@ -121,10 +132,7 @@ def cmd_solve(ctx):
         print(f"solver diverged: {e}")
         ctx.fail(e)
         return 1
-    rows = list(zip(report.times, report.l2, report.h1, report.g1_energy,
-                    report.balance_residual, report.dts))
-    write_csv(ctx.path(f"{ctx.hash8}-diagnostics.csv"),
-              ("t", "l2", "h1", "G1", "balance_residual", "dt"), rows)
+    _write_tables(ctx, {"diagnostics": report.table()})
     for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
         write_field(ctx.path(f"{ctx.hash8}-snap-{i:05d}.field"), f, t=t)
     ctx.summary = {
@@ -161,12 +169,7 @@ def cmd_picard(ctx):
         print(f"iteration diverged: {e}")
         ctx.fail(e)
         return 1
-    n_inc = len(report.increments)
-    table = [(k + 1, inc,
-              report.residual if k == n_inc - 1 else float("nan"))
-             for k, inc in enumerate(report.increments)]
-    write_csv(ctx.path(f"{ctx.hash8}-iterations.csv"),
-              ("iteration", "increment", "residual"), table)
+    _write_tables(ctx, {"iterations": report.table()})
     ctx.summary = {
         "converged": report.converged,
         "iterations": report.iterations,
@@ -190,8 +193,8 @@ def cmd_picard(ctx):
         write_field(ctx.path(f"{ctx.hash8}-final.field"), traj.final(), t=cfg.picard.T)
     print(f"converged={report.converged} after {report.iterations} iterations, "
           f"residual={report.residual:.3e}")
-    for k, inc in enumerate(report.increments):
-        print(f"  iter {k + 1}: increment {inc:.6e}")
+    for k, inc, _ in report.table()[1]:
+        print(f"  iter {k}: increment {inc:.6e}")
     return code
 
 
@@ -199,19 +202,10 @@ def cmd_verify(ctx):
     from .experiments import verify_battery  # loaded here, before its pool forks
 
     result = verify_battery(ctx.cfg)
-    for name in sorted(result.tables):
-        header, rows = result.tables[name]
-        write_csv(ctx.path(f"{ctx.hash8}-{name}.csv"), header, rows)
-    _print_rows(result.rows)
-    failing = [r.check for r in result.failing()]
     ctx.timing = result.timing
-    ctx.summary = {
-        "checks": len(result.rows),
-        "failed": failing,
-        "scale": ctx.cfg.experiment.scale,
-    }
+    failing = _report_checks(ctx, result.rows, result.tables, checks=len(result.rows),
+                             scale=ctx.cfg.experiment.scale)
     if failing:
-        ctx.fail_checks(failing)
         print(f"{len(failing)} of {len(result.rows)} checks failed: "
               f"{', '.join(failing)}")
         return 1
@@ -224,18 +218,9 @@ def cmd_kernel_norms(ctx):
 
     cfg = ctx.cfg
     e = cfg.experiment
-    table, rows = kernel_norm_study(cfg.grid, e.a_list, p=e.p, trials=e.trials,
-                                    seed=e.seed)
-    write_csv(ctx.path(f"{ctx.hash8}-tail_norms.csv"),
-              ("a", "bound", "estimate"), table)
-    write_csv(ctx.path(f"{ctx.hash8}-checks.csv"), *check_table(rows))
-    _print_rows(rows)
-    failing = [r.check for r in rows if not r.passed]
-    ctx.summary = {"a_list": list(e.a_list), "failed": failing}
-    if failing:
-        ctx.fail_checks(failing)
-        return 1
-    return 0
+    rows, tables = kernel_norm_study(cfg.grid, e.a_list, p=e.p, trials=e.trials, seed=e.seed)
+    tables["checks"] = check_table(rows)
+    return 1 if _report_checks(ctx, rows, tables, a_list=list(e.a_list)) else 0
 
 
 def _sweep_worker(task):
@@ -309,6 +294,10 @@ def _execute(command, cfg, run_dir):
     mark_incomplete(run_dir)
     try:
         code = _COMMANDS[command](ctx)
+    except ConfigError as e:  # a datum that proves bad once built
+        ctx.fail(e)
+        print("config error:", *(f"  {i}" for i in e.issues), sep="\n", file=sys.stderr)
+        code = 2
     except Exception as e:  # the run boundary: record, report, exit 1
         ctx.fail(e)
         ctx.status = "crashed"
@@ -405,9 +394,7 @@ def main(argv=None):
         seed = () if args.seed is None else (f"experiment.seed={args.seed}",)
         cfg = parse_config(text, tuple(args.overrides) + seed, args.command)
     except ConfigError as e:
-        print("config error:", file=sys.stderr)
-        for issue in e.issues:
-            print(f"  {issue}", file=sys.stderr)
+        print("config error:", *(f"  {i}" for i in e.issues), sep="\n", file=sys.stderr)
         print("usage: frnse <command> --config FILE [--out DIR] [--seed N] "
               "[--set SECTION.KEY=VALUE]", file=sys.stderr)
         return 2

@@ -27,11 +27,14 @@ config; config_hash is the SHA-256 of that canonical form minus the
 import hashlib
 from dataclasses import dataclass, make_dataclass, replace
 
-from .grid import GridSpec, h1_norm, l2_norm, plane_wave, scaled_gaussian, warn_if_cramped
+import numpy as np
+
+from .grid import (GridSpec, gaussian_field, h1_norm, l2_norm, plane_wave, scaled_gaussian,
+                   warn_if_cramped)
 from .io import format_value, read_field
-from .kernel import KernelSpec, default_radius
+from .kernel import VARIANTS, KernelSpec, default_radius
 from .nonlinear import PhysParams
-from .picard import PicardConfig
+from .picard import QUAD_RULES, PicardConfig
 from .stepper import StepConfig
 
 _REQUIRED = object()
@@ -48,7 +51,7 @@ SCHEMA = {
     "grid": {"n": _Opt("int"), "L": _Opt("float")},
     "physics": {"alpha1": _Opt("float"), "alpha2": _Opt("float")},
     "kernel": {
-        "variant": _Opt("str", "full", choices=("full", "inner", "tail")),
+        "variant": _Opt("str", "full", choices=VARIANTS),
         "a": _Opt("float", 0.0),
     },
     "initial": {
@@ -64,7 +67,7 @@ SCHEMA = {
     "picard": {
         "T": _Opt("float", 0.25),
         "m": _Opt("int", 64),
-        "quad": _Opt("str", "simpson", choices=("trapezoid", "simpson")),
+        "quad": _Opt("str", "simpson", choices=QUAD_RULES),
         "tol": _Opt("float", 1e-10),
         "max_iter": _Opt("int", 25),
     },
@@ -159,7 +162,10 @@ CHECKS = (
     ("initial", "center", lambda v, s: len(v) == 3, "needs exactly 3 values", None),
     ("initial", "l2_norm", lambda v, s: s["h1_norm"] is None, "excludes initial.h1_norm", None),
     ("initial", "l2_norm", lambda v, s: v > 0, "must be positive", None),
+    ("initial", "l2_norm", lambda v, s: np.isfinite(v), "must be finite", None),
     ("initial", "h1_norm", lambda v, s: v > 0, "must be positive", None),
+    ("initial", "h1_norm", lambda v, s: np.isfinite(v), "must be finite", None),
+    ("initial", "amplitude", lambda v, s: np.isfinite(v), "must be finite", None),
     ("initial", "k", lambda v, s: len(v) == 3, "needs exactly 3 integers", None),
     ("experiment", "seed", lambda v, s: v >= 0, "must be >= 0", None),
     ("experiment", "samples", lambda v, s: v >= 50, "must be >= 50", None),
@@ -440,26 +446,28 @@ def config_hash(cfg):
 
 
 def build_initial(cfg):
-    """Construct the initial datum described by the [initial] section."""
+    """Construct the initial datum of the [initial] section: the file's
+    field, or a unit-height Gaussian or plane wave scaled to the norm target
+    if one is set, else by the amplitude. Raises ConfigError, naming the
+    key, when the datum is not finite."""
     ini, spec = cfg.initial, cfg.grid
-    if ini.type == "gaussian":
-        f = warn_if_cramped(scaled_gaussian(spec, ini.sigma, center=ini.center,
-                                            l2_target=ini.l2_norm, h1_target=ini.h1_norm))
-        if ini.l2_norm is None and ini.h1_norm is None and ini.amplitude != 1.0:
-            f = f * ini.amplitude
-        return f
-    if ini.type == "plane_wave":
-        f = ini.amplitude * plane_wave(spec, ini.k)
-        if ini.l2_norm is not None:
-            f = f * (ini.l2_norm / l2_norm(f))
-        elif ini.h1_norm is not None:
-            f = f * (ini.h1_norm / h1_norm(f))
-        return f
-    field, _ = read_field(ini.path)
-    if field.spec != spec:
-        raise ConfigError([ConfigIssue(
-            "constraint", None,
-            f"initial.path field is {field.spec.n}^3, L={field.spec.L}; "
-            f"config grid is {spec.n}^3, L={spec.L}",
-        )])
-    return field
+    if ini.type == "file":
+        key, (f, _) = "path", read_field(ini.path)
+        if f.spec != spec:
+            raise ConfigError([ConfigIssue("constraint", None,
+                                           f"initial.path field is {f.spec.n}^3, L={f.spec.L}; "
+                                           f"config grid is {spec.n}^3, L={spec.L}")])
+    else:
+        f = (warn_if_cramped(gaussian_field(spec, ini.sigma, center=ini.center))
+             if ini.type == "gaussian" else plane_wave(spec, ini.k))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            if ini.l2_norm is not None:
+                key, f = "l2_norm", f * (ini.l2_norm / l2_norm(f))
+            elif ini.h1_norm is not None:
+                key, f = "h1_norm", f * (ini.h1_norm / h1_norm(f))
+            else:
+                key, f = "amplitude", f * ini.amplitude
+    if not np.isfinite(f.values).all():
+        raise ConfigError([ConfigIssue("constraint", None,
+                                       f"initial.{key} gives a datum that is not finite")])
+    return f

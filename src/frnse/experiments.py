@@ -93,11 +93,11 @@ def loglog_slope(xs, ys):
 # kernel oracle and propagator checks
 # --------------------------------------------------------------------------
 
-def oracle_equivalence_rows(L=1.6, n=8, seed=0):
+def oracle_equivalence_rows(L, n, seed):
     """FFT apply vs direct summation on an n^3 grid, all kernel variants."""
     gspec = GridSpec(n, L)
     rng = np.random.default_rng([seed, 101])
-    rho = Field(gspec, rng.standard_normal((n, n, n)).astype(complex))
+    rho = Field(gspec, rng.standard_normal((n, n, n)))
     rows = []
     for kspec in (
         KernelSpec("full"),
@@ -113,7 +113,7 @@ def oracle_equivalence_rows(L=1.6, n=8, seed=0):
     return rows
 
 
-def gaussian_potential_row(L=1.6, n=32):
+def gaussian_potential_row(L, n=32):
     """Relative L2 error of the full kernel against the Newton potential of a
     centered Gaussian, (2 pi sigma^2)^{3/2} erf(r / (sqrt(2) sigma)) / r."""
     sigma = 0.12
@@ -129,7 +129,7 @@ def gaussian_potential_row(L=1.6, n=32):
                 f"n={n}, sigma={sigma}")
 
 
-def propagator_rows(gspec, alpha1, seed=0):
+def propagator_rows(gspec, alpha1, seed):
     """Plane-wave phase, unitarity, group law, and the analytic Gaussian."""
     rows = []
     k0 = 2.0 * np.pi / gspec.L * np.array([1.0, 2.0, 0.0])
@@ -169,14 +169,15 @@ def propagator_rows(gspec, alpha1, seed=0):
 # tail operator norms
 # --------------------------------------------------------------------------
 
-def kernel_norm_study(gspec, a_list=(0.4, 0.2, 0.1), p=2.0, trials=32, seed=0):
+def kernel_norm_study(gspec, a_list, p, trials, seed):
     """Tail operator norm estimates vs the table's l1 bound, plus the slope.
 
     Each estimate is held against the l1 mass ||k_h||_1 of the tail table,
     which bounds the discrete operator in every L^p (Young), at every
     radius; the continuum bound 2*pi*a^2 and the ratio
-    ||k_h||_1 / 2*pi*a^2 go in the row's detail. Returns (table, rows) where
-    table rows are (a, ||k_h||_1, estimate).
+    ||k_h||_1 / 2*pi*a^2 go in the row's detail. Returns (rows, tables), the
+    battery's part: tables holds the tail_norms table of (a, ||k_h||_1,
+    estimate) rows.
     """
     table = []
     rows = []
@@ -197,7 +198,7 @@ def kernel_norm_study(gspec, a_list=(0.4, 0.2, 0.1), p=2.0, trials=32, seed=0):
             _row("tail-norm-slope", "scaling-law", slope, 2.0, abs(slope - 2.0) <= 0.3,
                  "log-log estimate vs a, tolerance 0.3")
         )
-    return table, rows
+    return rows, {"tail_norms": (("a", "bound", "estimate"), table)}
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def _order_and_budget(diffs):
     return order, 2.0 * diffs[-1] / (2.0**order - 1.0)
 
 
-def quadrature_order_study(phi, cfg, ms=(32, 64, 128)):
+def quadrature_order_study(phi, cfg, ms):
     """Self-convergence of the fixed-point solution under node doubling.
 
     Solves at each m by a cold march_solve, measures the sup-node H1
@@ -262,7 +263,7 @@ def quadrature_order_study(phi, cfg, ms=(32, 64, 128)):
     return order, budget, fine
 
 
-def stepper_order_study(phi, cfg, steps=(64, 128, 256)):
+def stepper_order_study(phi, cfg, steps):
     """Self-convergence of the stepper's terminal state under dt halving."""
     if len(steps) < 3 or any(s2 != 2 * s1 for s1, s2 in zip(steps, steps[1:])):
         raise ValueError("steps must be at least 3 doubling step counts")
@@ -281,7 +282,7 @@ def stepper_order_study(phi, cfg, steps=(64, 128, 256)):
 LADDERS = ("simpson", "trapezoid", "ifrk4")
 
 
-def cross_method_ladder(which, phi, pcfg, ms=(32, 64, 128), steps=(64, 128, 256)):
+def cross_method_ladder(which, phi, pcfg, ms, steps):
     """One ladder of the cross-method check: node doubling under the
     quadrature rule `which`, or dt halving for which = "ifrk4". Every
     fixed-point solve is a cold march_solve. Returns (which, order, budget,
@@ -338,7 +339,7 @@ def norm_law_check(traj, params, kspec):
     return float(np.max(np.abs(res[1:-1])))
 
 
-def normalization_study(gspec, kspec, params, T=0.5, dt=2.5e-3, sigma=0.12):
+def normalization_study(gspec, kspec, params, T, dt, sigma):
     """Unit-norm conservation and sub-unit norm growth along stepper runs.
 
     Returns (rows, reports): the unit-L2 run must keep | ||psi||^2 - 1 |
@@ -407,7 +408,7 @@ def truncation_convergence(phi, base, a_list):
     return table, slope, rows
 
 
-def continuous_dependence(phi, deltas, cfg, seed=0, base=None):
+def continuous_dependence(phi, deltas, cfg, seed, base=None):
     """Perturbation response of the fixed point against the exp(C T) budget.
 
     Perturbs phi along one fixed-seed H1-normalized random direction scaled
@@ -472,7 +473,7 @@ def ball_field(gspec, rng, M):
     return f * (target / h1_norm(f))
 
 
-def inequality_battery(gspec, samples=60, seed=0):
+def inequality_battery(gspec, samples, seed):
     """Empirical suprema for the embedding and potential inequalities.
 
     For each inequality the battery reports the supremum of LHS/RHS over
@@ -545,7 +546,7 @@ def _g1_and_g2(psi, kspec):
     return Field(psi.spec, psi.values * pot.values), energy * psi
 
 
-def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec):
+def lipschitz_battery(M_list, pairs, seed, *, gspec):
     """Lipschitz-ratio growth of the nonlinearities across ball radii.
 
     Pair i of `pairs` seeded field pairs in the H^1 ball of radius M comes
@@ -596,7 +597,7 @@ def lipschitz_battery(M_list=(0.5, 1.0, 2.0), pairs=12, seed=0, *, gspec):
     return rows, probes
 
 
-def domination_rows(gspec, a, samples=200, seed=0):
+def domination_rows(gspec, a, samples, seed):
     """Pointwise |g1 with truncated kernel| <= |g1 full| + 1e-10 on samples:
     measured, as the tail table's negative lobes make it no identity."""
     kspec_full = KernelSpec("full")
@@ -637,9 +638,6 @@ class VerifyResult:
     #: {"workers": count, "sections": [(section, seconds), ...]}, in SECTIONS order
     timing: dict
 
-    def failing(self):
-        return [r for r in self.rows if not r.passed]
-
 
 def _picard_config(cfg):
     """The contraction solve's config, which the other solver studies vary."""
@@ -671,8 +669,7 @@ def _oracle_job(cfg):
 
 def _tail_job(cfg):
     e = cfg.experiment
-    table, rows = kernel_norm_study(cfg.grid, e.a_list, p=e.p, trials=e.trials, seed=e.seed)
-    yield "tail-norms", (rows, {"tail_norms": (("a", "bound", "estimate"), table)})
+    yield "tail-norms", kernel_norm_study(cfg.grid, e.a_list, p=e.p, trials=e.trials, seed=e.seed)
 
 
 def _contraction_job(cfg):
@@ -689,9 +686,7 @@ def _contraction_job(cfg):
     rows, _ = contraction_rows(report)
     rows.append(_info("picard-fixed-point-balance", norm_law_check(traj, cfg.params, cfg.kernel),
                       "balance defect finite-differenced on the fixed point's nodes"))
-    yield "contraction", (rows, {"picard": (
-        ("iteration", "increment", "residual"),
-        [(k, d, report.residual) for k, d in enumerate(report.increments)])})
+    yield "contraction", (rows, {"picard": report.table()})
     table, rows = continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
                                         base=(traj, report) if same else None)
     yield "dependence", (rows, {"dependence": (("delta", "ratio"), table)})
@@ -707,10 +702,7 @@ def _normalization_job(cfg):
     s = SCALES[cfg.experiment.scale]
     rows, reports = normalization_study(cfg.grid, cfg.kernel, cfg.params, T=0.5,
                                         dt=s["norm_dt"], sigma=s["sigma"])
-    unit = reports["unit"]
-    yield "normalization", (rows, {"diagnostics": (
-        ("t", "l2", "h1", "G1", "balance_residual", "dt"),
-        list(zip(unit.times, unit.l2, unit.h1, unit.g1_energy, unit.balance_residual, unit.dts)))})
+    yield "normalization", (rows, {"diagnostics": reports["unit"].table()})
 
 
 def _truncation_job(cfg):

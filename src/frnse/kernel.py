@@ -21,9 +21,8 @@ cropped back to n. One forward transform of a density serves any number of
 multipliers, with one product and inverse per multiplier. All steps run in
 one complex (2n, 2n, n+1) workspace per grid size, kept between applies,
 plus a second one when a density meets several multipliers; only the
-padding is zeroed again. A real (float64) density gives a float64
-potential; a complex density is convolved as its real part and then its
-imaginary part, by linearity.
+padding is zeroed again. Densities are real: a float64 density gives a
+float64 potential.
 
 The operator is spectral (Vico, Greengard and Ferrando, "Fast convolution
 with free-space Green's functions", J. Comput. Phys. 323, 2016): 1/|x| cut
@@ -173,18 +172,13 @@ def apply_kernel(kspec, density):
 
     Convolves on the 2x padded grid by the pruned real transform of
     _convolve_real against kernel_multiplier, without forming the padded
-    array. A real (float64) density gives a float64 Field; a complex one is
-    convolved as its real and then its imaginary part, by linearity, and
-    gives a complex128 Field.
+    array. A real (float64) density gives a float64 Field; a complex one
+    raises ValueError.
     """
-    spec = density.spec
-    mult = kernel_multiplier(spec, kspec)
     vals = density.values
-    if np.isrealobj(vals):
-        return Field(spec, *_convolve_real(vals, mult))
-    re, = _convolve_real(vals.real, mult)
-    im, = _convolve_real(vals.imag, mult)
-    return Field(spec, re + 1j * im)
+    if not np.isrealobj(vals):
+        raise ValueError(f"apply_kernel takes a real density, got {vals.dtype}")
+    return Field(density.spec, *_convolve_real(vals, kernel_multiplier(density.spec, kspec)))
 
 
 def direct_convolution_oracle(kspec, density):
@@ -202,7 +196,7 @@ def direct_convolution_oracle(kspec, density):
     rho = density.values
     idx = np.arange(n)
     dmod = (idx[:, None] - idx[None, :]) % (2 * n)  # (x, y) -> displacement index
-    out = np.empty((n, n, n), dtype=np.complex128)
+    out = np.empty_like(rho)
     for x1 in range(n):
         part = table[dmod[x1]]  # (y1, j2, j3)
         part = part[:, dmod, :]  # (y1, x2, y2, j3)
@@ -238,7 +232,7 @@ def _power_estimate(gspec, kspec, seed, iters):
     return float(est)
 
 
-def tail_norm_estimates(gspec, a_list, p=2.0, trials=32, seed=0, iters=200):
+def tail_norm_estimates(gspec, a_list, p, trials, seed, iters=200):
     """Empirical lower estimates of the L^p operator norm of the tail
     kernel, one per radius in a_list.
 

@@ -174,6 +174,14 @@ class ConvergenceReport:
     left_ball: bool
     T: float
 
+    def table(self):
+        """The increments as (header, rows): iterations from 1, the residual
+        on the last row and NaN above it."""
+        last = len(self.increments)
+        return (("iteration", "increment", "residual"),
+                [(k, d, self.residual if k == last else float("nan"))
+                 for k, d in enumerate(self.increments, 1)])
+
 
 def _finish(phi, cfg, coeffs, increments, residual, iterations, phi_h1, excursion,
             what):

@@ -116,6 +116,12 @@ class RunReport:
     def completed(self):
         return self.status == COMPLETED
 
+    def table(self):
+        """The diagnostics as (header, rows), one row per recorded state."""
+        return (("t", "l2", "h1", "G1", "balance_residual", "dt"),
+                list(zip(self.times, self.l2, self.h1, self.g1_energy,
+                         self.balance_residual, self.dts)))
+
 
 def evolve(phi, cfg):
     """Step from 0 to T, recording diagnostics every step.

@@ -59,10 +59,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "fields", fields)
 
-    @property
-    def spec(self):
-        return self.fields[0].spec
-
     def __len__(self):
         return len(self.fields)
 

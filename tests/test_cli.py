@@ -7,15 +7,18 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frnse import cli, experiments
 from frnse.cli import build_parser, main
-from frnse.config import parse_config
-from frnse.grid import Field, GridSpec
-from frnse.io import write_field
+from frnse.config import build_initial, parse_config
+from frnse.grid import Field, GridSpec, scaled_gaussian
+from frnse.io import write_csv, write_field
+from frnse.picard import picard_solve
+from frnse.stepper import evolve
 
 BASE = """
 [grid]
@@ -65,6 +68,13 @@ def _manifest(run_dir):
         return json.load(fh)
 
 
+def _assert_table_written(tmp_path, path, table):
+    """The file at path holds the (header, rows) table, byte for byte."""
+    want = tmp_path / "want.csv"
+    write_csv(str(want), *table)
+    assert want.read_bytes() == Path(path).read_bytes()
+
+
 def test_picard_run_produces_artifacts(tmp_path):
     cfg = _write(tmp_path, PICARD)
     out = tmp_path / "runs"
@@ -76,10 +86,14 @@ def test_picard_run_produces_artifacts(tmp_path):
     assert man["format"].startswith("frnse-run-manifest")
     assert not os.path.exists(os.path.join(run_dir, "INCOMPLETE"))
     names = sorted(os.listdir(run_dir))
-    assert any(n.endswith("-iterations.csv") for n in names)
+    (iterations,) = [n for n in names if n.endswith("-iterations.csv")]
     assert any(n.endswith("-final.field") for n in names)
     # free case: converged in one sweep with zero contraction constant
     assert man["summary"]["converged"] is True
+    # the iteration table is the solve report's own
+    parsed = parse_config(PICARD, command="picard")
+    _, report = picard_solve(build_initial(parsed), parsed.picard)
+    _assert_table_written(tmp_path, os.path.join(run_dir, iterations), report.table())
 
 
 def test_solve_run_produces_artifacts(tmp_path):
@@ -91,8 +105,11 @@ def test_solve_run_produces_artifacts(tmp_path):
     assert man["summary"]["run_status"] == "Completed"
     assert man["summary"]["steps"] == 4
     names = os.listdir(run_dir)
-    diag = [n for n in names if n.endswith("-diagnostics.csv")]
-    assert diag
+    (diag,) = [n for n in names if n.endswith("-diagnostics.csv")]
+    # the diagnostics table is the run report's own
+    parsed = parse_config(SOLVE, command="solve")
+    _, report = evolve(build_initial(parsed), parsed.stepper)
+    _assert_table_written(tmp_path, os.path.join(run_dir, diag), report.table())
     snaps = [n for n in names if ".field" in n]
     assert len(snaps) == man["summary"]["snapshots"]
     assert sorted(man["files"]) == man["files"]
@@ -148,6 +165,10 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("solve", "gaussian-solve.cfg", "initial.l2_norm=-1"),
     ("solve", "gaussian-solve.cfg", "initial.l2_norm=0"),
     ("picard", "picard-demo.cfg", "initial.h1_norm=-0.5"),
+    # one that is not finite ran into the solver as a non-finite datum
+    ("solve", "gaussian-solve.cfg", "initial.l2_norm=inf"),
+    ("solve", "gaussian-solve.cfg", "initial.amplitude=inf"),
+    ("picard", "picard-demo.cfg", "initial.h1_norm=inf"),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override
@@ -157,6 +178,29 @@ def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, over
     assert main([command, "--config", path, *sets, "--out", str(out)]) == 2
     assert overrides[0].split("=")[0] in capsys.readouterr().err
     assert not out.exists()  # rejected before any run directory exists
+
+
+@pytest.mark.parametrize("command, text", [("solve", SOLVE), ("picard", PICARD)])
+def test_overflowing_norm_target_exits_2_before_any_step(tmp_path, monkeypatch, capsys,
+                                                        command, text):
+    # a finite target can scale the datum past float64, which shows only
+    # once its run has built it: the run records the error and steps nothing
+    def boom(*args):
+        raise AssertionError("the solver started")
+
+    monkeypatch.setattr(cli, "evolve", boom)
+    monkeypatch.setattr(cli, "picard_solve", boom)
+    cfg = _write(tmp_path, text.replace("h1_norm = 0.5", "l2_norm = 1e308"))
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "initial.l2_norm gives a datum that is not finite" in capsys.readouterr().err
+    (run_dir,) = _run_dirs(out)
+    man = _manifest(run_dir)
+    assert (man["status"], man["files"]) == ("failed", [])
+    (error,) = man["errors"]
+    assert error["type"] == "ConfigError" and "initial.l2_norm" in error["message"]
 
 
 def _file_initial(tmp_path, command, payload):
@@ -447,6 +491,12 @@ def test_verify_times_sections_and_reraises_worker_warnings(tmp_path, monkeypatc
              for m in (re.fullmatch(r"verify: (\S+) (\d+\.\d\d) s", line) for line in lines)]
     assert timing["sections"] == shown
     assert [name for name, _ in shown] == list(experiments.SECTIONS)
+    # the picard table is the contraction solve's report's own
+    parsed = parse_config(VERIFY, command="verify")
+    phi = scaled_gaussian(parsed.grid, experiments.SCALES["quick"]["sigma"], h1_target=0.5)
+    _, report = picard_solve(phi, experiments._picard_config(parsed))
+    (picard,) = glob.glob(os.path.join(run_dir, "*-picard.csv"))
+    _assert_table_written(tmp_path, picard, report.table())
 
 
 def test_verify_worker_crash_cancels_pending_jobs(tmp_path, monkeypatch, capsys, fork_log):

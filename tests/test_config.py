@@ -9,7 +9,7 @@ import pytest
 
 from frnse.config import (SCHEMA, ConfigError, build_initial, config_hash,
                           parse_config, serialize_config)
-from frnse.grid import l2_norm
+from frnse.grid import l2_norm, plane_wave, scaled_gaussian
 from frnse.io import write_field
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -86,6 +86,18 @@ def test_norm_target_must_be_positive(key, value):
         (issue,) = err.value.issues
         assert (issue.kind, issue.line) == ("constraint", where)
         assert issue.message == f"initial.{key} must be positive"
+
+
+@pytest.mark.parametrize("key, value", [("l2_norm", "inf"), ("h1_norm", "inf"),
+                                        ("amplitude", "inf"), ("amplitude", "-inf"),
+                                        ("amplitude", "nan")])
+def test_initial_scale_must_be_finite(key, value):
+    # an infinite target or amplitude ran into the solver as a non-finite datum
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL, (f"initial.{key}={value}",))
+    (issue,) = err.value.issues
+    assert (issue.kind, issue.line, issue.message) == ("constraint", 0,
+                                                       f"initial.{key} must be finite")
 
 
 def test_constructor_error_cites_the_sections_last_setting():
@@ -358,6 +370,34 @@ def test_build_initial_warns_on_undecayed_gaussian():
     cfg = parse_config(text)
     with pytest.warns(UserWarning):
         build_initial(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:initial bump")
+def test_build_initial_scales_the_unit_shape_once():
+    # a norm target scales the unit-height shape and the amplitude applies
+    # only without one; the Gaussian is scaled_gaussian's, bit for bit
+    for kind in ("gaussian", "plane_wave"):
+        base = (f"initial.type={kind}", "initial.l2_norm=0.7")
+        one, amp = (build_initial(parse_config(MINIMAL, base + extra))
+                    for extra in ((), ("initial.amplitude=-3",)))
+        assert np.array_equal(one.values, amp.values)
+    cfg = parse_config(MINIMAL, ("initial.h1_norm=0.5",))
+    want = scaled_gaussian(cfg.grid, 0.12, h1_target=0.5)
+    assert np.array_equal(build_initial(cfg).values, want.values)
+    cfg = parse_config(MINIMAL, ("initial.type=plane_wave", "initial.amplitude=2"))
+    assert np.array_equal(build_initial(cfg).values, 2.0 * plane_wave(cfg.grid, (1, 0, 0)).values)
+
+
+def test_build_initial_rejects_a_datum_that_overflows():
+    # a finite norm target can scale the unit shape past float64: rejected,
+    # naming the key, without an overflow warning
+    cfg = parse_config(MINIMAL, ("initial.l2_norm=1e308",))
+    with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
+        warnings.simplefilter("error", RuntimeWarning)
+        build_initial(cfg)
+    (issue,) = err.value.issues
+    assert (issue.kind, issue.message) == ("constraint",
+                                           "initial.l2_norm gives a datum that is not finite")
 
 
 def test_build_initial_exclusive_targets():

@@ -1,4 +1,3 @@
-import types
 import warnings
 
 import numpy as np
@@ -35,7 +34,7 @@ def test_loglog_slope_exact_on_power_law():
 
 
 def test_oracle_equivalence_rows_pass():
-    rows = oracle_equivalence_rows(n=8)
+    rows = oracle_equivalence_rows(1.6, 8, 0)
     assert len(rows) == 3
     assert {r.check for r in rows} == {
         "kernel-oracle-full", "kernel-oracle-inner", "kernel-oracle-tail"}
@@ -46,16 +45,16 @@ def test_oracle_equivalence_rows_pass():
 def test_gaussian_potential_row_is_spectrally_accurate():
     # the closed-form Newton potential of a Gaussian: the error falls from
     # 1.5e-6 at n=16 to the Gaussian's own e^-22 floor at the box face
-    row = gaussian_potential_row()
+    row = gaussian_potential_row(1.6)
     assert (row.check, row.kind, row.threshold) == ("kernel-gaussian-potential",
                                                     "identity", 1e-8)
     assert row.passed and row.measured < 1e-9
-    coarse = gaussian_potential_row(n=16)
+    coarse = gaussian_potential_row(1.6, n=16)
     assert 1e-7 < coarse.measured < 1e-5
 
 
 def test_propagator_rows_pass(gspec32):
-    rows = propagator_rows(gspec32, 1.0)
+    rows = propagator_rows(gspec32, 1.0, seed=0)
     assert all(r.passed for r in rows)
     names = {r.check for r in rows}
     assert "propagator-gaussian-t0.002" in names
@@ -63,7 +62,10 @@ def test_propagator_rows_pass(gspec32):
 
 
 def test_kernel_norm_study(gspec32):
-    table, rows = kernel_norm_study(gspec32, a_list=(0.4, 0.2), trials=8)
+    rows, tables = kernel_norm_study(gspec32, a_list=(0.4, 0.2), p=2.0, trials=8, seed=0)
+    assert list(tables) == ["tail_norms"]
+    header, table = tables["tail_norms"]
+    assert header == ("a", "bound", "estimate")
     assert all(r.passed for r in rows)
     assert [a for a, _, _ in table] == [0.4, 0.2]
     for (a, bound, est), row in zip(table, rows):
@@ -81,8 +83,9 @@ def test_kernel_norm_study(gspec32):
 def test_tail_norm_estimate_under_continuum_bound_at_p2():
     # at a = 3h on a 48^3 grid the p=2 estimate sits under 2 pi a^2, the
     # multiplier's peak; the row holds it against the table's l1 mass
-    table, rows = kernel_norm_study(GridSpec(48, 1.6), a_list=(0.1,), p=2.0)
-    (_, bound, est), = table
+    rows, tables = kernel_norm_study(GridSpec(48, 1.6), a_list=(0.1,), p=2.0, trials=32,
+                                     seed=0)
+    (_, bound, est), = tables["tail_norms"][1]
     assert est <= 2.0 * np.pi * 0.1**2 * (1.0 + 1e-12)
     assert est > 0.9 * 2.0 * np.pi * 0.1**2
     assert [r.check for r in rows] == ["tail-norm-bound-a0.1"]
@@ -130,7 +133,7 @@ def test_normalization_study_quick(gspec16, kfull):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows, reports = normalization_study(
-            gspec16, kfull, PhysParams(1.0, 1.0), T=0.1)
+            gspec16, kfull, PhysParams(1.0, 1.0), T=0.1, dt=2.5e-3, sigma=0.12)
     by_name = {r.check: r for r in rows}
     assert by_name["norm-law-unit-sphere"].passed
     assert by_name["norm-law-subunit-growth"].passed
@@ -177,36 +180,37 @@ def test_continuous_dependence_guards(gspec8, kfull):
     cfg = PicardConfig(T=0.1, m=4, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="trapezoid")
     with pytest.raises(ValueError):
-        continuous_dependence(phi, (1e-3, 1e-2), cfg)  # not decreasing
+        continuous_dependence(phi, (1e-3, 1e-2), cfg, seed=0)  # not decreasing
     with pytest.raises(ValueError):
-        continuous_dependence(phi, (10.0, 1.0), cfg)  # not small vs phi
+        continuous_dependence(phi, (10.0, 1.0), cfg, seed=0)  # not small vs phi
     with pytest.raises(ValueError):
-        continuous_dependence(phi, (1e-3, -1e-4), cfg)  # not positive
+        continuous_dependence(phi, (1e-3, -1e-4), cfg, seed=0)  # not positive
 
 
 def test_continuous_dependence_runs(gspec16, kfull):
     phi = _small_data(gspec16)
     cfg = PicardConfig(T=0.1, m=8, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="simpson", tol=1e-11)
-    table, rows = continuous_dependence(phi, (1e-2, 1e-3), cfg)
+    table, rows = continuous_dependence(phi, (1e-2, 1e-3), cfg, seed=0)
     assert len(table) == 2
     assert all(r.passed for r in rows)
     # a base solved beforehand gives the same rows, bit for bit
-    again = continuous_dependence(phi, (1e-2, 1e-3), cfg, base=picard_solve(phi, cfg))
+    again = continuous_dependence(phi, (1e-2, 1e-3), cfg, seed=0,
+                                  base=picard_solve(phi, cfg))
     assert again == (table, rows)
 
 
 def test_inequality_battery(gspec8):
     with pytest.raises(ValueError):
-        inequality_battery(gspec8, samples=10)
-    rows, data = inequality_battery(gspec8, samples=50)
+        inequality_battery(gspec8, samples=10, seed=0)
+    rows, data = inequality_battery(gspec8, samples=50, seed=0)
     assert all(r.passed for r in rows)
     assert any(r.check.startswith("riesz") for r in rows)
     assert any(r.check.startswith("g1-ratio") for r in rows)
 
 
 def test_lipschitz_battery_negative_control(gspec8):
-    rows, probes = lipschitz_battery(pairs=4, gspec=gspec8)
+    rows, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=4, seed=0, gspec=gspec8)
     by_name = {r.check: r for r in rows}
     red = by_name["g2-lipschitz-slope"]
     assert not red.passed
@@ -238,7 +242,7 @@ def test_lipschitz_battery_exact_scaling(gspec8):
     for which, factor in (("g1_in_L2", 4.0), ("g1_in_Lrho", 4.0), ("g2_in_L2", 16.0)):
         assert ratio[which, 2.0] == pytest.approx(factor * ratio[which, 1.0], rel=1e-9)
     with pytest.raises(ValueError):
-        lipschitz_battery((1.0,), pairs=2, gspec=gspec8)
+        lipschitz_battery((1.0,), pairs=2, seed=0, gspec=gspec8)
 
 
 def test_lipschitz_battery_one_potential_per_field(gspec8, monkeypatch):
@@ -253,12 +257,12 @@ def test_lipschitz_battery_one_potential_per_field(gspec8, monkeypatch):
     for module in (experiments, nonlinear):
         monkeypatch.setattr(module, "apply_kernel", counted)
     M_list, pairs = (0.5, 1.0, 2.0), 3
-    lipschitz_battery(M_list, pairs=pairs, gspec=gspec8)
+    lipschitz_battery(M_list, pairs=pairs, seed=0, gspec=gspec8)
     assert len(calls) == 2 * pairs * len(M_list)
 
 
 def test_domination_rows(gspec8):
-    rows = domination_rows(gspec8, a=0.4, samples=50)
+    rows = domination_rows(gspec8, a=0.4, samples=50, seed=0)
     assert len(rows) == 1
     assert rows[0].passed
 
@@ -284,18 +288,24 @@ trials = 9
 """
 
 
+class _EmptyReport:
+    """A solver report stub with an empty table; picklable, as its calls are
+    recorded from worker processes."""
+
+    def table(self):
+        return (), []
+
+
 def _stub_sections(monkeypatch, log):
     """Replace every battery section by a recorder that writes each call to
     log and returns an empty result of the section's shape."""
-    report = types.SimpleNamespace(increments=[], residual=0.0)
-    unit = types.SimpleNamespace(times=[], l2=[], h1=[], g1_energy=[],
-                                 balance_residual=[], dts=[])
+    report = _EmptyReport()
     returns = {
         "oracle_equivalence_rows": [], "propagator_rows": [],
-        "kernel_norm_study": ([], []), "picard_solve": (None, report),
+        "kernel_norm_study": ([], {}), "picard_solve": (None, report),
         "contraction_rows": ([], None), "norm_law_check": 0.0,
         "cross_method_ladder": ("simpson", 4.0, 0.0, None), "cross_method_check": [],
-        "normalization_study": ([], {"unit": unit}),
+        "normalization_study": ([], {"unit": report}),
         "truncation_convergence": ([], 0.0, []), "continuous_dependence": ([], []),
         "inequality_battery": ([], {}), "lipschitz_battery": ([], []),
         "domination_rows": [],

@@ -154,16 +154,9 @@ def test_shared_forward_equals_single_applies(n, rng):
     # the single applies the direct oracle vouches for
     gspec = GridSpec(n, 1.6)
     mults = [kernel_multiplier(gspec, kspec) for kspec in SHARED_KSPECS]
-    psi = random_band_limited(gspec, rng)
-    for dens in (Field(gspec, np.abs(psi.values) ** 2), psi):
-        vals = dens.values
-        if np.isrealobj(vals):
-            shared = _convolve_real(vals, *mults)
-        else:
-            parts = zip(_convolve_real(vals.real, *mults), _convolve_real(vals.imag, *mults))
-            shared = [re + 1j * im for re, im in parts]
-        for kspec, out in zip(SHARED_KSPECS, shared):
-            assert np.array_equal(out, apply_kernel(kspec, dens).values)
+    dens = Field(gspec, np.abs(random_band_limited(gspec, rng).values) ** 2)
+    for kspec, out in zip(SHARED_KSPECS, _convolve_real(dens.values, *mults)):
+        assert np.array_equal(out, apply_kernel(kspec, dens).values)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -191,21 +184,13 @@ def test_pruned_apply_matches_padded_reference(n, rng):
     gspec = GridSpec(n, 1.6)
     # tail: the self cell and its 6 face neighbours; inner: everything beyond
     a = 1.2 * gspec.h
-    re = rng.standard_normal((n, n, n))
-    im = rng.standard_normal((n, n, n))
+    values = rng.standard_normal((n, n, n))
     for kspec in (KernelSpec("full"),
                   KernelSpec("inner", a=a),
                   KernelSpec("tail", a=a)):
-        for values in (re, re + 1j * im):
-            ref = _padded_reference(gspec, kspec, values)
-            out = apply_kernel(kspec, Field(gspec, values)).values
-            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
-        # linearity: the complex apply is the real apply of re and im
-        out_re = apply_kernel(kspec, Field(gspec, re)).values
-        out_im = apply_kernel(kspec, Field(gspec, im)).values
-        assert not np.any(out_re.imag) and not np.any(out_im.imag)
-        out = apply_kernel(kspec, Field(gspec, re + 1j * im)).values
-        assert np.array_equal(out, out_re + 1j * out_im)
+        ref = _padded_reference(gspec, kspec, values)
+        out = apply_kernel(kspec, Field(gspec, values)).values
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_apply_real_and_positive(gspec16, rng):
@@ -217,13 +202,20 @@ def test_apply_real_and_positive(gspec16, rng):
 
 
 def test_apply_dtypes(gspec8, rng):
-    # a real density gives a real potential; a complex one a complex potential
+    # a real density gives a real potential
     kspec = KernelSpec("full")
     psi = random_band_limited(gspec8, rng)
     rho, pot = density(psi), potential(psi, kspec)
     assert rho.values.dtype == np.float64 and pot.values.dtype == np.float64
     assert np.allclose(rho.values, np.abs(psi.values) ** 2, rtol=1e-14, atol=0.0)
-    assert apply_kernel(kspec, psi).values.dtype == np.complex128
+
+
+def test_apply_rejects_a_complex_density(gspec8, rng):
+    # densities are real; a complex one, even with a zero imaginary part, is refused
+    kspec = KernelSpec("full")
+    for values in (random_band_limited(gspec8, rng).values, np.ones((8, 8, 8), complex)):
+        with pytest.raises(ValueError, match="real density"):
+            apply_kernel(kspec, Field(gspec8, values))
 
 
 def test_apply_result_survives_the_next_apply(gspec16, rng):
@@ -266,7 +258,7 @@ def test_tail_norm_estimate_below_bound(gspec32):
     # its zero frequency 2 pi a^2 (the table's sum), and so under the l1
     # mass of the table (Young), which the negative lobes make larger
     a_list = (0.4, 0.2)
-    for a, est in zip(a_list, tail_norm_estimates(gspec32, a_list, trials=8, seed=0,
+    for a, est in zip(a_list, tail_norm_estimates(gspec32, a_list, p=2.0, trials=8, seed=0,
                                                   iters=120)):
         mult = kernel_multiplier(gspec32, KernelSpec("tail", a=a))
         table = kernel_table(gspec32, KernelSpec("tail", a=a))
@@ -282,13 +274,14 @@ def test_tail_norm_estimate_below_grid_spacing(gspec16):
     a = gspec16.h / 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est, = tail_norm_estimates(gspec16, (a,), trials=2, seed=0, iters=200)
+        est, = tail_norm_estimates(gspec16, (a,), p=2.0, trials=2, seed=0, iters=200)
     assert 0.9 * tail_norm_bound(a) <= est <= (1.0 + 1e-12) * tail_norm_bound(a)
 
 
 def test_lp_tail_norm_estimates_equal_a_loop_per_radius(gspec16):
     # at p != 2 the trials are drawn once for all radii; each estimate is
-    # bitwise the one a per-radius loop gets from the same seeded draws
+    # bitwise the one a per-radius loop gets from the same seeded draws,
+    # convolving the real and imaginary parts of each draw apart
     p, trials, seed, a_list = 3.0, 3, 7, (0.4, 0.2, 0.1)
     ests = tail_norm_estimates(gspec16, a_list, p=p, trials=trials, seed=seed)
     for a, est in zip(a_list, ests):
@@ -297,7 +290,9 @@ def test_lp_tail_norm_estimates_equal_a_loop_per_radius(gspec16):
         best = 0.0
         for _ in range(trials):
             f = random_band_limited(gspec16, rng)
-            best = max(best, lp_norm(apply_kernel(kspec, f), p) / lp_norm(f, p))
+            re, im = (apply_kernel(kspec, Field(gspec16, part)).values
+                      for part in (f.values.real, f.values.imag))
+            best = max(best, lp_norm(Field(gspec16, re + 1j * im), p) / lp_norm(f, p))
         assert est == best
         assert 0.0 < est < np.abs(kernel_table(gspec16, kspec)).sum()
 

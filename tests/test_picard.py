@@ -168,6 +168,12 @@ def test_picard_converges_small_data(gspec16, kfull):
     incs = report.increments
     assert all(b < a for a, b in zip(incs[1:], incs[2:])) or len(incs) <= 2
     assert not report.left_ball
+    # the iteration table numbers the maps from 1 and holds the residual on
+    # its last row only, NaN above it
+    header, rows = report.table()
+    assert header == ("iteration", "increment", "residual")
+    assert [(k, d) for k, d, _ in rows] == list(enumerate(incs, 1))
+    assert np.isnan([r for _, _, r in rows[:-1]]).all() and rows[-1][2] == report.residual
 
 
 def test_picard_transform_counts(gspec8, kfull, count_transforms):
@@ -222,6 +228,10 @@ def test_nonconvergence_carries_report(gspec8, kfull):
     assert report.iterations == 2
     with pytest.raises(ValueError):
         contraction_report(report)  # too few increments to fit
+    # unconverged, the table still ends on the residual, the last increment
+    _, rows = report.table()
+    assert [k for k, _, _ in rows] == [1, 2] and np.isnan(rows[0][2])
+    assert rows[-1][1:] == (report.increments[-1], report.increments[-1])
     # a battery job's exception reaches the parent process pickled
     again = pickle.loads(pickle.dumps(exc.value))
     assert str(again) == str(exc.value)

@@ -35,7 +35,7 @@ def test_node_fields_built_when_read(gspec8, rng):
     coeffs = [to_spectral(phi)] + [to_spectral(random_band_limited(gspec8, rng))
                                    for _ in times[1:]]
     traj = Trajectory(times, NodeFields(phi, times, coeffs, 0.7))
-    assert len(traj) == 4 and traj.fields[0] is phi and traj.spec == gspec8
+    assert len(traj) == 4 and traj.fields[0] is phi and traj.final().spec == gspec8
     for j in range(1, 4):
         want = from_spectral(gspec8, coeffs[j] * free_phase(gspec8, times[j], 0.7))
         assert np.array_equal(traj.fields[j].values, want.values)
