@@ -449,7 +449,7 @@ def build_initial(cfg):
     """Construct the initial datum of the [initial] section: the file's
     field, or a unit-height Gaussian or plane wave scaled to the norm target
     if one is set, else by the amplitude. Raises ConfigError, naming the
-    key, when the datum is not finite."""
+    key, when the datum or its L2 or H1 norm is not finite."""
     ini, spec = cfg.initial, cfg.grid
     if ini.type == "file":
         key, (f, _) = "path", read_field(ini.path)
@@ -467,7 +467,9 @@ def build_initial(cfg):
                 key, f = "h1_norm", f * (ini.h1_norm / h1_norm(f))
             else:
                 key, f = "amplitude", f * ini.amplitude
-    if not np.isfinite(f.values).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # finite values can overflow a norm
+        norms = l2_norm(f), h1_norm(f)
+    if not np.isfinite(norms).all():
         raise ConfigError([ConfigIssue("constraint", None,
                                        f"initial.{key} gives a datum that is not finite")])
     return f

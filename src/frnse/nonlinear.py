@@ -97,5 +97,5 @@ def nonlinear_part(psi, params, kspec):
     side, and G1(psi), from one kernel apply, made even when alpha2 = 0."""
     pot, g1v = potential_and_energy(psi, kspec)
     part = Field(psi.spec, params.alpha2 * (pot.values - g1v) * psi.values)
-    del pot  # not held through the transform
+    del pot, psi  # not held through the transform
     return to_spectral(part), g1v

@@ -17,25 +17,28 @@ U_j -> phi_hat + integral_0^{t_j} e^{-i a1 s Lap} N(psi(s)) ds and the free
 trajectory is phi_hat at every node. A map costs each node two transforms
 (to psi_j and back) and one phase, regardless of m. The propagator is
 unitary, so both sup-node H^1 distances are Parseval sums on coefficients
-in hand. A solve holds its m+1 node coefficients, which each map replaces
-in place as it streams over the nodes, and a window of at most four
-integrands and three prefixes: (m+1)+7 complex n^3 arrays. The Trajectory
-it returns keeps the coefficients and builds a node's Field when it is read.
+in hand. Both solvers walk the nodes in one loop, _solve_nodes, which keeps
+per array only what the rules read next: U_j, P_{j-1} and P_j, W_{j-3} to
+W_j. A solve holds its m+1 node coefficients and, within a block, at most
+four integrands and three prefixes: (m+1)+7 complex n^3 arrays. The
+Trajectory it returns keeps the coefficients and builds a node's Field when
+it is read.
 
 Two solvers reach the fixed point of the same discrete system. The
 Weissinger (Picard, Jacobi) iteration of picard_solve is the one the paper's
 local existence rests on; it is the measured one: its increments give
 contraction_report's C_fit and factorial envelope, and it always starts
-cold. march_solve only solves. Every quadrature rule is causal except
-Simpson's node 1, which reads W_2, so the node equations are lower
-triangular and it solves them one node at a time, from the free
-trajectory's node 0 forward: the step-by-step method for discretized
-Volterra equations (P. Linz, Analytical and Numerical Methods for Volterra
-Equations, SIAM 1985; H. Brunner, Collocation Methods for Volterra Integral
-and Related Functional Equations, CUP 2004). Each node starts from an
-Adams-Bashforth prediction, since dU/dt is the integrand in the interaction
-picture, and each of its iterations costs one integrand and contracts by
-about c dt L, with c the rule's own weight.
+cold; each of its maps is one pass of the loop over the old nodes.
+march_solve only solves. Every quadrature rule is causal except Simpson's
+node 1, which reads W_2, so the node equations are lower triangular and it
+solves them one block at a time, from the free trajectory's node 0 forward:
+the step-by-step method for discretized Volterra equations (P. Linz,
+Analytical and Numerical Methods for Volterra Equations, SIAM 1985; H.
+Brunner, Collocation Methods for Volterra Integral and Related Functional
+Equations, CUP 2004). Each node starts from an Adams-Bashforth prediction,
+since dU/dt is the integrand in the interaction picture, and each of its
+iterations costs one integrand and contracts by about c dt L, with c the
+rule's own weight.
 """
 
 import math
@@ -112,38 +115,70 @@ def _integrand(spec, t, u, cfg):
     return nonlinear_part(from_spectral(spec, u * e), cfg.params, cfg.kspec)[0] * e.conj()
 
 
-def _images(spec, coeffs, phi_hat, cfg):
-    """Yield (j, image of U_j) in node order. Node j's integrand is taken
-    from coeffs[j] when node j is reached (Simpson's node 1 also takes node
-    2's), so the caller may replace coeffs[j] once its image is yielded."""
-    dt = cfg.T / cfg.m
-    P, W = {0: np.zeros_like(phi_hat)}, {}
-    for j in range(cfg.m + 1):
-        for i in (j, 2) if j == 1 and cfg.quad == "simpson" else (j,):
-            if i not in W:
-                W[i] = _integrand(spec, cfg.times[i], coeffs[i], cfg)
-        if j:
-            P[j] = _node_integral(P, W, j, dt, cfg.quad)
-        P.pop(j - 2, None)
-        W.pop(j - 3, None)
-        yield j, P[j] + phi_hat
+def _predict(u, W, j, b, dt):
+    """Start for node j from U_b = u, the last solved node: Adams-Bashforth
+    4 on the integrands from j = 4, linear extrapolation along W_b below."""
+    if j < 4:
+        return u + ((j - b) * dt) * W[b]
+    return u + (dt / 24.0) * (55.0 * W[j - 1] - 59.0 * W[j - 2]
+                              + 37.0 * W[j - 3] - 9.0 * W[j - 4])
+
+
+def _solve_nodes(spec, phi_hat, cfg, start=None):
+    """Walk the node equations U_j = phi_hat + P_j(W) in blocks from node 1
+    and yield (block, its U values, change, integrands evaluated) per block.
+
+    Simpson's nodes 1 and 2 form one block, since P_1 reads W_2; every other
+    node is its own. A pass over a block takes its integrands at its U_j,
+    then sets each U_j to phi_hat + P_j; change is the largest H^1 change of
+    a pass. Given start, a node list, each block makes one pass from start's
+    U_j, read when the block is reached, so the values are the Duhamel image
+    of start. Without it, each block starts from _predict and repeats the
+    pass until change is below tol, at most max_iter times: the march. Node
+    0's integrand is taken at phi_hat, P_0 = 0. Between blocks only what the
+    rules and _predict read next is held: U_j, P_{j-1}, P_j and W_{j-3} to
+    W_j. Raises DivergenceDetected on a non-finite node.
+    """
+    dt, times = cfg.T / cfg.m, cfg.times
+    first = (1, 2) if cfg.quad == "simpson" else (1,)
+    P, W, u = {0: np.zeros_like(phi_hat)}, {0: _integrand(spec, 0.0, phi_hat, cfg)}, phi_hat
+    for block in [first] + [(j,) for j in range(first[-1] + 1, cfg.m + 1)]:
+        U = {j: _predict(u, W, j, block[0] - 1, dt) if start is None else start[j]
+             for j in block}
+        W.pop(block[0] - 4, None)  # read by _predict only
+        for passes in range(1, (cfg.max_iter if start is None else 1) + 1):
+            for j in block:
+                W[j] = _integrand(spec, times[j], U[j], cfg)
+            change = 0.0
+            for j in block:
+                P[j] = _node_integral(P, W, j, dt, cfg.quad)
+                new = phi_hat + P[j]
+                if not np.isfinite(new).all():
+                    raise DivergenceDetected(f"non-finite field at node {j}")
+                change = max(change, spectral_h1_norm(spec, new - U[j]))
+                U[j] = new
+            if change < cfg.tol:
+                break
+        P.pop(block[-1] - 2, None)
+        u = U[block[-1]]
+        yield block, [U[j] for j in block], change, passes * len(block)
 
 
 def duhamel_map(spec, coeffs, phi_hat, cfg):
     """One Jacobi step of the Duhamel map in the interaction picture, in
     place on the list coeffs of the m+1 node coefficients U_j (phi_hat: the
-    datum's). Each U_j is replaced by its image, node 0's phi_hat plus a zero
-    integral, once the image is measured. Returns (increment, excursion), the
-    sup-node H^1 distances of the image from the old nodes and from phi_hat."""
+    datum's, which coeffs[0] must hold; it is neither read nor replaced).
+    Each later U_j is replaced by its image once the image is measured.
+    Returns (increment, excursion), the sup-node H^1 distances of the image
+    from the old nodes and from phi_hat."""
     if len(coeffs) != cfg.m + 1:
         raise ValueError("node count does not match the configuration")
     delta = excursion = 0.0
-    for j, new in _images(spec, coeffs, phi_hat, cfg):
-        if not np.isfinite(new).all():
-            raise DivergenceDetected("non-finite field during fixed-point iteration")
-        delta = max(delta, spectral_h1_norm(spec, new - coeffs[j]))
-        excursion = max(excursion, spectral_h1_norm(spec, new - phi_hat))
-        coeffs[j] = new
+    for block, values, change, _ in _solve_nodes(spec, phi_hat, cfg, coeffs):
+        delta = max(delta, change)
+        for j, new in zip(block, values):
+            excursion = max(excursion, spectral_h1_norm(spec, new - phi_hat))
+            coeffs[j] = new
     return delta, excursion
 
 
@@ -162,7 +197,7 @@ class ConvergenceReport:
 
     phi_h1 is the H^1 norm of the initial datum (proxy for the contraction
     ball radius); ball_excursion is the largest sup-node H^1 distance any
-    iterate reached from the free trajectory.
+    iterate (march_solve: its solved nodes) reached from the free trajectory.
     """
 
     increments: tuple
@@ -238,72 +273,35 @@ def picard_solve(phi, cfg):
         increments.append(float(delta))
         if delta < cfg.tol:
             break
-    residual = (max(spectral_h1_norm(spec, new - cur[j])
-                    for j, new in _images(spec, cur, phi_hat, cfg))
+    residual = (max(change for _, _, change, _ in _solve_nodes(spec, phi_hat, cfg, cur))
                 if increments[-1] < cfg.tol else increments[-1])
     return _finish(phi, cfg, cur, increments, residual, len(increments), phi_h1,
                    excursion, "iterations")
 
 
-def _predict(U, W, j, b, dt):
-    """Start for node j from the solved nodes up to b: Adams-Bashforth 4 on
-    the integrands from j = 4, linear extrapolation along W_b below."""
-    if j < 4:
-        return U[b] + ((j - b) * dt) * W[b]
-    return U[j - 1] + (dt / 24.0) * (55.0 * W[j - 1] - 59.0 * W[j - 2]
-                                     + 37.0 * W[j - 3] - 9.0 * W[j - 4])
-
-
 def march_solve(phi, cfg):
     """Solve the node equations U_j = phi_hat + P_j(W) of the Duhamel map
-    one node at a time, forward from node 0, cold.
-
-    Each node (Simpson's nodes 1 and 2 together, since P_1 reads W_2) starts
-    from _predict and is iterated until its H^1 change falls below tol. The
-    last integrand evaluated, taken within tol of the final U_j, is kept for
-    the later nodes; only the last four integrands and three prefixes are
-    held. The fixed point is the one picard_solve reaches; the increments
-    are per node (see ConvergenceReport), so no contraction rate is read
-    from them. Returns (trajectory, report); raises NonConvergence, naming
-    the node, when a node exhausts max_iter and DivergenceDetected on a
-    non-finite value.
+    one block at a time, forward from node 0, cold: _solve_nodes without a
+    start. A block's last integrand, taken within tol of its final U_j, is
+    kept for the later nodes. The fixed point is the one picard_solve
+    reaches; the increments are per node (see ConvergenceReport), so no
+    contraction rate is read from them. Returns (trajectory, report); raises
+    NonConvergence, naming the block, when it exhausts max_iter and
+    DivergenceDetected on a non-finite node.
     """
     spec = phi.spec
     phi_hat = to_spectral(phi)
     phi_h1 = spectral_h1_norm(spec, phi_hat)
-    dt, times = cfg.T / cfg.m, cfg.times
-    first = (1, 2) if cfg.quad == "simpson" else (1,)
-    blocks = [first] + [(j,) for j in range(first[-1] + 1, cfg.m + 1)]
-    U = [phi_hat] * (cfg.m + 1)
-    P = {0: np.zeros_like(phi_hat)}
-    increments, evaluated, excursion = [], 0, 0.0
+    U, increments, evaluated, excursion = [phi_hat], [], 0, 0.0
     # overflow on a diverging node is expected and reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        W = {0: _integrand(spec, 0.0, phi_hat, cfg)}
-        for block in blocks:
-            for j in block:
-                U[j] = _predict(U, W, j, block[0] - 1, dt)
-            for _ in range(cfg.max_iter):
-                for j in block:
-                    W[j] = _integrand(spec, times[j], U[j], cfg)
-                evaluated += len(block)
-                delta = 0.0
-                for j in block:
-                    P[j] = _node_integral(P, W, j, dt, cfg.quad)
-                    new = phi_hat + P[j]
-                    if not np.isfinite(new).all():
-                        raise DivergenceDetected(f"non-finite field at node {j}")
-                    delta = max(delta, spectral_h1_norm(spec, new - U[j]))
-                    excursion = max(excursion, spectral_h1_norm(spec, P[j]))
-                    U[j] = new
-                if delta < cfg.tol:
-                    break
-            increments.append(float(delta))
-            if not delta < cfg.tol:
+        for block, values, change, passes in _solve_nodes(spec, phi_hat, cfg):
+            U += values
+            increments.append(float(change))
+            evaluated += passes
+            excursion = max(excursion, *(spectral_h1_norm(spec, u - phi_hat) for u in values))
+            if not change < cfg.tol:
                 break
-            for j in block:
-                P.pop(j - 3, None)
-                W.pop(j - 4, None)
     return _finish(phi, cfg, U, increments, max(increments), evaluated, phi_h1,
                    excursion, f"iterations at node {'-'.join(map(str, block))}")
 

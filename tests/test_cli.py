@@ -183,24 +183,27 @@ def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, over
 @pytest.mark.parametrize("command, text", [("solve", SOLVE), ("picard", PICARD)])
 def test_overflowing_norm_target_exits_2_before_any_step(tmp_path, monkeypatch, capsys,
                                                         command, text):
-    # a finite target can scale the datum past float64, which shows only
-    # once its run has built it: the run records the error and steps nothing
+    # a finite target can scale the datum, or only its L2 or H1 norm, past
+    # float64, which shows only once its run has built it: the run records
+    # the error and steps nothing
     def boom(*args):
         raise AssertionError("the solver started")
 
     monkeypatch.setattr(cli, "evolve", boom)
     monkeypatch.setattr(cli, "picard_solve", boom)
-    cfg = _write(tmp_path, text.replace("h1_norm = 0.5", "l2_norm = 1e308"))
-    out = tmp_path / "r"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert "initial.l2_norm gives a datum that is not finite" in capsys.readouterr().err
-    (run_dir,) = _run_dirs(out)
-    man = _manifest(run_dir)
-    assert (man["status"], man["files"]) == ("failed", [])
-    (error,) = man["errors"]
-    assert error["type"] == "ConfigError" and "initial.l2_norm" in error["message"]
+    for i, target in enumerate(("l2_norm = 1e308", "l2_norm = 1e200", "h1_norm = 1e308")):
+        key = "initial." + target.split(" ")[0]
+        cfg = _write(tmp_path, text.replace("h1_norm = 0.5", target))
+        out = tmp_path / f"r{i}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{key} gives a datum that is not finite" in capsys.readouterr().err
+        (run_dir,) = _run_dirs(out)
+        man = _manifest(run_dir)
+        assert (man["status"], man["files"]) == ("failed", [])
+        (error,) = man["errors"]
+        assert error["type"] == "ConfigError" and key in error["message"]
 
 
 def _file_initial(tmp_path, command, payload):

@@ -389,15 +389,16 @@ def test_build_initial_scales_the_unit_shape_once():
 
 
 def test_build_initial_rejects_a_datum_that_overflows():
-    # a finite norm target can scale the unit shape past float64: rejected,
-    # naming the key, without an overflow warning
-    cfg = parse_config(MINIMAL, ("initial.l2_norm=1e308",))
-    with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
-        warnings.simplefilter("error", RuntimeWarning)
-        build_initial(cfg)
-    (issue,) = err.value.issues
-    assert (issue.kind, issue.message) == ("constraint",
-                                           "initial.l2_norm gives a datum that is not finite")
+    # a finite norm target can scale the unit shape, or only its L2 or H1
+    # norm, past float64: rejected, naming the key, without an overflow warning
+    for override in ("initial.l2_norm=1e308", "initial.l2_norm=1e200", "initial.h1_norm=1e308"):
+        cfg = parse_config(MINIMAL, (override,))
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            build_initial(cfg)
+        (issue,) = err.value.issues
+        assert (issue.kind, issue.message) == (
+            "constraint", f"{override.split('=')[0]} gives a datum that is not finite")
 
 
 def test_build_initial_exclusive_targets():

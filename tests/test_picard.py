@@ -95,7 +95,7 @@ def test_duhamel_free_case(gspec8, rng, kfull):
     phi = random_band_limited(gspec8, rng)
     cfg = PicardConfig(T=0.4, m=4, kspec=kfull, params=PhysParams(1.0, 0.0))
     phi_hat = to_spectral(phi)
-    start = [to_spectral(random_band_limited(gspec8, rng)) for _ in cfg.times]
+    start = [phi_hat] + [to_spectral(random_band_limited(gspec8, rng)) for _ in cfg.times[1:]]
     old = [u.copy() for u in start]
     delta, excursion = duhamel_map(gspec8, start, phi_hat, cfg)
     assert len(start) == cfg.m + 1
@@ -144,7 +144,8 @@ def test_duhamel_map_in_place_is_bitwise_jacobi(gspec8, kfull, quad, m):
     phi = phi * (0.3 / h1_norm(phi))
     cfg = PicardConfig(T=0.2, m=m, kspec=kfull, params=PhysParams(1.0, 1.0), quad=quad)
     phi_hat = to_spectral(phi)
-    old = [to_spectral(random_band_limited(gspec8, rng) * 0.3) for _ in cfg.times]
+    old = [phi_hat] + [to_spectral(random_band_limited(gspec8, rng) * 0.3)
+                       for _ in cfg.times[1:]]
     W = [_integrand(gspec8, t, u, cfg) for t, u in zip(cfg.times, old)]
     ref = [p + phi_hat for p in _prefix_integrals(W, cfg.T / m, quad)]
     nodes = list(old)
@@ -194,25 +195,27 @@ def test_picard_transform_counts(gspec8, kfull, count_transforms):
 
 
 def test_picard_memory_holds_one_node_list(gspec16, kfull):
-    # the solve holds its m+1 nodes, the map's window of integrands and
-    # prefixes, one integrand's temporaries and, if this process has not
-    # built them yet, the cached multiplier and kernel workspace; three node
-    # lists (iterate, integrands, prefixes) would need 3(m+1) arrays
+    # either solver holds its m+1 nodes, the node loop's window of
+    # integrands and prefixes, one integrand's temporaries and, if this
+    # process has not built them yet, the cached multiplier and kernel
+    # workspace; three node lists (iterate, integrands, prefixes) would need
+    # 3(m+1) arrays
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = scaled_gaussian(gspec16, 0.15, h1_target=0.5)
     cfg = PicardConfig(T=0.25, m=32, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="simpson", tol=1e-12)
-    tracemalloc.start()
-    try:
-        _, report = picard_solve(phi, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    node = 16 * gspec16.n**3
-    cached = kernel_multiplier(gspec16, kfull).nbytes + _workspace(gspec16.n).nbytes
-    assert report.converged
-    assert peak < (cfg.m + 1 + 24) * node + cached
+    for solve in (picard_solve, march_solve):
+        tracemalloc.start()
+        try:
+            _, report = solve(phi, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        node = 16 * gspec16.n**3
+        cached = kernel_multiplier(gspec16, kfull).nbytes + _workspace(gspec16.n).nbytes
+        assert report.converged
+        assert peak < (cfg.m + 1 + 24) * node + cached, solve.__name__
 
 
 def test_nonconvergence_carries_report(gspec8, kfull):

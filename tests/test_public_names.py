@@ -9,13 +9,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "frnse"
 
 
 def unused_public_names(src):
-    """(module, name) of each public top-level function or class in src/*.py
-    that no module there references by name, attribute or import; a mention
-    in a docstring or comment is not a reference."""
+    """(module, name) of each top-level function or class in src/*.py,
+    public or _-prefixed but not a dunder, that no module there references
+    by name, attribute or import; a mention in a docstring or comment is not
+    a reference."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
-    public = [(module, node.name) for module, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")]
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -25,7 +26,7 @@ def unused_public_names(src):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return [(module, name) for module, name in public if name not in used]
+    return [(module, name) for module, name in defined if name not in used]
 
 
 def test_every_public_name_is_used_in_src():
@@ -36,9 +37,10 @@ def test_scan_ignores_definitions_and_docstrings(tmp_path):
     (tmp_path / "a.py").write_text('"""f and C are named here."""\n\n'
                                    "def f():\n    pass\n\n\nclass C:\n    pass\n\n\n"
                                    "def g():\n    return h\n\n\ndef h():\n    pass\n\n\n"
-                                   "def _private():\n    pass\n")
-    (tmp_path / "b.py").write_text("from .a import g\nimport a\n\na.C\n")
-    assert unused_public_names(tmp_path) == [("a", "f")]
+                                   "def _private():\n    pass\n\n\n"
+                                   "def _used():\n    pass\n\n\ndef __dunder__():\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import g\nimport a\n\na.C\na._used()\n")
+    assert unused_public_names(tmp_path) == [("a", "f"), ("a", "_private")]
 
 
 def private_imports(src):
