@@ -2,10 +2,12 @@
 
 
 class NonConvergence(Exception):
-    """Picard iteration hit max_iter with the increment still above tol.
+    """A fixed-point solve hit max_iter with the increment still above tol:
+    the Picard iteration, or one block of a march.
 
     Usually means the horizon T is too large for the contraction regime.
-    The partial convergence data is attached as ``report``.
+    picard_solve attaches its partial convergence data as ``report``; a
+    march names the block in the message and attaches none.
     """
 
     def __init__(self, message, report=None):

@@ -33,6 +33,7 @@ from .config import dependence_datum
 from .grid import (
     Field,
     GridSpec,
+    from_spectral,
     h1_norm,
     l2_norm,
     lp_norm,
@@ -40,6 +41,7 @@ from .grid import (
     plane_wave,
     random_band_limited,
     scaled_gaussian,
+    spectral_h1_norm,
     warn_if_cramped,
 )
 from .kernel import (
@@ -52,7 +54,7 @@ from .kernel import (
 )
 from .nonlinear import PhysParams, density, g1, potential_and_energy
 from .picard import PicardConfig, contraction_report, march_solve, picard_solve
-from .propagate import free_evolve, free_gaussian_exact
+from .propagate import free_evolve, free_gaussian_exact, free_phase
 from .stepper import StepConfig, evolve
 from .trajectory import norm_law_residuals, sup_h1_distance
 
@@ -245,22 +247,28 @@ def _order_and_budget(diffs):
 def quadrature_order_study(phi, cfg, ms):
     """Self-convergence of the fixed-point solution under node doubling.
 
-    Solves at each m by a cold march_solve, measures the sup-node H1
-    difference from the previous rung on common nodes as soon as a rung is
-    solved, and keeps only the latest rung. Returns (order, budget, finest):
-    the observed order, a Richardson error budget for the finest solve
-    (factor-2 safety) and that solve's trajectory.
+    Marches every rung cold, all in lockstep by time: rung 2m takes two
+    nodes for each node of rung m. The sup-node H1 difference of each
+    neighbouring pair of rungs on their common nodes is kept as a running
+    max, so a rung holds its march's window and its latest node. Returns
+    (order, budget, final): the observed order, a Richardson error budget
+    for the finest solve (factor-2 safety) and that solve's terminal state.
     """
     if len(ms) < 3 or any(m2 != 2 * m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError("ms must be at least 3 doubling node counts")
-    diffs, coarse = [], None
+    spec, rungs = phi.spec, []
     for m in ms:
-        fine, _ = march_solve(phi, replace(cfg, m=m))
-        if coarse is not None:
-            diffs.append(sup_h1_distance(coarse.fields, fine.fields[::2]))
-        coarse = fine
+        rungs.append(march_solve(phi, replace(cfg, m=m)))
+    diffs, u = [0.0] * (len(ms) - 1), [None] * len(ms)
+    for k in range(ms[-1] + 1):
+        # the rungs with a node at the finest rung's node k: if one, every finer one
+        at = [i for i, m in enumerate(ms) if k % (ms[-1] // m) == 0]
+        for i in at:
+            u[i] = next(rungs[i])
+        for i in at[:-1]:
+            diffs[i] = max(diffs[i], spectral_h1_norm(spec, u[i] - u[i + 1]))
     order, budget = _order_and_budget(diffs)
-    return order, budget, fine
+    return order, budget, from_spectral(spec, u[-1] * free_phase(spec, cfg.T, cfg.params.alpha1))
 
 
 def stepper_order_study(phi, cfg, steps):
@@ -292,8 +300,7 @@ def cross_method_ladder(which, phi, pcfg, ms, steps):
                           params=pcfg.params, snapshot_every=10**9)
         order, budget, finals = stepper_order_study(phi, scfg, steps)
         return which, order, budget, finals[steps[-1]]
-    order, budget, finest = quadrature_order_study(phi, replace(pcfg, quad=which), ms)
-    return which, order, budget, finest.final()
+    return (which, *quadrature_order_study(phi, replace(pcfg, quad=which), ms))
 
 
 def cross_method_check(ladders):
@@ -380,7 +387,8 @@ def truncation_convergence(phi, base, a_list):
     decreasing) the same problem is solved with the
     inner-truncated kernel and E(a) = sup-node H1 distance to the full
     solution is recorded. E must be nonincreasing as a decreases; the
-    log-log slope is reported. Every solve is a cold march_solve. Returns
+    log-log slope is reported. Every solve is a cold march_solve, and each
+    truncated one is compared with the stored full one as it runs. Returns
     (table, slope, rows) with table rows (a, E).
     """
     if base.kspec.variant != "full":
@@ -388,12 +396,11 @@ def truncation_convergence(phi, base, a_list):
     a_list = [float(a) for a in a_list]
     if any(a2 >= a1 for a1, a2 in zip(a_list, a_list[1:])):
         raise ValueError("a_list must be strictly decreasing")
-    full = march_solve(phi, base)[0].fields
+    full = list(march_solve(phi, base))
     table = []
     for a in a_list:
-        kspec = KernelSpec("inner", a=a)
-        traj, _ = march_solve(phi, replace(base, kspec=kspec))
-        table.append((a, sup_h1_distance(traj.fields, full)))
+        nodes = march_solve(phi, replace(base, kspec=KernelSpec("inner", a=a)))
+        table.append((a, sup_h1_distance(phi.spec, nodes, full)))
     errs = [e for _, e in table]
     monotone = all(e2 <= e1 * (1.0 + 1e-9) for e1, e2 in zip(errs, errs[1:]))
     rows = [
@@ -417,8 +424,8 @@ def continuous_dependence(phi, deltas, cfg, seed, base=None):
     unperturbed run's contraction report, and max/min R < 2 across the
     ladder. The base solve is picard_solve, since its increments give
     C_fit; base, if given, is that solve's (trajectory, report) for phi
-    under cfg. Each perturbed solve is a cold march_solve. Returns (table,
-    rows).
+    under cfg. Each perturbed solve is a cold march_solve, compared with
+    the base node coefficients as it runs. Returns (table, rows).
     """
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -434,8 +441,8 @@ def continuous_dependence(phi, deltas, cfg, seed, base=None):
     direction = direction * (1.0 / h1_norm(direction))
     table = []
     for d in deltas:
-        traj, _ = march_solve(phi + d * direction, cfg)
-        table.append((d, sup_h1_distance(traj.fields, base_traj.fields) / d))
+        nodes = march_solve(phi + d * direction, cfg)
+        table.append((d, sup_h1_distance(phi.spec, nodes, base_traj.fields.coeffs) / d))
     ratios = [r for _, r in table]
     bound = float(np.exp(ana.C_fit * cfg.T) * 1.25)
     rows = [

@@ -146,7 +146,8 @@ def _convolve_real(vals, *mults):
     reverse order, cropping to n after each step. Every step works in place
     on the cached workspaces of the grid size; the forward rfft overwrites
     its data block, so only the two padding blocks (x >= n, and y >= n
-    below it) are zeroed again. Each result is a fresh array.
+    below it) are zeroed again. Each result is a fresh (n, n, n) array, a
+    copy of its crop, so it does not pin its whole (n, n, 2n) irfft output.
     """
     n = vals.shape[-1]
     N = 2 * n
@@ -163,7 +164,7 @@ def _convolve_real(vals, *mults):
         np.multiply(s, mult, out=t)
         np.fft.ifft(t, axis=-3, out=t)
         np.fft.ifft(t[:n], axis=-2, out=t[:n])
-        out.append(np.fft.irfft(t[:n, :n], n=N, axis=-1)[..., :n])
+        out.append(np.fft.irfft(t[:n, :n], n=N, axis=-1)[..., :n].copy())
     return out
 
 

@@ -19,10 +19,11 @@ trajectory is phi_hat at every node. A map costs each node two transforms
 unitary, so both sup-node H^1 distances are Parseval sums on coefficients
 in hand. Both solvers walk the nodes in one loop, _solve_nodes, which keeps
 per array only what the rules read next: U_j, P_{j-1} and P_j, W_{j-3} to
-W_j. A solve holds its m+1 node coefficients and, within a block, at most
-four integrands and three prefixes: (m+1)+7 complex n^3 arrays. The
-Trajectory it returns keeps the coefficients and builds a node's Field when
-it is read.
+W_j. Within a block that is at most four integrands and three prefixes.
+picard_solve also holds its m+1 node coefficients: (m+1)+7 complex n^3
+arrays; the Trajectory it returns keeps the coefficients and builds a
+node's Field when it is read. march_solve yields each node as it is solved
+and holds the window alone.
 
 Two solvers reach the fixed point of the same discrete system. The
 Weissinger (Picard, Jacobi) iteration of picard_solve is the one the paper's
@@ -137,28 +138,32 @@ def _solve_nodes(spec, phi_hat, cfg, start=None):
     pass until change is below tol, at most max_iter times: the march. Node
     0's integrand is taken at phi_hat, P_0 = 0. Between blocks only what the
     rules and _predict read next is held: U_j, P_{j-1}, P_j and W_{j-3} to
-    W_j. Raises DivergenceDetected on a non-finite node.
+    W_j. Raises DivergenceDetected on a non-finite node; the overflow on the
+    way there is expected, so each block's arithmetic runs in an errstate
+    that ignores it and that no yield spans: the caller's stays its own.
     """
     dt, times = cfg.T / cfg.m, cfg.times
     first = (1, 2) if cfg.quad == "simpson" else (1,)
-    P, W, u = {0: np.zeros_like(phi_hat)}, {0: _integrand(spec, 0.0, phi_hat, cfg)}, phi_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, W, u = {0: np.zeros_like(phi_hat)}, {0: _integrand(spec, 0.0, phi_hat, cfg)}, phi_hat
     for block in [first] + [(j,) for j in range(first[-1] + 1, cfg.m + 1)]:
-        U = {j: _predict(u, W, j, block[0] - 1, dt) if start is None else start[j]
-             for j in block}
-        W.pop(block[0] - 4, None)  # read by _predict only
-        for passes in range(1, (cfg.max_iter if start is None else 1) + 1):
-            for j in block:
-                W[j] = _integrand(spec, times[j], U[j], cfg)
-            change = 0.0
-            for j in block:
-                P[j] = _node_integral(P, W, j, dt, cfg.quad)
-                new = phi_hat + P[j]
-                if not np.isfinite(new).all():
-                    raise DivergenceDetected(f"non-finite field at node {j}")
-                change = max(change, spectral_h1_norm(spec, new - U[j]))
-                U[j] = new
-            if change < cfg.tol:
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = {j: _predict(u, W, j, block[0] - 1, dt) if start is None else start[j]
+                 for j in block}
+            W.pop(block[0] - 4, None)  # read by _predict only
+            for passes in range(1, (cfg.max_iter if start is None else 1) + 1):
+                for j in block:
+                    W[j] = _integrand(spec, times[j], U[j], cfg)
+                change = 0.0
+                for j in block:
+                    P[j] = _node_integral(P, W, j, dt, cfg.quad)
+                    new = phi_hat + P[j]
+                    if not np.isfinite(new).all():
+                        raise DivergenceDetected(f"non-finite field at node {j}")
+                    change = max(change, spectral_h1_norm(spec, new - U[j]))
+                    U[j] = new
+                if change < cfg.tol:
+                    break
         P.pop(block[-1] - 2, None)
         u = U[block[-1]]
         yield block, [U[j] for j in block], change, passes * len(block)
@@ -184,20 +189,16 @@ def duhamel_map(spec, coeffs, phi_hat, cfg):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Increments, fixed-point residual and ball bookkeeping of one solve.
+    """Increments, fixed-point residual and ball bookkeeping of one
+    picard_solve.
 
-    picard_solve: increments are per iteration, delta_k = sup_j
-    ||psi^{k+1}_j - psi^k_j||_H1; residual is the sup-node H^1 distance of
-    one more map from the last iterate; iterations counts the maps.
-    march_solve: increments are per node, in order from node 1, each the H^1
-    change of U_j in its last iteration, i.e. the distance from U_j to the
-    point its integrand was taken at (Simpson's nodes 1 and 2, solved as one
-    block, share the larger of theirs); residual is the largest of them;
-    iterations counts the integrands evaluated after node 0.
+    Increments are per iteration, delta_k = sup_j ||psi^{k+1}_j -
+    psi^k_j||_H1; residual is the sup-node H^1 distance of one more map from
+    the last iterate; iterations counts the maps.
 
     phi_h1 is the H^1 norm of the initial datum (proxy for the contraction
     ball radius); ball_excursion is the largest sup-node H^1 distance any
-    iterate (march_solve: its solved nodes) reached from the free trajectory.
+    iterate reached from the free trajectory.
     """
 
     increments: tuple
@@ -216,37 +217,6 @@ class ConvergenceReport:
         return (("iteration", "increment", "residual"),
                 [(k, d, self.residual if k == last else float("nan"))
                  for k, d in enumerate(self.increments, 1)])
-
-
-def _finish(phi, cfg, coeffs, increments, residual, iterations, phi_h1, excursion,
-            what):
-    """Warn on a ball excursion, raise NonConvergence with the report if the
-    last increment is not below tol, else return (trajectory, report)."""
-    converged = increments[-1] < cfg.tol
-    left_ball = excursion > phi_h1 > 0.0
-    if left_ball:
-        warnings.warn(
-            f"iterates left the H^1 ball around the free trajectory "
-            f"(excursion {excursion:.3e} > ||phi||_H1 {phi_h1:.3e})",
-            stacklevel=3,
-        )
-    report = ConvergenceReport(
-        increments=tuple(increments),
-        residual=residual,
-        converged=converged,
-        iterations=iterations,
-        phi_h1=phi_h1,
-        ball_excursion=float(excursion),
-        left_ball=left_ball,
-        T=cfg.T,
-    )
-    if not converged:
-        raise NonConvergence(
-            f"increment {increments[-1]:.3e} still above tol {cfg.tol:.1e} after "
-            f"{cfg.max_iter} {what}; horizon T={cfg.T} too large for contraction?",
-            report=report,
-        )
-    return Trajectory(cfg.times, NodeFields(phi, cfg.times, coeffs, cfg.params.alpha1)), report
 
 
 def picard_solve(phi, cfg):
@@ -273,10 +243,27 @@ def picard_solve(phi, cfg):
         increments.append(float(delta))
         if delta < cfg.tol:
             break
+    converged, left_ball = increments[-1] < cfg.tol, excursion > phi_h1 > 0.0
     residual = (max(change for _, _, change, _ in _solve_nodes(spec, phi_hat, cfg, cur))
-                if increments[-1] < cfg.tol else increments[-1])
-    return _finish(phi, cfg, cur, increments, residual, len(increments), phi_h1,
-                   excursion, "iterations")
+                if converged else increments[-1])
+    if left_ball:
+        warnings.warn(
+            f"iterates left the H^1 ball around the free trajectory "
+            f"(excursion {excursion:.3e} > ||phi||_H1 {phi_h1:.3e})",
+            stacklevel=2,
+        )
+    report = ConvergenceReport(
+        increments=tuple(increments), residual=residual, converged=converged,
+        iterations=len(increments), phi_h1=phi_h1, ball_excursion=float(excursion),
+        left_ball=left_ball, T=cfg.T,
+    )
+    if not converged:
+        raise NonConvergence(
+            f"increment {increments[-1]:.3e} still above tol {cfg.tol:.1e} after "
+            f"{cfg.max_iter} iterations; horizon T={cfg.T} too large for contraction?",
+            report=report,
+        )
+    return Trajectory(cfg.times, NodeFields(phi, cfg.times, cur, cfg.params.alpha1)), report
 
 
 def march_solve(phi, cfg):
@@ -284,26 +271,20 @@ def march_solve(phi, cfg):
     one block at a time, forward from node 0, cold: _solve_nodes without a
     start. A block's last integrand, taken within tol of its final U_j, is
     kept for the later nodes. The fixed point is the one picard_solve
-    reaches; the increments are per node (see ConvergenceReport), so no
-    contraction rate is read from them. Returns (trajectory, report); raises
-    NonConvergence, naming the block, when it exhausts max_iter and
+    reaches. A generator: yields the node coefficients U_0 = phi_hat, U_1,
+    ..., U_m as each block converges and keeps none of them. Raises
+    NonConvergence, naming the block, when a block exhausts max_iter and
     DivergenceDetected on a non-finite node.
     """
-    spec = phi.spec
     phi_hat = to_spectral(phi)
-    phi_h1 = spectral_h1_norm(spec, phi_hat)
-    U, increments, evaluated, excursion = [phi_hat], [], 0, 0.0
-    # overflow on a diverging node is expected and reported as divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block, values, change, passes in _solve_nodes(spec, phi_hat, cfg):
-            U += values
-            increments.append(float(change))
-            evaluated += passes
-            excursion = max(excursion, *(spectral_h1_norm(spec, u - phi_hat) for u in values))
-            if not change < cfg.tol:
-                break
-    return _finish(phi, cfg, U, increments, max(increments), evaluated, phi_h1,
-                   excursion, f"iterations at node {'-'.join(map(str, block))}")
+    yield phi_hat
+    for block, values, change, _ in _solve_nodes(phi.spec, phi_hat, cfg):
+        if not change < cfg.tol:
+            raise NonConvergence(
+                f"increment {change:.3e} still above tol {cfg.tol:.1e} after {cfg.max_iter} "
+                f"iterations at node {'-'.join(map(str, block))}; horizon T={cfg.T} too "
+                "large for contraction?")
+        yield from values
 
 
 @dataclass(frozen=True)

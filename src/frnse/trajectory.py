@@ -12,23 +12,20 @@ from .propagate import free_phase
 class NodeFields(Sequence):
     """A Duhamel solve's node Fields, read from its interaction-picture
     coefficients U_j: node j is from_spectral(U_j e^{-i a1 t_j |k|^2}), built
-    each time it is read, node 0 the datum phi itself. Slices are views."""
+    each time it is read, node 0 the datum phi itself."""
 
-    def __init__(self, phi, times, coeffs, alpha1, nodes=None):
-        self._args = (phi, times, coeffs, alpha1)
-        self._nodes = range(len(coeffs)) if nodes is None else nodes
+    def __init__(self, phi, times, coeffs, alpha1):
+        self.phi, self.times, self.coeffs, self.alpha1 = phi, times, coeffs, alpha1
 
     def __len__(self):
-        return len(self._nodes)
+        return len(self.coeffs)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return NodeFields(*self._args, self._nodes[i])
-        phi, times, coeffs, alpha1 = self._args
-        j = self._nodes[i]
+        j = range(len(self.coeffs))[i]  # from the end if negative; IndexError past it
         if j == 0:
-            return phi
-        return from_spectral(phi.spec, coeffs[j] * free_phase(phi.spec, times[j], alpha1))
+            return self.phi
+        spec = self.phi.spec
+        return from_spectral(spec, self.coeffs[j] * free_phase(spec, self.times[j], self.alpha1))
 
 
 @dataclass(frozen=True)
@@ -36,8 +33,8 @@ class Trajectory:
     """A solution sampled at increasing times t_0 < ... < t_m.
 
     All fields share one grid. Node times need not be uniform (the adaptive
-    stepper produces nonuniform snapshots); the fixed-point solvers always
-    build uniform ones, and keep their node coefficients as NodeFields.
+    stepper produces nonuniform snapshots); picard_solve always builds
+    uniform ones, and keeps its node coefficients as NodeFields.
     """
 
     times: tuple
@@ -66,22 +63,14 @@ class Trajectory:
         return self.fields[-1]
 
 
-def sup_h1_distance(a, b):
+def sup_h1_distance(spec, a, b):
     """max over nodes of ||a_j - b_j||_H1 (the discretized X-norm distance)
-    between two NodeFields, as the Parseval sum on U^a_j - U^b_j: both nodes
-    carry the same unimodular free phase, which cancels, so no Field is built
-    and nothing is transformed. Node 0's coefficients are phi_hat."""
-    (phi_a, times_a, coeffs_a, alpha_a), (phi_b, times_b, coeffs_b, alpha_b) = a._args, b._args
-    if len(a) != len(b):
-        raise ValueError("node count mismatch")
-    if phi_a.spec != phi_b.spec:
-        raise ValueError("grid mismatch")
-    if not np.array_equal([times_a[j] for j in a._nodes], [times_b[j] for j in b._nodes]):
-        raise ValueError("node times differ")
-    if alpha_a != alpha_b:
-        raise ValueError("alpha1 differs")
-    return max(spectral_h1_norm(phi_a.spec, coeffs_a[i] - coeffs_b[j])
-               for i, j in zip(a._nodes, b._nodes))
+    between two lists of node coefficients U_j on spec, either of them
+    possibly a stream such as a march_solve. It is the Parseval sum on
+    U^a_j - U^b_j: nodes of one PicardConfig's times and alpha1 carry the
+    same unimodular free phase, which cancels, so no Field is built and
+    nothing is transformed. Lists of different lengths raise ValueError."""
+    return max(spectral_h1_norm(spec, u - v) for u, v in zip(a, b, strict=True))
 
 
 def norm_law_residuals(times, l2, g1v, params):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,20 +7,20 @@ import pytest
 from frnse import experiments, kernel, nonlinear
 from frnse.config import parse_config
 
-from frnse.experiments import (ball_field, contraction_rows,
+from frnse.experiments import (_order_and_budget, ball_field, contraction_rows,
                                continuous_dependence, domination_rows,
                                gaussian_potential_row,
                                inequality_battery, kernel_norm_study,
                                lipschitz_battery, loglog_slope,
                                norm_law_check, normalization_study,
                                oracle_equivalence_rows, propagator_rows,
-                               truncation_convergence)
+                               quadrature_order_study, truncation_convergence)
 from frnse.grid import GridSpec, scaled_gaussian
 from frnse.kernel import KernelSpec, kernel_table
 from frnse.nonlinear import PhysParams
-from frnse.picard import PicardConfig, picard_solve
+from frnse.picard import PicardConfig, march_solve, picard_solve
 from frnse.stepper import StepConfig, evolve
-from frnse.trajectory import Trajectory
+from frnse.trajectory import NodeFields, Trajectory, sup_h1_distance
 
 
 def _small_data(spec, h1_target=0.5):
@@ -127,6 +128,22 @@ def test_norm_law_check(gspec8, kfull):
     short = Trajectory(traj.times[:2], traj.fields[:2])
     with pytest.raises(ValueError):
         norm_law_check(short, PhysParams(1.0, 1.0), kfull)
+
+
+@pytest.mark.parametrize("quad", ["simpson", "trapezoid"])
+def test_quadrature_order_study_matches_whole_rungs(gspec8, kfull, quad):
+    # the lockstep ladder against its definition: each rung's whole node
+    # list, compared with every other node of the next rung once all are in
+    phi = _small_data(gspec8)
+    cfg = PicardConfig(T=0.25, m=4, kspec=kfull, params=PhysParams(0.05, 1.0), quad=quad,
+                       tol=1e-12)
+    ms = (4, 8, 16)
+    order, budget, final = quadrature_order_study(phi, cfg, ms)
+    rungs = [list(march_solve(phi, replace(cfg, m=m))) for m in ms]
+    diffs = [sup_h1_distance(gspec8, coarse, fine[::2]) for coarse, fine in zip(rungs, rungs[1:])]
+    assert (order, budget) == _order_and_budget(diffs)
+    last = NodeFields(phi, replace(cfg, m=ms[-1]).times, rungs[-1], cfg.params.alpha1)[-1]
+    assert np.array_equal(final.values, last.values)
 
 
 def test_normalization_study_quick(gspec16, kfull):

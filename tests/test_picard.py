@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,8 @@ from frnse.grid import (GridSpec, h1_norm, random_band_limited, scaled_gaussian,
                         spectral_h1_norm, to_spectral)
 from frnse.kernel import _workspace, kernel_multiplier
 from frnse.nonlinear import PhysParams
-from frnse.picard import (PicardConfig, _integrand, _node_integral, contraction_report,
-                          duhamel_map, march_solve, picard_solve)
-from frnse.propagate import free_evolve
+from frnse.picard import (PicardConfig, _integrand, _node_integral, _solve_nodes,
+                          contraction_report, duhamel_map, march_solve, picard_solve)
 from frnse.trajectory import sup_h1_distance
 
 
@@ -103,10 +103,8 @@ def test_duhamel_free_case(gspec8, rng, kfull):
         assert np.array_equal(u, phi_hat)
     assert delta == max(spectral_h1_norm(gspec8, phi_hat - u) for u in old)
     assert excursion == 0.0
-    traj, _ = march_solve(phi, cfg)
-    for t, f in zip(traj.times, traj.fields):
-        ref = free_evolve(phi, float(t), 1.0)
-        assert np.max(np.abs(f.values - ref.values)) < 1e-14
+    # so the march streams the free trajectory too: U_j = phi_hat at each node
+    assert sum(np.array_equal(u, phi_hat) for u in march_solve(phi, cfg)) == cfg.m + 1
 
 
 def test_duhamel_node_zero_is_phi(gspec8, rng, kfull):
@@ -195,27 +193,29 @@ def test_picard_transform_counts(gspec8, kfull, count_transforms):
 
 
 def test_picard_memory_holds_one_node_list(gspec16, kfull):
-    # either solver holds its m+1 nodes, the node loop's window of
+    # a Picard solve holds its m+1 nodes, the node loop's window of
     # integrands and prefixes, one integrand's temporaries and, if this
     # process has not built them yet, the cached multiplier and kernel
     # workspace; three node lists (iterate, integrands, prefixes) would need
-    # 3(m+1) arrays
+    # 3(m+1) arrays. A march consumed without keeping its nodes holds the
+    # rest, and no m+1 term at all
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = scaled_gaussian(gspec16, 0.15, h1_target=0.5)
     cfg = PicardConfig(T=0.25, m=32, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="simpson", tol=1e-12)
-    for solve in (picard_solve, march_solve):
+    solves = {"picard_solve": (lambda: picard_solve(phi, cfg), cfg.m + 1),
+              "march_solve": (lambda: deque(march_solve(phi, cfg), maxlen=0), 0)}
+    for name, (solve, kept) in solves.items():
         tracemalloc.start()
         try:
-            _, report = solve(phi, cfg)
+            solve()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         node = 16 * gspec16.n**3
         cached = kernel_multiplier(gspec16, kfull).nbytes + _workspace(gspec16.n).nbytes
-        assert report.converged
-        assert peak < (cfg.m + 1 + 24) * node + cached, solve.__name__
+        assert peak < (kept + 24) * node + cached, name
 
 
 def test_nonconvergence_carries_report(gspec8, kfull):
@@ -292,13 +292,13 @@ def _march_case(gspec, kfull, quad, m=8):
 @pytest.mark.parametrize("n, m, quad", [(8, 8, "simpson"), (8, 8, "trapezoid"),
                                         (16, 16, "simpson")])
 def test_march_lands_on_picard_fixed_point(kfull, n, m, quad):
+    # the march streams m+1 nodes from phi_hat, each within tol of the
+    # point its integrand was taken at, else it raises
     phi, cfg = _march_case(GridSpec(n, 1.6), kfull, quad, m)
     ref, _ = picard_solve(phi, cfg)
-    traj, report = march_solve(phi, cfg)
-    assert report.converged and report.residual < 1e-11
-    assert len(report.increments) == cfg.m - (quad == "simpson")
-    assert np.allclose(traj.times, cfg.times) and traj.fields[0] is phi
-    assert sup_h1_distance(traj.fields, ref.fields) < 1e-11
+    nodes = march_solve(phi, cfg)
+    assert np.array_equal(next(nodes), to_spectral(phi))
+    assert sup_h1_distance(phi.spec, nodes, ref.fields.coeffs[1:]) < 1e-11
 
 
 @pytest.mark.parametrize("quad", ["simpson", "trapezoid"])
@@ -312,28 +312,41 @@ def test_march_kernel_apply_count(gspec8, kfull, monkeypatch, quad):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nonlinear, "apply_kernel", counted)
     phi, cfg = _march_case(gspec8, kfull, quad)
-    _, report = march_solve(phi, cfg)
-    assert report.iterations >= 2 * cfg.m
-    assert len(calls) == 1 + report.iterations
+    evaluated = sum(n for *_, n in _solve_nodes(gspec8, to_spectral(phi), cfg))
+    assert evaluated >= 2 * cfg.m
+    monkeypatch.setattr(nonlinear, "apply_kernel", counted)
+    deque(march_solve(phi, cfg), maxlen=0)
+    assert len(calls) == 1 + evaluated
 
 
-def test_march_nonconvergence_carries_report(gspec8, kfull):
+def test_march_nonconvergence_names_the_block(gspec8, kfull):
     phi, cfg = _march_case(gspec8, kfull, "trapezoid")
-    with pytest.raises(NonConvergence, match="at node 1;") as exc:
-        march_solve(phi, replace(cfg, tol=1e-30, max_iter=2))
-    report = exc.value.report
-    assert not report.converged
-    assert report.iterations == 2
-    assert len(report.increments) == 1
-    assert report.residual == report.increments[-1]
+    nodes = march_solve(phi, replace(cfg, tol=1e-30, max_iter=2))
+    next(nodes)  # node 0, phi_hat, needs no iteration
+    with pytest.raises(NonConvergence, match="after 2 iterations at node 1;") as exc:
+        next(nodes)
+    assert exc.value.report is None
+
+
+def _diverging_march(gspec8, kfull, m):
+    phi, cfg = _march_case(gspec8, kfull, "trapezoid", m)
+    return march_solve(phi, replace(cfg, params=PhysParams(1.0, 1000.0), max_iter=40))
 
 
 def test_march_divergence_raises_without_overflow_warnings(gspec8, kfull):
-    phi, cfg = _march_case(gspec8, kfull, "trapezoid")
-    cfg = replace(cfg, params=PhysParams(1.0, 1000.0), max_iter=40)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceDetected):
-            march_solve(phi, cfg)
+            deque(_diverging_march(gspec8, kfull, 8), maxlen=0)
+
+
+def test_march_leaves_the_callers_error_state(gspec8, kfull):
+    # the march ignores overflow only within its own blocks: no errstate of
+    # its spans a yield, so between nodes the consumer sees its own; at 64
+    # nodes the march diverges at node 12
+    before, seen = np.geterr(), []
+    with pytest.raises(DivergenceDetected):
+        for _ in _diverging_march(gspec8, kfull, 64):
+            seen.append(np.geterr())
+    assert len(seen) >= 10 and all(state == before for state in seen)
