@@ -22,7 +22,8 @@ multipliers, with one product and inverse per multiplier. All steps run in
 one complex (2n, 2n, n+1) workspace per grid size, kept between applies,
 plus a second one when a density meets several multipliers; only the
 padding is zeroed again. Densities are real: a float64 density gives a
-float64 potential.
+float64 potential. The tail-norm trials at p != 2, one such transform of
+each part of a field, run as tasks on the battery's fork pool.
 
 The operator is spectral (Vico, Greengard and Ferrando, "Fast convolution
 with free-space Green's functions", J. Comput. Phys. 323, 2016): 1/|x| cut
@@ -233,6 +234,19 @@ def _power_estimate(gspec, kspec, seed, iters):
     return float(est)
 
 
+def _trial_ratios(task):
+    """||T f||_p / ||f||_p for one trial field f, one per tail kernel in
+    kspecs (0 for a null f): a run_jobs task, which reads the multipliers
+    from the cache a forked worker inherits."""
+    kspecs, p, f = task
+    denom = lp_norm(f, p)
+    if denom == 0.0:
+        return [0.0] * len(kspecs)
+    mults = [kernel_multiplier(f.spec, kspec) for kspec in kspecs]
+    re, im = _convolve_real(f.values.real, *mults), _convolve_real(f.values.imag, *mults)
+    return [lp_norm(Field(f.spec, r + 1j * i), p) / denom for r, i in zip(re, im)]
+
+
 def tail_norm_estimates(gspec, a_list, p, trials, seed, iters=200):
     """Empirical lower estimates of the L^p operator norm of the tail
     kernel, one per radius in a_list.
@@ -240,25 +254,26 @@ def tail_norm_estimates(gspec, a_list, p, trials, seed, iters=200):
     For p = 2 each radius runs its own power iteration, and stays below the
     multiplier's peak, 2*pi*a^2 for a <= L; for other p it maximizes
     ||T f||_p / ||f||_p over seeded random band-limited trial fields, each
-    drawn, normed and transformed forward once for all radii. Either way
-    each result is a lower estimate and must sit below the l1 mass of its
-    tail table, which the negative lobes lift above 2*pi*a^2.
+    drawn, normed and transformed forward once for all radii: one run_jobs
+    task per field, drawn in trial order as a worker comes free, on workers
+    that inherit the multipliers. A max ignores the order trials end in, so
+    the estimates are the serial ones, bit for bit. Either way each result
+    is a lower estimate and must sit below the l1 mass of its tail table,
+    which the negative lobes lift above 2*pi*a^2.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
     kspecs = [KernelSpec("tail", a=a) for a in a_list]
     if p == 2.0:
         return [_power_estimate(gspec, kspec, seed, iters) for kspec in kspecs]
-    mults = [kernel_multiplier(gspec, kspec) for kspec in kspecs]
+    mults = [kernel_multiplier(gspec, kspec) for kspec in kspecs]  # cached before the fork
     rng = np.random.default_rng(seed)
     best = [0.0] * len(mults)
-    for _ in range(trials):
-        f = random_band_limited(gspec, rng)
-        denom = lp_norm(f, p)
-        if denom == 0.0:
-            continue
-        re, im = _convolve_real(f.values.real, *mults), _convolve_real(f.values.imag, *mults)
-        best = [max(b, lp_norm(Field(gspec, r + 1j * i), p) / denom)
-                for b, r, i in zip(best, re, im)]
-        del re, im  # the next trial's convolutions need the room
+
+    def keep(ratios):
+        best[:] = map(max, best, ratios)
+
+    from .experiments import run_jobs  # the battery's pool: solvers never load it
+    run_jobs(_trial_ratios, ((kspecs, p, random_band_limited(gspec, rng))
+                             for _ in range(trials)), keep)
     return [float(b) for b in best]

@@ -273,7 +273,8 @@ def march_solve(phi, cfg):
     kept for the later nodes. The fixed point is the one picard_solve
     reaches. A generator: yields the node coefficients U_0 = phi_hat, U_1,
     ..., U_m as each block converges and keeps none of them. Raises
-    NonConvergence, naming the block, when a block exhausts max_iter and
+    NonConvergence, naming the block and the step T/m (a node's iteration
+    contracts by about c dt L), when a block exhausts max_iter and
     DivergenceDetected on a non-finite node.
     """
     phi_hat = to_spectral(phi)
@@ -282,8 +283,8 @@ def march_solve(phi, cfg):
         if not change < cfg.tol:
             raise NonConvergence(
                 f"increment {change:.3e} still above tol {cfg.tol:.1e} after {cfg.max_iter} "
-                f"iterations at node {'-'.join(map(str, block))}; horizon T={cfg.T} too "
-                "large for contraction?")
+                f"iterations at node {'-'.join(map(str, block))}; step T/m={cfg.T / cfg.m:g} "
+                "too large for contraction?")
         yield from values
 
 

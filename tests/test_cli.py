@@ -383,6 +383,37 @@ trials = 8
     assert any(n.endswith("-checks.csv") for n in names)
 
 
+def test_kernel_norms_pool_writes_the_serial_tables(tmp_path, monkeypatch):
+    # at p != 2 the trials run on the fork pool; on one worker they run
+    # in-process, and both write the same bytes
+    text = """
+[grid]
+n = 16
+L = 1.6
+
+[physics]
+alpha1 = 1.0
+alpha2 = 1.0
+
+[experiment]
+a_list = 0.4, 0.2, 0.1
+p = 3
+trials = 4
+"""
+    cfg = _write(tmp_path, text)
+    codes, tables = [], []
+    for workers in (2, 1):
+        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
+        out = tmp_path / f"workers-{workers}"
+        codes.append(main(["kernel-norms", "--config", cfg, "--out", str(out)]))
+        (run_dir,) = _run_dirs(out)
+        tables.append({name.rsplit("-", 1)[-1]: Path(run_dir, name).read_bytes()
+                       for name in os.listdir(run_dir) if name.endswith(".csv")})
+    assert codes[0] == codes[1]
+    assert sorted(tables[0]) == ["checks.csv", "tail_norms.csv"]
+    assert tables[0] == tables[1]
+
+
 def test_sweep_sequential(tmp_path):
     text = PICARD + """
 [sweep]

@@ -1,3 +1,4 @@
+import os
 import warnings
 from dataclasses import replace
 
@@ -374,3 +375,24 @@ def test_section_lines_precede_the_last_job(monkeypatch, fork_log, capsys):
     monkeypatch.setattr(experiments, "_worker_count", lambda: 1)
     experiments.verify_battery(parse_config(BATTERY_CFG))
     assert shown == list(experiments.SECTIONS[:experiments.SECTIONS.index("truncation")])
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _nested_run_jobs(_):
+    pids = []
+    workers = experiments.run_jobs(_pid, range(3), pids.append)
+    return workers, os.getpid(), set(pids)
+
+
+def test_run_jobs_in_a_pool_worker_starts_no_pool(monkeypatch):
+    # a task that calls run_jobs itself (verify's tail section, a sweep
+    # point) runs that call's tasks in its own worker, on one worker
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+    results = []
+    assert experiments.run_jobs(_nested_run_jobs, range(2), results.append) == 2
+    assert len(results) == 2
+    for workers, pid, inner in results:
+        assert workers == 1 and inner == {pid} and pid != os.getpid()

@@ -1,10 +1,11 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from frnse import kernel
+from frnse import experiments, kernel
 from frnse.grid import Field, GridSpec, l2_norm, lp_norm, random_band_limited
 from frnse.kernel import (KernelSpec, _convolve_real, _workspace, apply_kernel,
                           default_radius, direct_convolution_oracle,
@@ -295,6 +296,26 @@ def test_lp_tail_norm_estimates_equal_a_loop_per_radius(gspec16):
             best = max(best, lp_norm(Field(gspec16, re + 1j * im), p) / lp_norm(f, p))
         assert est == best
         assert 0.0 < est < np.abs(kernel_table(gspec16, kspec)).sum()
+
+
+def test_lp_tail_trials_hold_one_field_per_worker(gspec16, monkeypatch):
+    # the parent draws a trial field only as a pool worker comes free, so
+    # the fields it holds do not grow with the number of trials
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+    drawn, held = [], []
+
+    def draw(spec, rng):
+        held.append(sum(ref() is not None for ref in drawn))
+        f = random_band_limited(spec, rng)
+        drawn.append(weakref.ref(f.values))
+        return f
+
+    monkeypatch.setattr(kernel, "random_band_limited", draw)
+    ests = tail_norm_estimates(gspec16, (0.4, 0.2), p=3.0, trials=8, seed=7)
+    assert len(drawn) == 8 and max(held) <= 2
+    # in-process, on one worker, the same draws give the same estimates
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 1)
+    assert ests == tail_norm_estimates(gspec16, (0.4, 0.2), p=3.0, trials=8, seed=7)
 
 
 def test_tail_norm_bound_validation():

@@ -327,6 +327,10 @@ def test_march_nonconvergence_names_the_block(gspec8, kfull):
     with pytest.raises(NonConvergence, match="after 2 iterations at node 1;") as exc:
         next(nodes)
     assert exc.value.report is None
+    # a node's iteration contracts by about c dt L: the step is too large,
+    # not the horizon
+    assert "step T/m=0.03125 too large" in str(exc.value)
+    assert "horizon" not in str(exc.value)
 
 
 def _diverging_march(gspec8, kfull, m):
