@@ -24,7 +24,9 @@ config; config_hash is the SHA-256 of that canonical form minus the
 [output] section, so relocating output never changes the hash.
 """
 
+import functools
 import hashlib
+import os
 from dataclasses import dataclass, make_dataclass, replace
 
 import numpy as np
@@ -445,6 +447,11 @@ def config_hash(cfg):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=1)  # parse_config's check and the command share one read
+def _read_initial(path, mtime_ns, size):
+    return read_field(path)
+
+
 def build_initial(cfg):
     """Construct the initial datum of the [initial] section: the file's
     field, or a unit-height Gaussian or plane wave scaled to the norm target
@@ -452,7 +459,8 @@ def build_initial(cfg):
     key, when the datum or its L2 or H1 norm is not finite."""
     ini, spec = cfg.initial, cfg.grid
     if ini.type == "file":
-        key, (f, _) = "path", read_field(ini.path)
+        stat = os.stat(ini.path)
+        key, (f, _) = "path", _read_initial(ini.path, stat.st_mtime_ns, stat.st_size)
         if f.spec != spec:
             raise ConfigError([ConfigIssue("constraint", None,
                                            f"initial.path field is {f.spec.n}^3, L={f.spec.L}; "

@@ -24,9 +24,8 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import chain, islice
 
 import numpy as np
 
@@ -772,27 +771,21 @@ def _worker_count():
 
 
 def run_jobs(fn, tasks, collect):
-    """Hand fn(task) to collect for each task as it ends; returns the worker
-    count, one per CPU this process may run on, at most one per task. Two
-    or more take the tasks, any iterable, lazily and in order, one as a
-    worker comes free, in a pool of forked processes, which inherit every
-    loaded module and cache. One, or a call inside a pool worker, runs them
-    here, in turn. A task that raises stops the rest; no worker outlives it."""
-    tasks = iter(tasks)
-    head = list(islice(tasks, 1 if multiprocessing.parent_process() else _worker_count()))
-    workers = len(head)
+    """Hand fn(task) to collect for each task in a list as it ends; returns
+    the worker count, one per CPU this process may run on, at most one per
+    task. Two or more take the tasks in order in a pool of forked processes,
+    which inherit every loaded module and cache. One, or a call inside a
+    pool worker, runs them here, in turn. A task that raises cancels those
+    not yet started; no worker outlives it."""
+    workers = min(1 if multiprocessing.parent_process() else _worker_count(), len(tasks))
     if workers < 2:
-        for result in map(fn, chain(head, tasks)):
+        for result in map(fn, tasks):
             collect(result)
         return workers
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        running = {pool.submit(fn, head.pop(0)) for _ in range(workers)}
-        while running:
-            done, running = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                collect(future.result())
-                running.update(pool.submit(fn, task) for task in islice(tasks, 1))
+        for future in as_completed([pool.submit(fn, task) for task in tasks]):
+            collect(future.result())
     finally:
         pool.shutdown(cancel_futures=True)
     return workers

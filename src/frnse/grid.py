@@ -198,11 +198,11 @@ def gaussian_field(spec, sigma, center=None):
     return Field(spec, np.exp(-r2 / (2.0 * sigma**2)).astype(complex))
 
 
-def scaled_gaussian(spec, sigma, center=None, l2_target=None, h1_target=None):
+def scaled_gaussian(spec, sigma, l2_target=None, h1_target=None):
     """Gaussian bump rescaled to a target L2 or H1 norm (at most one)."""
     if l2_target is not None and h1_target is not None:
         raise ValueError("give at most one of l2_target / h1_target")
-    f = gaussian_field(spec, sigma, center=center)
+    f = gaussian_field(spec, sigma)
     if l2_target is not None:
         return f * (l2_target / l2_norm(f))
     if h1_target is not None:

@@ -23,7 +23,8 @@ one complex (2n, 2n, n+1) workspace per grid size, kept between applies,
 plus a second one when a density meets several multipliers; only the
 padding is zeroed again. Densities are real: a float64 density gives a
 float64 potential. The tail-norm trials at p != 2, one such transform of
-each part of a field, run as tasks on the battery's fork pool.
+each part of a field, run as tasks on the battery's fork pool, each trial
+drawing its field from its own child seed.
 
 The operator is spectral (Vico, Greengard and Ferrando, "Fast convolution
 with free-space Green's functions", J. Comput. Phys. 323, 2016): 1/|x| cut
@@ -235,16 +236,17 @@ def _power_estimate(gspec, kspec, seed, iters):
 
 
 def _trial_ratios(task):
-    """||T f||_p / ||f||_p for one trial field f, one per tail kernel in
-    kspecs (0 for a null f): a run_jobs task, which reads the multipliers
-    from the cache a forked worker inherits."""
-    kspecs, p, f = task
+    """||T f||_p / ||f||_p for trial i's field f, drawn here from its child
+    seed, one per tail kernel in kspecs (0 for a null f): a run_jobs task,
+    which reads the multipliers from the cache a forked worker inherits."""
+    gspec, kspecs, p, seed, i = task
+    f = random_band_limited(gspec, np.random.default_rng([seed, 303, i]))
     denom = lp_norm(f, p)
     if denom == 0.0:
         return [0.0] * len(kspecs)
-    mults = [kernel_multiplier(f.spec, kspec) for kspec in kspecs]
+    mults = [kernel_multiplier(gspec, kspec) for kspec in kspecs]
     re, im = _convolve_real(f.values.real, *mults), _convolve_real(f.values.imag, *mults)
-    return [lp_norm(Field(f.spec, r + 1j * i), p) / denom for r, i in zip(re, im)]
+    return [lp_norm(Field(gspec, x + 1j * y), p) / denom for x, y in zip(re, im)]
 
 
 def tail_norm_estimates(gspec, a_list, p, trials, seed, iters=200):
@@ -254,26 +256,21 @@ def tail_norm_estimates(gspec, a_list, p, trials, seed, iters=200):
     For p = 2 each radius runs its own power iteration, and stays below the
     multiplier's peak, 2*pi*a^2 for a <= L; for other p it maximizes
     ||T f||_p / ||f||_p over seeded random band-limited trial fields, each
-    drawn, normed and transformed forward once for all radii: one run_jobs
-    task per field, drawn in trial order as a worker comes free, on workers
-    that inherit the multipliers. A max ignores the order trials end in, so
-    the estimates are the serial ones, bit for bit. Either way each result
-    is a lower estimate and must sit below the l1 mass of its tail table,
-    which the negative lobes lift above 2*pi*a^2.
+    drawn from its own child seed (seed, 303, i), normed and transformed
+    forward once for all radii: one run_jobs task per trial, on workers
+    that inherit the multipliers. So the estimates depend on neither the
+    worker count nor the radius list. Either way each result is a lower
+    estimate and must sit below the l1 mass of its tail table, which the
+    negative lobes lift above 2*pi*a^2.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
     kspecs = [KernelSpec("tail", a=a) for a in a_list]
     if p == 2.0:
         return [_power_estimate(gspec, kspec, seed, iters) for kspec in kspecs]
-    mults = [kernel_multiplier(gspec, kspec) for kspec in kspecs]  # cached before the fork
-    rng = np.random.default_rng(seed)
-    best = [0.0] * len(mults)
-
-    def keep(ratios):
-        best[:] = map(max, best, ratios)
-
+    for kspec in kspecs:
+        kernel_multiplier(gspec, kspec)  # cached before the fork
+    ratios = [[0.0] * len(kspecs)]  # a floor of 0, then one row per trial
     from .experiments import run_jobs  # the battery's pool: solvers never load it
-    run_jobs(_trial_ratios, ((kspecs, p, random_band_limited(gspec, rng))
-                             for _ in range(trials)), keep)
-    return [float(b) for b in best]
+    run_jobs(_trial_ratios, [(gspec, kspecs, p, seed, i) for i in range(trials)], ratios.append)
+    return [float(max(column)) for column in zip(*ratios)]

@@ -17,16 +17,16 @@ WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 44
 
 
-def _nice_ticks(lo, hi, target=5):
+def _nice_ticks(lo, hi):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return []
     if hi <= lo:
         hi = lo + (abs(lo) if lo else 1.0)
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5  # at most five steps
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if (hi - lo) / (mult * mag) <= target:
+        if (hi - lo) / (mult * mag) <= 5:
             step = mult * mag
             break
     first = math.ceil(lo / step - 1e-9) * step

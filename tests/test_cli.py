@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frnse import cli, experiments
+from frnse import cli, config, experiments
 from frnse.cli import build_parser, main
 from frnse.config import build_initial, parse_config
 from frnse.grid import Field, GridSpec, scaled_gaussian
-from frnse.io import write_csv, write_field
+from frnse.io import read_field, write_csv, write_field
 from frnse.picard import picard_solve
 from frnse.stepper import evolve
 
@@ -259,6 +259,21 @@ def test_sweep_point_on_another_grid_than_its_file_never_starts(tmp_path):
 def test_good_initial_file_runs(tmp_path):
     cfg = _write(tmp_path, _file_initial(tmp_path, "solve", _same_grid))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+def test_initial_file_is_read_once_per_run(tmp_path, monkeypatch):
+    # parse_config checks the file and the command builds the datum from
+    # the same read
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_field(path)
+
+    monkeypatch.setattr(config, "read_field", counted)
+    cfg = _write(tmp_path, _file_initial(tmp_path, "solve", _same_grid))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert reads == [str(tmp_path / "start.field")]
 
 
 def test_verify_accepts_a_list_at_or_below_h():

@@ -1,6 +1,6 @@
+import os
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -280,17 +280,17 @@ def test_tail_norm_estimate_below_grid_spacing(gspec16):
 
 
 def test_lp_tail_norm_estimates_equal_a_loop_per_radius(gspec16):
-    # at p != 2 the trials are drawn once for all radii; each estimate is
-    # bitwise the one a per-radius loop gets from the same seeded draws,
-    # convolving the real and imaginary parts of each draw apart
+    # at p != 2 trial i draws its field from the child seed (seed, 303, i),
+    # once for all radii; each estimate is bitwise the one a per-radius loop
+    # gets from the same draws, convolving the real and imaginary parts of
+    # each draw apart
     p, trials, seed, a_list = 3.0, 3, 7, (0.4, 0.2, 0.1)
     ests = tail_norm_estimates(gspec16, a_list, p=p, trials=trials, seed=seed)
     for a, est in zip(a_list, ests):
         kspec = KernelSpec("tail", a=a)
-        rng = np.random.default_rng(seed)
         best = 0.0
-        for _ in range(trials):
-            f = random_band_limited(gspec16, rng)
+        for i in range(trials):
+            f = random_band_limited(gspec16, np.random.default_rng([seed, 303, i]))
             re, im = (apply_kernel(kspec, Field(gspec16, part)).values
                       for part in (f.values.real, f.values.imag))
             best = max(best, lp_norm(Field(gspec16, re + 1j * im), p) / lp_norm(f, p))
@@ -298,24 +298,32 @@ def test_lp_tail_norm_estimates_equal_a_loop_per_radius(gspec16):
         assert 0.0 < est < np.abs(kernel_table(gspec16, kspec)).sum()
 
 
-def test_lp_tail_trials_hold_one_field_per_worker(gspec16, monkeypatch):
-    # the parent draws a trial field only as a pool worker comes free, so
-    # the fields it holds do not grow with the number of trials
+def test_lp_tail_trials_draw_their_fields_in_the_workers(gspec16, monkeypatch):
+    # on the pool each worker draws its own trial fields, so the parent
+    # draws none; in-process, on one worker, the same child seeds give the
+    # same estimates
     monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
-    drawn, held = [], []
+    drawn = []
 
     def draw(spec, rng):
-        held.append(sum(ref() is not None for ref in drawn))
-        f = random_band_limited(spec, rng)
-        drawn.append(weakref.ref(f.values))
-        return f
+        drawn.append(os.getpid())
+        return random_band_limited(spec, rng)
 
     monkeypatch.setattr(kernel, "random_band_limited", draw)
     ests = tail_norm_estimates(gspec16, (0.4, 0.2), p=3.0, trials=8, seed=7)
-    assert len(drawn) == 8 and max(held) <= 2
-    # in-process, on one worker, the same draws give the same estimates
+    assert drawn == [] and min(ests) > 0.0
     monkeypatch.setattr(experiments, "_worker_count", lambda: 1)
     assert ests == tail_norm_estimates(gspec16, (0.4, 0.2), p=3.0, trials=8, seed=7)
+    assert drawn == [os.getpid()] * 8
+
+
+def test_lp_tail_norm_estimates_grow_with_the_trials(gspec16):
+    # trial i's field depends only on the grid, the seed and i, so 8 trials
+    # take the max over a superset of 4 trials' fields
+    a_list = (0.4, 0.2, 0.1)
+    four = tail_norm_estimates(gspec16, a_list, p=3.0, trials=4, seed=5)
+    eight = tail_norm_estimates(gspec16, a_list, p=3.0, trials=8, seed=5)
+    assert all(e8 >= e4 for e4, e8 in zip(four, eight))
 
 
 def test_tail_norm_bound_validation():
