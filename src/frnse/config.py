@@ -177,6 +177,7 @@ CHECKS = (
     ("experiment", "deltas", lambda v, s: min(v) > 0, "entries must be positive", None),
     ("experiment", "deltas", lambda v, s: _decreasing(v), "must be strictly decreasing", None),
     ("experiment", "p", lambda v, s: v > 1, "must be > 1", None),
+    ("experiment", "p", lambda v, s: np.isfinite(v), "must be finite", None),
     ("experiment", "trials", lambda v, s: v >= 1, "must be >= 1", None),
     # at alpha2 = 0 verify's order studies have no quadrature error to fit,
     # and its truncation study holds truncated kernels to the full one

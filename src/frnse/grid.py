@@ -142,10 +142,21 @@ def h1_norm(f):
 
 
 def lp_norm(f, p):
-    """Grid L^p norm (p >= 1) from the h^3-weighted sample sum."""
-    if p < 1:
-        raise ValueError(f"Lp norm requires p >= 1, got {p}")
-    return float((f.spec.h**3 * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    """Grid L^p norm (finite p >= 1) from the h^3-weighted sample sum.
+
+    Where that sum underflows to 0 or overflows for a nonzero field, as at
+    large p, it is taken on |f| / max|f| and the norm scaled back by max|f|.
+    """
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"Lp norm requires a finite p >= 1, got {p}")
+    a = np.abs(f.values)
+    with np.errstate(over="ignore", under="ignore"):
+        total = f.spec.h**3 * np.sum(a**p)
+    peak = 1.0
+    if not 0.0 < total < np.inf and a.max() > 0.0:
+        peak = a.max()
+        total = f.spec.h**3 * np.sum((a / peak) ** p)
+    return float(peak * total ** (1.0 / p))
 
 
 def random_band_limited(spec, rng, band_fraction=2.0 / 3.0):

@@ -35,7 +35,10 @@ inside the box's displacements, which are kept and transformed at length
 the multiplier. No radius needs resolving on the grid: for every a <= L,
 even below h, the tail table sums to 2 pi a^2. It has small negative
 lobes: the operators do not preserve positivity, and the tail operator is
-bounded in every L^p by the l1 mass of its table (Young).
+bounded in every L^p by the l1 mass of its table (Young). kernel_l1_mass
+sums that mass over the table's even (n+1)^3 octant, a DCT-I of the
+multiplier's octant, without forming the table; kernel_table, the (2n)^3
+irfftn, is the direct oracle's table and the tests' reference.
 """
 
 import math
@@ -84,7 +87,8 @@ def _cutoff_multiplier(gspec, r):
     Samples the transform, once per distinct |k|^2, on the even octant of a
     period of M = ceil(1 + r/L) n points per axis; along each axis, an irfft
     of length M, the displacements -n..n-1 kept, and an rfft of length 2n.
-    The kernel is even: the octant is mirrored at the end.
+    The kernel is even: the octant is mirrored at the end, by slices into
+    one allocation.
     """
     n, h, L = gspec.n, gspec.h, gspec.L
     M = math.ceil(1.0 + r / L) * n
@@ -97,8 +101,11 @@ def _cutoff_multiplier(gspec, r):
         for axis in (2, 1, 0):  # the largest transforms along contiguous lines
             table = np.fft.irfft(octant, n=M, axis=axis).take(keep, axis=axis)
             octant = np.fft.rfft(table, axis=axis).real
-    mirror = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
-    return octant[mirror][:, mirror]
+    mult = np.empty((2 * n, 2 * n, n + 1))
+    mult[:n + 1, :n + 1] = octant
+    mult[n + 1:, :n + 1] = octant[n - 1:0:-1]
+    mult[:, n + 1:] = mult[:, n - 1:0:-1]
+    return mult
 
 
 @lru_cache(maxsize=16)
@@ -129,6 +136,25 @@ def kernel_table(gspec, kspec):
     [jx, jy, jz] weighs the displacement (((j + n) mod 2n) - n) * h per axis."""
     n = gspec.n
     return np.fft.irfftn(kernel_multiplier(gspec, kspec), s=(2 * n,) * 3, axes=(0, 1, 2))
+
+
+def kernel_l1_mass(gspec, kspec):
+    """The l1 mass ||k_h||_1 of kernel_table, from its even octant.
+
+    The table is even on every axis, so its (n+1)^3 octant of displacements
+    0..n holds all of it. Along each axis the inverse DFT of length 2n of an
+    even sequence is, on that octant, a DCT-I: an (n+1, n+1) cosine matrix
+    applied to the multiplier's octant. Per axis, entries 0 and n stand
+    once in the table and the others twice. No (2n)^3 array is formed.
+    """
+    n = gspec.n
+    j = np.arange(n + 1)
+    w = np.full(n + 1, 2.0)
+    w[[0, n]] = 1.0
+    dct = np.cos(np.pi / n * np.outer(j, j)) * (w / (2 * n))
+    octant = kernel_multiplier(gspec, kspec)[:n + 1, :n + 1] @ dct.T  # along z
+    octant = np.tensordot(dct, dct @ octant, axes=(1, 0))  # along y, then x
+    return float(np.abs(octant) @ w @ w @ w)
 
 
 @lru_cache(maxsize=4)

@@ -169,6 +169,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("solve", "gaussian-solve.cfg", "initial.l2_norm=inf"),
     ("solve", "gaussian-solve.cfg", "initial.amplitude=inf"),
     ("picard", "picard-demo.cfg", "initial.h1_norm=inf"),
+    # at p = inf every trial's ratio read 1: sum |f|^inf is inf, and inf^0 is 1
+    ("kernel-norms", "kernel-norms.cfg", ("experiment.p=inf", "grid.n=8")),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override
@@ -427,6 +429,26 @@ trials = 4
     assert codes[0] == codes[1]
     assert sorted(tables[0]) == ["checks.csv", "tail_norms.csv"]
     assert tables[0] == tables[1]
+
+
+def test_kernel_norms_at_large_p_measures_every_radius(tmp_path):
+    # at p = 400 |f|^p overflows: each trial's L^p norms are taken on the
+    # field scaled by its peak, so no bound row passes at a vacuous 0
+    path = os.path.join(CONFIGS, "kernel-norms.cfg")
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["kernel-norms", "--config", path, "--set", "grid.n=8",
+                     "--set", "experiment.p=400", "--out", str(out)])
+    assert code in (0, 1)
+    (run_dir,) = _run_dirs(out)
+    (checks,) = glob.glob(os.path.join(run_dir, "*-checks.csv"))
+    with open(checks) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    bounds = [row for row in rows if row[0].startswith("tail-norm-bound-")]
+    assert len(bounds) == 3
+    for _, _, measured, threshold, passed, *_ in bounds:
+        assert 0.0 < float(measured) <= float(threshold) and passed == "true"
 
 
 def test_sweep_sequential(tmp_path):

@@ -82,6 +82,24 @@ def test_kernel_norm_study(gspec32):
         assert f"2 pi a^2 = {2.0 * np.pi * a**2:.6g}" in row.detail
 
 
+def test_kernel_norm_study_builds_no_table(monkeypatch):
+    # the study takes each l1 mass from the table's even octant: with
+    # kernel_table raising it still runs on both estimators, and its bounds
+    # are the tables' masses
+    gspec, a_list = GridSpec(16, 1.6), (0.4, 0.2, 0.1)
+    masses = [np.abs(kernel_table(gspec, KernelSpec("tail", a=a))).sum() for a in a_list]
+
+    def boom(*args):
+        raise AssertionError("kernel_table called")
+
+    monkeypatch.setattr(kernel, "kernel_table", boom)
+    monkeypatch.setattr(experiments, "kernel_table", boom, raising=False)
+    for p in (2.0, 3.0):
+        _, tables = kernel_norm_study(gspec, a_list, p=p, trials=4, seed=0)
+        bounds = [bound for _, bound, _ in tables["tail_norms"][1]]
+        assert bounds == pytest.approx(masses, rel=1e-13, abs=0.0)
+
+
 def test_tail_norm_estimate_under_continuum_bound_at_p2():
     # at a = 3h on a 48^3 grid the p=2 estimate sits under 2 pi a^2, the
     # multiplier's peak; the row holds it against the table's l1 mass

@@ -92,8 +92,28 @@ def test_parseval(gspec16, rng):
 def test_lp_norm(gspec8, rng):
     f = random_band_limited(gspec8, rng)
     assert lp_norm(f, 2.0) == pytest.approx(l2_norm(f), rel=1e-12)
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    for p in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            lp_norm(f, p)
+
+
+def test_lp_norm_at_large_p(gspec8, rng):
+    # |f|^400 overflows for |f| > 5.9: the sum is taken on |f| / max|f|;
+    # where the plain sum is finite and positive it is the formula, bitwise
+    f = random_band_limited(gspec8, rng)
+    a, h3 = np.abs(f.values), gspec8.h**3
+    for p in (2.0, 3.0):
+        assert lp_norm(f, p) == float((h3 * np.sum(a**p)) ** (1.0 / p))
+    assert a.max() > 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = lp_norm(f, 400.0)
+        assert 0.0 < big < np.inf
+        assert big == a.max() * (h3 * np.sum((a / a.max()) ** 400.0)) ** (1.0 / 400.0)
+        # and a sum that underflows to 0 for a nonzero field
+        tiny = lp_norm(f * 1e-200, 3.0)
+    assert tiny == pytest.approx(1e-200 * lp_norm(f, 3.0), rel=1e-12)
+    assert lp_norm(f * 0.0, 400.0) == 0.0
 
 
 @settings(max_examples=25, deadline=None)

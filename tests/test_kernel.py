@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from frnse import experiments, kernel
 from frnse.grid import Field, GridSpec, l2_norm, lp_norm, random_band_limited
 from frnse.kernel import (KernelSpec, _convolve_real, _workspace, apply_kernel,
-                          default_radius, direct_convolution_oracle,
+                          default_radius, direct_convolution_oracle, kernel_l1_mass,
                           kernel_multiplier, kernel_table, tail_norm_bound,
                           tail_norm_estimates)
 from frnse.nonlinear import density, potential
@@ -122,6 +123,46 @@ def test_multiplier_build_memory():
     assert peak < 20.5 * 2**20
 
 
+def test_multiplier_mirrors_its_octant():
+    # the multiplier is filled from its (n+1, n+1, n+1) octant by slices in
+    # one allocation, bitwise the gather octant[mirror][:, mirror], for
+    # periods M = 2n (r <= L) and M = 3n (r > L)
+    for n in (3, 8, 9, 16):
+        gspec = GridSpec(n, 1.6)
+        mirror = np.minimum(np.arange(2 * n), 2 * n - np.arange(2 * n))
+        for r in (gspec.h / 4.0, 0.3, gspec.L, 1.5 * gspec.L, default_radius(gspec.L)):
+            mult = kernel._cutoff_multiplier(gspec, r)
+            assert np.array_equal(mult, mult[:n + 1, :n + 1][mirror][:, mirror])
+
+
+def test_l1_mass_from_the_octant_matches_the_table():
+    # the table is even on every axis, so its (n+1)^3 octant, weighted 2
+    # off the indices 0 and n, holds its whole l1 mass: below h, at L and
+    # beyond L, where the cutoff is sampled on a period M = 3n
+    for n in (3, 8, 9, 16):
+        gspec = GridSpec(n, 1.6)
+        kspecs = [KernelSpec("full")] + [
+            KernelSpec(variant, a=a) for variant in ("inner", "tail")
+            for a in (gspec.h / 4.0, 0.3, gspec.L, 1.5 * gspec.L)]
+        for kspec in kspecs:
+            ref = np.abs(kernel_table(gspec, kspec)).sum()
+            assert kernel_l1_mass(gspec, kspec) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_l1_mass_forms_no_padded_array():
+    # from the cached multiplier the mass needs (n+1)^3-sized arrays only,
+    # below one float64 (2n)^3 table
+    gspec, kspec = GridSpec(48, 1.6), KernelSpec("tail", a=0.2)
+    kernel_multiplier(gspec, kspec)
+    tracemalloc.start()
+    try:
+        kernel_l1_mass(gspec, kspec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (2 * gspec.n) ** 3
+
+
 def test_tail_zero_dc_near_analytic(gspec16, gspec32):
     # the DFT at k=0 of the tail table is its sum, the transform's 2 pi a^2,
     # at every radius up to L: no cell is special, not even below h/2
@@ -132,6 +173,15 @@ def test_tail_zero_dc_near_analytic(gspec16, gspec32):
             assert kernel_multiplier(gspec, kspec)[0, 0, 0] == pytest.approx(bound, rel=1e-15)
             dc = float(np.sum(kernel_table(gspec, kspec)))
             assert dc == pytest.approx(bound, rel=1e-12)
+
+
+def test_numpy_floor_covers_fft_out():
+    # _convolve_real passes out= to numpy.fft, which numpy 2.0 added
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    (floor,) = [m.group(1) for d in deps if (m := re.fullmatch(r"numpy\s*>=\s*([\d.]+)", d))]
+    assert tuple(int(x) for x in floor.split(".")) >= (2, 0)
 
 
 def test_apply_matches_direct_oracle(gspec8, rng):
