@@ -179,6 +179,8 @@ CHECKS = (
     ("experiment", "p", lambda v, s: v > 1, "must be > 1", None),
     ("experiment", "p", lambda v, s: np.isfinite(v), "must be finite", None),
     ("experiment", "trials", lambda v, s: v >= 1, "must be >= 1", None),
+    # each pending trial holds about 2.2 KB until the pool takes it
+    ("experiment", "trials", lambda v, s: v <= 10000, "must be <= 10000", None),
     # at alpha2 = 0 verify's order studies have no quadrature error to fit,
     # and its truncation study holds truncated kernels to the full one
     ("physics", "alpha2", lambda v, s: v != 0, "must be nonzero for verify", ("verify",)),

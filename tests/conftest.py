@@ -2,31 +2,63 @@
 
 import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
-from frnse.grid import GridSpec
-from frnse.kernel import KernelSpec
+
+def pytest_addoption(parser):
+    parser.addoption("--trace-lines", metavar="FILE",
+                     help="write each src/frnse line the run executes to FILE, as path:line")
+
+
+def pytest_configure(config):
+    path = config.getoption("--trace-lines")
+    if not path:
+        return
+    # one CPU: the battery's pool then runs its jobs in this traced process
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    src, hits = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "frnse"), set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def write():
+        sys.settrace(None)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{os.path.relpath(f, src)}:{n}\n" for f, n in sorted(hits))
+
+    sys.settrace(lambda frame, *_: lines if frame.f_code.co_filename.startswith(src) else None)
+    config.add_cleanup(write)
+
+
+def _grid(n):
+    # frnse is imported by the tests, after --trace-lines starts its tracer
+    from frnse.grid import GridSpec
+    return GridSpec(n, 1.6)
 
 
 @pytest.fixture
 def gspec8():
-    return GridSpec(8, 1.6)
+    return _grid(8)
 
 
 @pytest.fixture
 def gspec16():
-    return GridSpec(16, 1.6)
+    return _grid(16)
 
 
 @pytest.fixture
 def gspec32():
-    return GridSpec(32, 1.6)
+    return _grid(32)
 
 
 @pytest.fixture
 def kfull():
+    from frnse.kernel import KernelSpec
     return KernelSpec("full")
 
 

@@ -16,7 +16,7 @@ from frnse import cli, config, experiments
 from frnse.cli import build_parser, main
 from frnse.config import build_initial, parse_config
 from frnse.grid import Field, GridSpec, scaled_gaussian
-from frnse.io import read_field, write_csv, write_field
+from frnse.io import read_csv, read_field, write_csv, write_field
 from frnse.picard import picard_solve
 from frnse.stepper import evolve
 
@@ -115,6 +115,62 @@ def test_solve_run_produces_artifacts(tmp_path):
     assert sorted(man["files"]) == man["files"]
 
 
+def test_solve_that_no_step_survives_ends_as_blowup_suspected(tmp_path, capsys):
+    # every trial step is non-finite down to dt_min: the run ends as a cap
+    # violation does, with its diagnostics written, and exits 0
+    out = tmp_path / "runs"
+    args = ["solve", "--config", os.path.join(CONFIGS, "gaussian-solve.cfg"), "--set",
+            "grid.n=8", "--set", "stepper.T=0.01", "--set", "physics.alpha2=1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "BlowupSuspected: 0 steps, 18 rejections, t=0,")
+    (run_dir,) = _run_dirs(out)
+    man = _manifest(run_dir)
+    assert (man["status"], man["errors"]) == ("BlowupSuspected", [])
+    assert man["summary"]["escape_time"] == 2.5e-3 / 2**17
+    (diag,) = [n for n in man["files"] if n.endswith("-diagnostics.csv")]
+    header, rows = read_csv(os.path.join(run_dir, diag))
+    assert header[0] == "t" and len(rows) == 1
+
+
+def _picard_demo(tmp_path, capsys, *sets):
+    """Run frnse picard on picard-demo.cfg at n = 8 with the overrides sets;
+    returns its exit code, its printed lines and its run's manifest."""
+    out = tmp_path / "runs"
+    sets = [arg for o in ("grid.n=8", *sets) for arg in ("--set", o)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["picard", "--config", os.path.join(CONFIGS, "picard-demo.cfg"),
+                     *sets, "--out", str(out)])
+    (run_dir,) = _run_dirs(out)
+    return code, capsys.readouterr().out.splitlines(), run_dir, _manifest(run_dir)
+
+
+def test_picard_out_of_iterations_exits_1_with_its_table(tmp_path, capsys):
+    code, lines, run_dir, man = _picard_demo(tmp_path, capsys, "picard.max_iter=2")
+    assert code == 1
+    assert any(line.startswith("did not converge: ") for line in lines)
+    assert man["status"] == "failed"
+    (error,) = man["errors"]
+    assert error["type"] == "NonConvergence"
+    (table,) = man["files"]
+    assert table.endswith("-iterations.csv")
+    assert len(read_csv(os.path.join(run_dir, table))[1]) == 2
+    assert man["summary"]["contraction"] == {
+        "skipped": "need at least 3 increments above the round-off floor, got 2"}
+
+
+def test_picard_divergence_exits_1_with_no_files(tmp_path, capsys):
+    code, lines, _, man = _picard_demo(tmp_path, capsys, "physics.alpha2=1e308")
+    assert code == 1
+    assert "iteration diverged: non-finite field at node 1" in lines
+    assert (man["status"], man["files"]) == ("failed", [])
+    (error,) = man["errors"]
+    assert error["type"] == "DivergenceDetected"
+
+
 @pytest.mark.parametrize("command, text", [("solve", SOLVE), ("picard", PICARD)])
 def test_solvers_load_neither_battery_nor_pool(tmp_path, command, text):
     # a fresh interpreter, so that no other test's imports are seen
@@ -171,6 +227,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("picard", "picard-demo.cfg", "initial.h1_norm=inf"),
     # at p = inf every trial's ratio read 1: sum |f|^inf is inf, and inf^0 is 1
     ("kernel-norms", "kernel-norms.cfg", ("experiment.p=inf", "grid.n=8")),
+    # every pending trial is held in memory: 10^7 of them needed about 21 GiB
+    ("kernel-norms", "kernel-norms.cfg", "experiment.trials=10001"),
 ])
 def test_bad_experiment_override_exits_2(tmp_path, capsys, command, config, override):
     overrides = (override,) if isinstance(override, str) else override

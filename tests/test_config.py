@@ -170,6 +170,23 @@ def test_syntax_error_line_number():
     assert syn and syn[0].line > 1
 
 
+@pytest.mark.parametrize("text, at, kind, message", [
+    (MINIMAL + "[kernel\n", "[kernel", "syntax", "unterminated section header"),
+    ("n = 16\n" + MINIMAL, "n = 16", "syntax", "key 'n' outside any section"),
+    (MINIMAL + "[kernel]\nvariant = half\n", "variant = half", "constraint",
+     "kernel.variant must be one of full, inner, tail"),
+    (MINIMAL.replace("L = 1.6\n", ""), "[grid]", "missing", "grid.L is required"),
+    (MINIMAL + "[stepper]\nT = 0.1\n[sweep]\ncommand = solve\nstepper.bogus = 1; 2\n",
+     "stepper.bogus = 1; 2", "unknown-key", "unknown sweep axis 'stepper.bogus'"),
+])
+def test_config_message_cites_kind_and_line(text, at, kind, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    line = text.splitlines().index(at) + 1
+    assert any((i.kind, i.line) == (kind, line) and message in i.message
+               for i in err.value.issues), err.value
+
+
 def test_round_trip_and_hash():
     cfg = parse_config(MINIMAL)
     text = serialize_config(cfg)

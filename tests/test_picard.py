@@ -175,6 +175,20 @@ def test_picard_converges_small_data(gspec16, kfull):
     assert np.isnan([r for _, _, r in rows[:-1]]).all() and rows[-1][2] == report.residual
 
 
+def test_picard_warns_when_iterates_leave_the_ball(gspec8, kfull):
+    # at H1 norm 12 the iteration still converges, but its iterates stray
+    # about 22 from the free trajectory, outside the ball of radius ||phi||_H1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec8, 0.15, h1_target=12.0)
+    cfg = PicardConfig(T=0.5, m=16, kspec=kfull, params=PhysParams(1.0, 1.0),
+                       quad="simpson", tol=1e-10, max_iter=60)
+    with pytest.warns(UserWarning, match="iterates left the H\\^1 ball"):
+        _, report = picard_solve(phi, cfg)
+    assert report.converged and report.left_ball
+    assert report.ball_excursion > report.phi_h1
+
+
 def test_picard_transform_counts(gspec8, kfull, count_transforms):
     # each map, and the residual pass, sends every node through one inverse
     # and one forward n^3 transform; phi is transformed once, and the

@@ -159,6 +159,21 @@ def test_cap_escalation_reports_escape_time(gspec16, kfull, kernel_calls):
     assert len(kernel_calls) == 1 + 4 * rep.steps + 3 * rep.rejections
 
 
+def test_steps_that_stay_non_finite_end_as_blowup_suspected(gspec8, kfull, kernel_calls):
+    # a non-finite trial step fails the H1 cap like any other: dt is halved
+    # down to dt_min and the run ends as BlowupSuspected, with no raise
+    cfg = StepConfig(dt=2.5e-3, T=0.01, kspec=kfull, params=PhysParams(1.0, 1e308))
+    trials = [cfg.dt / 2**k for k in range(64) if cfg.dt / 2**k >= cfg.dt_min]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj, rep = evolve(_gaussian(gspec8), cfg)
+    assert (rep.status, rep.steps) == ("BlowupSuspected", 0)
+    assert rep.rejections == len(trials) == 18
+    assert rep.escape_time == trials[-1]
+    assert len(rep.times) == len(traj) == 1
+    assert len(kernel_calls) == 1 + 3 * rep.rejections
+
+
 def test_nonfinite_initial_raises(gspec8, kfull):
     values = np.zeros((8, 8, 8), complex)
     values[0, 0, 0] = np.nan
