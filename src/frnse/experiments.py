@@ -273,18 +273,20 @@ def quadrature_order_study(phi, cfg, ms):
 
 
 def stepper_order_study(phi, cfg, steps):
-    """Self-convergence of the stepper's terminal state under dt halving."""
+    """Self-convergence of the stepper's terminal state under dt halving,
+    one rung's at a time; (order, budget, final) as quadrature_order_study."""
     if len(steps) < 3 or any(s2 != 2 * s1 for s1, s2 in zip(steps, steps[1:])):
         raise ValueError("steps must be at least 3 doubling step counts")
-    finals = {}
+    diffs, final = [], None
     for s in steps:
         traj, rep = evolve(phi, replace(cfg, dt=cfg.T / s))
         if not rep.completed():
             raise RuntimeError(f"reference run with {s} steps did not complete")
-        finals[s] = traj.final()
-    diffs = [h1_norm(finals[s1] - finals[s2]) for s1, s2 in zip(steps, steps[1:])]
+        if final is not None:
+            diffs.append(h1_norm(final - traj.final()))
+        final = traj.final()
     order, budget = _order_and_budget(diffs)
-    return order, budget, finals
+    return order, budget, final
 
 
 #: The refinement ladders of the cross-method check, in the order of its rows.
@@ -299,8 +301,7 @@ def cross_method_ladder(which, phi, pcfg, ms, steps):
     if which == "ifrk4":
         scfg = StepConfig(dt=pcfg.T / steps[0], T=pcfg.T, kspec=pcfg.kspec,
                           params=pcfg.params, snapshot_every=10**9)
-        order, budget, finals = stepper_order_study(phi, scfg, steps)
-        return which, order, budget, finals[steps[-1]]
+        return (which, *stepper_order_study(phi, scfg, steps))
     return (which, *quadrature_order_study(phi, replace(pcfg, quad=which), ms))
 
 

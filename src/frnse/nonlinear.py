@@ -7,7 +7,7 @@ The evolution solved throughout is
 with the self-interaction term g1(psi) = psi * K(|psi|^2), the interaction
 energy G1(psi) = integral |psi|^2 K(|psi|^2), and the normalization/friction
 term g2(psi) = G1(psi) * psi.  The solvers apply the Laplacian term in
-spectral space; this module gives them the rest in six names:
+spectral space; this module gives them the rest in seven names:
 
   PhysParams            alpha1 and alpha2, for the solvers and the battery;
   density, potential    |psi|^2 and K(|psi|^2), which g1 reads;
@@ -15,9 +15,10 @@ spectral space; this module gives them the rest in six names:
   potential_and_energy  K(|psi|^2) and G1(psi) from one density, for
                         nonlinear_part and the battery's G1 and g2;
   nonlinear_part        the coefficients of alpha2*(g1 - g2) and G1(psi) from
-                        one kernel apply: the one nonlinearity of the
-                        stepper's stages and accepted steps and of the
-                        Duhamel integrand.
+                        one kernel apply, for integrand and accepted steps;
+  integrand             W(t, u) = e^{-i a1 t Lap} N(e^{i a1 t Lap} u), the
+                        Duhamel integrand: the Picard map sums it over nodes
+                        and the stepper is RK4 on the Duhamel integrand.
 
 Exact homogeneities (used heavily by the test batteries): g1 has degree 3
 (g1(c*psi) = c|c|^2 g1(psi)), G1 degree 4, g2 degree 5 — so the Lipschitz
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, to_spectral
+from .grid import Field, from_spectral, to_spectral
 from .kernel import apply_kernel
+from .propagate import free_phase
 
 
 @dataclass(frozen=True)
@@ -99,3 +101,10 @@ def nonlinear_part(psi, params, kspec):
     part = Field(psi.spec, params.alpha2 * (pot.values - g1v) * psi.values)
     del pot, psi  # not held through the transform
     return to_spectral(part), g1v
+
+
+def integrand(spec, t, u, params, kspec):
+    """Interaction-picture integrand e^{-i a1 t Lap} N(psi(t)) at coefficients
+    u, psi(t) = e^{i a1 t Lap} u: the right-hand side of both solvers."""
+    e = free_phase(spec, t, params.alpha1)
+    return nonlinear_part(from_spectral(spec, u * e), params, kspec)[0] * e.conj()

@@ -49,10 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceDetected, NonConvergence
-from .grid import from_spectral, spectral_h1_norm, to_spectral
+from .grid import spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
-from .nonlinear import PhysParams, nonlinear_part
-from .propagate import free_phase
+from .nonlinear import PhysParams, integrand
 from .trajectory import NodeFields, Trajectory
 
 QUAD_RULES = ("trapezoid", "simpson")
@@ -110,12 +109,6 @@ def _node_integral(P, W, j, dt, quad):
     return P[j - 1] + (dt / 24.0) * (9.0 * W[j] + 19.0 * W[j - 1] - 5.0 * W[j - 2] + W[j - 3])
 
 
-def _integrand(spec, t, u, cfg):
-    """Interaction-picture integrand e^{-i a1 t Lap} N(psi(t)) at one node."""
-    e = free_phase(spec, t, cfg.params.alpha1)
-    return nonlinear_part(from_spectral(spec, u * e), cfg.params, cfg.kspec)[0] * e.conj()
-
-
 def _predict(u, W, j, b, dt):
     """Start for node j from U_b = u, the last solved node: Adams-Bashforth
     4 on the integrands from j = 4, linear extrapolation along W_b below."""
@@ -142,10 +135,10 @@ def _solve_nodes(spec, phi_hat, cfg, start=None):
     way there is expected, so each block's arithmetic runs in an errstate
     that ignores it and that no yield spans: the caller's stays its own.
     """
-    dt, times = cfg.T / cfg.m, cfg.times
+    dt, times, args = cfg.T / cfg.m, cfg.times, (cfg.params, cfg.kspec)
     first = (1, 2) if cfg.quad == "simpson" else (1,)
     with np.errstate(over="ignore", invalid="ignore"):
-        P, W, u = {0: np.zeros_like(phi_hat)}, {0: _integrand(spec, 0.0, phi_hat, cfg)}, phi_hat
+        P, W, u = {0: np.zeros_like(phi_hat)}, {0: integrand(spec, 0.0, phi_hat, *args)}, phi_hat
     for block in [first] + [(j,) for j in range(first[-1] + 1, cfg.m + 1)]:
         with np.errstate(over="ignore", invalid="ignore"):
             U = {j: _predict(u, W, j, block[0] - 1, dt) if start is None else start[j]
@@ -153,7 +146,7 @@ def _solve_nodes(spec, phi_hat, cfg, start=None):
             W.pop(block[0] - 4, None)  # read by _predict only
             for passes in range(1, (cfg.max_iter if start is None else 1) + 1):
                 for j in block:
-                    W[j] = _integrand(spec, times[j], U[j], cfg)
+                    W[j] = integrand(spec, times[j], U[j], *args)
                 change = 0.0
                 for j in block:
                     P[j] = _node_integral(P, W, j, dt, cfg.quad)

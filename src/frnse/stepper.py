@@ -1,10 +1,10 @@
 """Integrating-factor RK4 time stepper with a blow-up monitor.
 
-Works on the transformed variable u(t) = e^{-i a1 t Lap} psi(t), whose
-evolution u_t = e^{-i a1 t Lap} [a2 g1(psi) - a2 g2(psi)] carries no stiff
-linear part; classical RK4 on u gives fourth-order steps that reduce
-*exactly* to the free propagator when alpha2 = 0 (the exp(-i a1 |k|^2 dt)
-multiplier is computed directly, not squared from the half step).
+Each step is RK4 on the Duhamel integrand (Lawson's integrating-factor
+Runge-Kutta method): u(s) = e^{-i a1 s Lap} psi(t + s) obeys du/ds =
+W(s, u), nonlinear.integrand, with no stiff linear part. RK4 on u, then the
+step's free phase, gives fourth-order steps that are *exactly* the free
+propagator when alpha2 = 0, where W vanishes.
 
 The stepper carries the spectral coefficients of psi from step to step.
 Stepping is first same as last: the potential of each accepted state is
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DivergenceDetected
 from .grid import from_spectral, l2_norm, spectral_h1_norm, to_spectral
 from .kernel import KernelSpec
-from .nonlinear import PhysParams, nonlinear_part
+from .nonlinear import PhysParams, integrand, nonlinear_part
 from .propagate import free_phase
 from .trajectory import Trajectory, norm_law_residuals
 
@@ -64,29 +64,19 @@ class StepConfig:
 
 
 def ifrk4_step(spec, coeffs, dt, cfg, first):
-    """One integrating-factor RK4 step of size dt from the state with
-    spectral coefficients coeffs; returns the coefficients after the step.
-
-    first is the first stage, the coefficients of nonlinear_part at coeffs;
-    evolve computes it once per accepted state, together with that state's
-    G1, and reuses it when a step is rejected and retried. The other RK4
-    stage derivatives of u(t) = e^{-i a1 t Lap} psi(t) each take one trip
-    through physical space (from_spectral, then nonlinear_part) and a
-    handful of diagonal multipliers. The result may be non-finite; evolve
-    rejects such a step by its H^1 norm.
+    """One step of size dt from the spectral coefficients coeffs of psi:
+    classical RK4 on the Duhamel integrand, du/ds = W(s, u) from u(0) =
+    coeffs, then the free phase of the step. first = W(0, coeffs) is
+    nonlinear_part at coeffs, which evolve computes once per accepted state
+    and reuses on a retry. The result may be non-finite; evolve rejects
+    such a step by its H^1 norm.
     """
-    a1 = cfg.params.alpha1
-    e = free_phase(spec, dt / 2.0, a1)
-    e2 = free_phase(spec, dt, a1)
-
-    def stage(u):
-        return nonlinear_part(from_spectral(spec, u), cfg.params, cfg.kspec)[0]
-
-    nb = stage((coeffs + (dt / 2.0) * first) * e)
-    nc = stage(coeffs * e + (dt / 2.0) * nb)
-    nd = stage(coeffs * e2 + dt * (nc * e))
-    # operand order matches free_evolve so the alpha2 = 0 case is bitwise free
-    return coeffs * e2 + (dt / 6.0) * (first * e2 + 2.0 * (nb * e) + 2.0 * (nc * e) + nd)
+    args = cfg.params, cfg.kspec
+    k2 = integrand(spec, dt / 2.0, coeffs + (dt / 2.0) * first, *args)
+    k3 = integrand(spec, dt / 2.0, coeffs + (dt / 2.0) * k2, *args)
+    k4 = integrand(spec, dt, coeffs + dt * k3, *args)
+    u = coeffs + (dt / 6.0) * (first + 2.0 * k2 + 2.0 * k3 + k4)
+    return u * free_phase(spec, dt, cfg.params.alpha1)
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,8 @@ def evolve(phi, cfg):
     immediately with status BlowupSuspected (escape time 0). A trial step
     is rejected by one rule, its H^1 norm above h1_cap or not finite: dt
     is halved and the step retried until dt_min, where the run ends as
-    BlowupSuspected. A non-finite datum raises DivergenceDetected.
+    BlowupSuspected, or at once where the first stage is not finite (escape
+    time t). A non-finite datum raises DivergenceDetected.
 
     The steps carry spectral coefficients; each H^1 norm is the Parseval sum
     on them. An accepted state is brought to physical space once, for its
@@ -141,8 +132,9 @@ def evolve(phi, cfg):
     rows = []  # (t, l2, h1, G1, dt) of every accepted state
 
     def accept(t, step, state, h1v):
-        """Record an accepted state; return its first stage."""
-        first, g1v = nonlinear_part(state, cfg.params, cfg.kspec)
+        """Record an accepted state; return its first stage (may overflow)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            first, g1v = nonlinear_part(state, cfg.params, cfg.kspec)
         rows.append((t, l2_norm(state), h1v, g1v, step))
         return first
 
@@ -162,8 +154,9 @@ def evolve(phi, cfg):
             cand_h1 = spectral_h1_norm(spec, cand)
         if not cand_h1 <= cfg.h1_cap:  # above the cap, or not finite
             rejections += 1
-            if step / 2.0 < cfg.dt_min:
-                status, escape = BLOWUP_SUSPECTED, t + step
+            stuck = not np.isfinite(first).all()  # then no dt leaves this state
+            if stuck or step / 2.0 < cfg.dt_min:
+                status, escape = BLOWUP_SUSPECTED, t if stuck else t + step
                 break
             dt = step / 2.0
             continue

@@ -116,20 +116,22 @@ def test_solve_run_produces_artifacts(tmp_path):
 
 
 def test_solve_that_no_step_survives_ends_as_blowup_suspected(tmp_path, capsys):
-    # every trial step is non-finite down to dt_min: the run ends as a cap
-    # violation does, with its diagnostics written, and exits 0
+    # the datum's first stage overflows, so no dt leaves it: the first
+    # rejected trial ends the run as a cap violation does, without a
+    # RuntimeWarning, with its diagnostics written, and exits 0
     out = tmp_path / "runs"
     args = ["solve", "--config", os.path.join(CONFIGS, "gaussian-solve.cfg"), "--set",
             "grid.n=8", "--set", "stepper.T=0.01", "--set", "physics.alpha2=1e308"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        warnings.simplefilter("error", RuntimeWarning)
         assert main([*args, "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith(
-        "BlowupSuspected: 0 steps, 18 rejections, t=0,")
+        "BlowupSuspected: 0 steps, 1 rejections, t=0,")
     (run_dir,) = _run_dirs(out)
     man = _manifest(run_dir)
     assert (man["status"], man["errors"]) == ("BlowupSuspected", [])
-    assert man["summary"]["escape_time"] == 2.5e-3 / 2**17
+    assert man["summary"]["escape_time"] == 0.0
     (diag,) = [n for n in man["files"] if n.endswith("-diagnostics.csv")]
     header, rows = read_csv(os.path.join(run_dir, diag))
     assert header[0] == "t" and len(rows) == 1
@@ -557,9 +559,15 @@ def test_plot_deterministic_svg(tmp_path):
 
 def test_plot_bad_csv_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("")
-    assert main(["plot", str(bad)]) == 1
-    assert capsys.readouterr().err
+    for text, message in [
+        ("", "cannot read {}: "),
+        ("t,x\n0,a\n1,b\n", "{}: fewer than two numeric columns, nothing to plot\n"),
+        ("t,x\nnan,inf\nnan,nan\n", "{}: nothing to plot\n"),
+    ]:
+        bad.write_text(text)
+        assert main(["plot", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(message.format(bad))
+    assert not (tmp_path / "bad.svg").exists()
 
 
 # verify rejects alpha2 = 0, at which its order studies have nothing to fit

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frnse import nonlinear
 from frnse.experiments import lipschitz_battery
 from frnse.grid import (Field, GridSpec, from_spectral, l2_norm, make_grid,
                         random_band_limited, to_spectral)
 from frnse.kernel import KernelSpec
-from frnse.nonlinear import (PhysParams, density, g1, nonlinear_part, potential,
+from frnse.nonlinear import (PhysParams, density, g1, integrand, nonlinear_part, potential,
                              potential_and_energy)
 
 
@@ -52,6 +53,31 @@ def test_nonlinear_part_shortcuts(gspec8, rng, kfull):
     n = nonlinear_part(psi, PhysParams(1.0, 2.0), kfull)[0]
     ref = to_spectral(2.0 * (g1(psi, kfull) - energy * psi))
     assert np.max(np.abs(n - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_integrand_at_time_zero_is_nonlinear_part(gspec8, rng, kfull):
+    # W(0, u) = N(psi) with psi = from_spectral(u): the stepper's first stage
+    u = to_spectral(random_band_limited(gspec8, rng))
+    params = PhysParams(0.7, 2.0)
+    want = nonlinear_part(from_spectral(gspec8, u), params, kfull)[0]
+    assert np.array_equal(integrand(gspec8, 0.0, u, params, kfull), want)
+
+
+@pytest.mark.parametrize("eps, clamped", [(1e-13, True), (1e-11, False)])
+def test_g1_round_off_clamp(gspec8, kfull, monkeypatch, eps, clamped):
+    # a negative G1 within 1e-12 of the |V| scale, h^3 sum |psi|^2 |V|, is
+    # FFT round-off and reads 0; a larger one is kept, sign and all
+    psi = Field(gspec8, np.ones((8, 8, 8), complex))
+    pot = np.ones((8, 8, 8))
+    rest = pot.size - 1.0
+    pot[0, 0, 0] = -rest * (1.0 + eps) / (1.0 - eps)  # raw G1 = -eps * scale
+    scale = gspec8.h**3 * float(np.sum(np.abs(pot)))
+    monkeypatch.setattr(nonlinear, "apply_kernel", lambda kspec, rho: Field(rho.spec, pot))
+    _, G1 = potential_and_energy(psi, kfull)
+    if clamped:
+        assert G1 == 0.0
+    else:
+        assert G1 == pytest.approx(-eps * scale, rel=1e-3)
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,8 +12,8 @@ from frnse.errors import DivergenceDetected, NonConvergence
 from frnse.grid import (GridSpec, h1_norm, random_band_limited, scaled_gaussian,
                         spectral_h1_norm, to_spectral)
 from frnse.kernel import _workspace, kernel_multiplier
-from frnse.nonlinear import PhysParams
-from frnse.picard import (PicardConfig, _integrand, _node_integral, _solve_nodes,
+from frnse.nonlinear import PhysParams, integrand
+from frnse.picard import (PicardConfig, _node_integral, _solve_nodes,
                           contraction_report, duhamel_map, march_solve, picard_solve)
 from frnse.trajectory import sup_h1_distance
 
@@ -144,7 +144,7 @@ def test_duhamel_map_in_place_is_bitwise_jacobi(gspec8, kfull, quad, m):
     phi_hat = to_spectral(phi)
     old = [phi_hat] + [to_spectral(random_band_limited(gspec8, rng) * 0.3)
                        for _ in cfg.times[1:]]
-    W = [_integrand(gspec8, t, u, cfg) for t, u in zip(cfg.times, old)]
+    W = [integrand(gspec8, t, u, cfg.params, kfull) for t, u in zip(cfg.times, old)]
     ref = [p + phi_hat for p in _prefix_integrals(W, cfg.T / m, quad)]
     nodes = list(old)
     delta, excursion = duhamel_map(gspec8, nodes, phi_hat, cfg)

@@ -3,7 +3,8 @@ import pytest
 import warnings
 
 from frnse.errors import DivergenceDetected
-from frnse.grid import Field, h1_norm, random_band_limited, scaled_gaussian, to_spectral
+from frnse.grid import (Field, from_spectral, h1_norm, random_band_limited, scaled_gaussian,
+                        spectral_h1_norm, to_spectral)
 from frnse import nonlinear
 from frnse.nonlinear import PhysParams, nonlinear_part
 from frnse.propagate import free_evolve, free_phase
@@ -36,6 +37,29 @@ def test_free_step_is_bitwise_free_propagator(gspec8, rng, kfull):
     first = nonlinear_part(psi, cfg.params, kfull)[0]
     out = ifrk4_step(gspec8, psi_k, 3e-3, cfg, first)
     assert np.array_equal(out, psi_k * free_phase(gspec8, 3e-3, 0.7))
+
+
+def test_step_is_the_lawson_combination(gspec8, rng, kfull):
+    # RK4 on the Duhamel integrand equals, in exact arithmetic, Lawson's
+    # combination of stages taken in the moving frame: e = e^{i a1 dt/2 Lap}
+    psi = random_band_limited(gspec8, rng)
+    psi = psi * (2.0 / h1_norm(psi))
+    c = to_spectral(psi)
+    cfg = StepConfig(dt=1e-2, T=1.0, kspec=kfull, params=PhysParams(0.7, 3.0))
+    dt = 4e-3
+    e, e2 = free_phase(gspec8, dt / 2.0, 0.7), free_phase(gspec8, dt, 0.7)
+
+    def n(u):
+        return nonlinear_part(from_spectral(gspec8, u), cfg.params, kfull)[0]
+
+    na = n(c)
+    nb = n((c + (dt / 2.0) * na) * e)
+    nc = n(c * e + (dt / 2.0) * nb)
+    nd = n(c * e2 + dt * (nc * e))
+    want = c * e2 + (dt / 6.0) * (na * e2 + 2.0 * (nb * e) + 2.0 * (nc * e) + nd)
+    got = ifrk4_step(gspec8, c, dt, cfg, na)
+    assert spectral_h1_norm(gspec8, got - c * e2) > 1e-4 * spectral_h1_norm(gspec8, c)
+    assert spectral_h1_norm(gspec8, got - want) <= 1e-13 * spectral_h1_norm(gspec8, want)
 
 
 def test_step_fourth_order(gspec8, kfull):
@@ -172,6 +196,23 @@ def test_steps_that_stay_non_finite_end_as_blowup_suspected(gspec8, kfull, kerne
     assert rep.escape_time == trials[-1]
     assert len(rep.times) == len(traj) == 1
     assert len(kernel_calls) == 1 + 3 * rep.rejections
+
+
+def test_non_finite_first_stage_ends_at_the_first_rejection(gspec8, kfull, kernel_calls):
+    # a first stage that overflows makes every trial step non-finite, so no
+    # dt leaves the state: the first rejection ends the run at its time, and
+    # the overflow on the way raises no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi = scaled_gaussian(gspec8, 0.12, l2_target=1.0)
+    cfg = StepConfig(dt=2.5e-3, T=0.01, kspec=kfull, params=PhysParams(1.0, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, rep = evolve(phi, cfg)
+    assert (rep.status, rep.steps, rep.rejections) == ("BlowupSuspected", 0, 1)
+    assert rep.escape_time == 0.0
+    assert len(rep.times) == len(traj) == 1
+    assert len(kernel_calls) == 1 + 3
 
 
 def test_nonfinite_initial_raises(gspec8, kfull):
