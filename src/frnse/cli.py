@@ -22,6 +22,10 @@ import traceback
 from dataclasses import replace
 from datetime import datetime, timezone
 
+# The fork pool (experiments.run_jobs) is frnse's one parallel layer, and its
+# BLAS calls are small: numpy's OpenBLAS runs one thread, set before it loads.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import __version__
 from .config import (ConfigError, build_initial, config_hash, parse_config,
                      serialize_config)

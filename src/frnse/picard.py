@@ -20,10 +20,10 @@ unitary, so both sup-node H^1 distances are Parseval sums on coefficients
 in hand. Both solvers walk the nodes in one loop, _solve_nodes, which keeps
 per array only what the rules read next: U_j, P_{j-1} and P_j, W_{j-3} to
 W_j. Within a block that is at most four integrands and three prefixes.
-picard_solve also holds its m+1 node coefficients: (m+1)+7 complex n^3
-arrays; the Trajectory it returns keeps the coefficients and builds a
-node's Field when it is read. march_solve yields each node as it is solved
-and holds the window alone.
+picard_solve also holds its m+1 node coefficients and node 0's integrand,
+the same in every map: (m+1)+8 complex n^3 arrays; the Trajectory it
+returns keeps the coefficients and builds a node's Field when it is read.
+march_solve yields each node as it is solved and holds the window alone.
 
 Two solvers reach the fixed point of the same discrete system. The
 Weissinger (Picard, Jacobi) iteration of picard_solve is the one the paper's
@@ -118,7 +118,7 @@ def _predict(u, W, j, b, dt):
                               + 37.0 * W[j - 3] - 9.0 * W[j - 4])
 
 
-def _solve_nodes(spec, phi_hat, cfg, start=None):
+def _solve_nodes(spec, phi_hat, cfg, start=None, w0=None):
     """Walk the node equations U_j = phi_hat + P_j(W) in blocks from node 1
     and yield (block, its U values, change, integrands evaluated) per block.
 
@@ -129,16 +129,18 @@ def _solve_nodes(spec, phi_hat, cfg, start=None):
     U_j, read when the block is reached, so the values are the Duhamel image
     of start. Without it, each block starts from _predict and repeats the
     pass until change is below tol, at most max_iter times: the march. Node
-    0's integrand is taken at phi_hat, P_0 = 0. Between blocks only what the
-    rules and _predict read next is held: U_j, P_{j-1}, P_j and W_{j-3} to
-    W_j. Raises DivergenceDetected on a non-finite node; the overflow on the
-    way there is expected, so each block's arithmetic runs in an errstate
-    that ignores it and that no yield spans: the caller's stays its own.
+    0's integrand is w0, taken here at phi_hat unless given, and P_0 = 0.
+    Between blocks only what the rules and _predict read next is held: U_j,
+    P_{j-1}, P_j and W_{j-3} to W_j. Raises DivergenceDetected on a
+    non-finite node; the overflow on the way there is expected, so each
+    block's arithmetic runs in an errstate that ignores it and that no yield
+    spans: the caller's stays its own.
     """
     dt, times, args = cfg.T / cfg.m, cfg.times, (cfg.params, cfg.kspec)
     first = (1, 2) if cfg.quad == "simpson" else (1,)
     with np.errstate(over="ignore", invalid="ignore"):
-        P, W, u = {0: np.zeros_like(phi_hat)}, {0: integrand(spec, 0.0, phi_hat, *args)}, phi_hat
+        P, u = {0: np.zeros_like(phi_hat)}, phi_hat
+        W = {0: integrand(spec, 0.0, phi_hat, *args) if w0 is None else w0}
     for block in [first] + [(j,) for j in range(first[-1] + 1, cfg.m + 1)]:
         with np.errstate(over="ignore", invalid="ignore"):
             U = {j: _predict(u, W, j, block[0] - 1, dt) if start is None else start[j]
@@ -162,17 +164,18 @@ def _solve_nodes(spec, phi_hat, cfg, start=None):
         yield block, [U[j] for j in block], change, passes * len(block)
 
 
-def duhamel_map(spec, coeffs, phi_hat, cfg):
+def duhamel_map(spec, coeffs, phi_hat, cfg, w0=None):
     """One Jacobi step of the Duhamel map in the interaction picture, in
     place on the list coeffs of the m+1 node coefficients U_j (phi_hat: the
-    datum's, which coeffs[0] must hold; it is neither read nor replaced).
+    datum's, which coeffs[0] must hold; it is neither read nor replaced;
+    w0: its integrand, if already taken).
     Each later U_j is replaced by its image once the image is measured.
     Returns (increment, excursion), the sup-node H^1 distances of the image
     from the old nodes and from phi_hat."""
     if len(coeffs) != cfg.m + 1:
         raise ValueError("node count does not match the configuration")
     delta = excursion = 0.0
-    for block, values, change, _ in _solve_nodes(spec, phi_hat, cfg, coeffs):
+    for block, values, change, _ in _solve_nodes(spec, phi_hat, cfg, coeffs, w0):
         delta = max(delta, change)
         for j, new in zip(block, values):
             excursion = max(excursion, spectral_h1_norm(spec, new - phi_hat))
@@ -227,17 +230,18 @@ def picard_solve(phi, cfg):
     cur = [phi_hat] * (cfg.m + 1)
     phi_h1 = spectral_h1_norm(spec, phi_hat)
     increments, excursion = [], 0.0
-    for _ in range(cfg.max_iter):
-        # overflow on a diverging iterate (in the map or in the H^1 norms of
-        # a huge but finite one) is expected and reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta, reach = duhamel_map(spec, cur, phi_hat, cfg)
-        excursion = max(excursion, reach)
-        increments.append(float(delta))
-        if delta < cfg.tol:
-            break
+    # overflow on a diverging iterate (in the map or in the H^1 norms of a
+    # huge but finite one) is expected and reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0 = integrand(spec, 0.0, phi_hat, cfg.params, cfg.kspec)  # every map's node 0
+        for _ in range(cfg.max_iter):
+            delta, reach = duhamel_map(spec, cur, phi_hat, cfg, w0)
+            excursion = max(excursion, reach)
+            increments.append(float(delta))
+            if delta < cfg.tol:
+                break
     converged, left_ball = increments[-1] < cfg.tol, excursion > phi_h1 > 0.0
-    residual = (max(change for _, _, change, _ in _solve_nodes(spec, phi_hat, cfg, cur))
+    residual = (max(change for _, _, change, _ in _solve_nodes(spec, phi_hat, cfg, cur, w0))
                 if converged else increments[-1])
     if left_ball:
         warnings.warn(

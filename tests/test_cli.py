@@ -188,6 +188,30 @@ def test_solvers_load_neither_battery_nor_pool(tmp_path, command, text):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_runs_blas_on_one_thread():
+    # the CLI sets numpy's BLAS to one thread whatever the caller asked for:
+    # the process, and a pool worker making a BLAS call, run one thread each
+    script = (
+        "import json, os, sys\n"
+        "import frnse.cli\n"
+        "from frnse.experiments import loglog_slope, run_jobs\n"
+        "def threads(_):\n"
+        "    loglog_slope([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])\n"
+        "    return len(os.listdir('/proc/self/task'))\n"
+        "here = ['numpy' in sys.modules, len(os.listdir('/proc/self/task'))]\n"
+        "workers = []\n"
+        "run_jobs(threads, range(2), workers.append)\n"
+        "print(json.dumps([here, workers]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[True, 1], [1, 1]]
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -190,9 +190,10 @@ def test_picard_warns_when_iterates_leave_the_ball(gspec8, kfull):
 
 
 def test_picard_transform_counts(gspec8, kfull, count_transforms):
-    # each map, and the residual pass, sends every node through one inverse
-    # and one forward n^3 transform; phi is transformed once, and the
-    # returned trajectory transforms a node back only when it is read
+    # each map, and the residual pass, sends every node after node 0 through
+    # one inverse and one forward n^3 transform; phi is transformed once,
+    # node 0's integrand is taken once per solve, and the returned
+    # trajectory transforms a node back only when it is read
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = scaled_gaussian(gspec8, 0.15, h1_target=0.4)
@@ -200,10 +201,10 @@ def test_picard_transform_counts(gspec8, kfull, count_transforms):
                        quad="trapezoid", tol=1e-12, max_iter=40)
     calls = count_transforms()
     traj, report = picard_solve(phi, cfg)
-    maps, nodes = report.iterations + 1, cfg.m + 1
-    assert calls == {"fftn": 1 + maps * nodes, "ifftn": maps * nodes}
+    nodes = 1 + (report.iterations + 1) * cfg.m
+    assert calls == {"fftn": 1 + nodes, "ifftn": nodes}
     traj.final()
-    assert calls == {"fftn": 1 + maps * nodes, "ifftn": maps * nodes + 1}
+    assert calls == {"fftn": 1 + nodes, "ifftn": nodes + 1}
 
 
 def test_picard_memory_holds_one_node_list(gspec16, kfull):
