@@ -1,9 +1,11 @@
 """Experiment battery: every analytic property as a measurable check.
 
-Each experiment returns plain data plus a list of CheckRow records: one row
-per assertion, carrying the measured value, the threshold it was held
-against, and a pass flag — so an external harness (or the CLI `verify`
-command) can consume results without re-deriving tolerances.
+Every study that a battery section reports returns that section's part,
+(rows, tables): a list of CheckRow records, one row per assertion carrying
+the measured value, the threshold it was held against and a pass flag, and
+the section's tables by name, each a (header, rows) pair. An external
+harness (or the CLI `verify` command) can consume them without re-deriving
+tolerances.
 
 No functional-inequality constant is ever assumed numerically: every check
 is a scaling law, a monotonicity statement, a stability test under sample
@@ -96,7 +98,8 @@ def loglog_slope(xs, ys):
 # --------------------------------------------------------------------------
 
 def oracle_equivalence_rows(L, n, seed):
-    """FFT apply vs direct summation on an n^3 grid, all kernel variants."""
+    """FFT apply vs direct summation on an n^3 grid, all kernel variants,
+    then the full kernel against a Gaussian's Newton potential."""
     gspec = GridSpec(n, L)
     rng = np.random.default_rng([seed, 101])
     rho = Field(gspec, rng.standard_normal((n, n, n)))
@@ -112,7 +115,8 @@ def oracle_equivalence_rows(L, n, seed):
             _row(f"kernel-oracle-{kspec.variant}", "identity", err, 1e-10, err < 1e-10,
                  f"n={n} seeded density")
         )
-    return rows
+    rows.append(gaussian_potential_row(L=L))
+    return rows, {}
 
 
 def gaussian_potential_row(L, n=32):
@@ -164,7 +168,7 @@ def propagator_rows(gspec, alpha1, seed):
             _row(f"propagator-gaussian-t{tg:g}", "identity", rel, 1e-6, rel < 1e-6,
                  f"sigma={sigma}")
         )
-    return rows
+    return rows, {}
 
 
 # --------------------------------------------------------------------------
@@ -208,33 +212,32 @@ def kernel_norm_study(gspec, a_list, p, trials, seed):
 # solver-level studies
 # --------------------------------------------------------------------------
 
-def contraction_rows(report):
-    """CheckRows for a converged fixed-point run's contraction behavior."""
-    rows = []
+def contraction_rows(traj, report, params, kspec):
+    """CheckRows for a converged fixed-point run's contraction behavior, then
+    the norm law's balance defect on its nodes; the tables hold its report's
+    picard table."""
     ana = contraction_report(report)
     if ana.degenerate:
-        rows.append(_info("picard-degenerate", 0.0, "first increment at round-off"))
-        return rows, ana
-    inc = report.increments
-    rows.append(
-        _row("picard-increments-decreasing", "monotonicity",
-             max(inc[k + 1] / inc[k] for k in range(1, len(inc) - 1)) if len(inc) > 2 else 0.0,
-             1.0, ana.increments_decreasing, "after the first increment")
-    )
-    rows.append(
-        _row("picard-ratios-decreasing", "monotonicity",
-             max(ana.ratios[k + 1] / ana.ratios[k] for k in range(len(ana.ratios) - 1))
-             if len(ana.ratios) > 1 else 0.0,
-             1.25, ana.ratios_decreasing, "25% noise headroom")
-    )
-    rows.append(
-        _row("picard-factorial-envelope", "budget", float(ana.C_fit * report.T), float("inf"),
-             ana.envelope_ok, "delta_k <= 1.25 delta_0 (C T)^k / k!")
-    )
-    rows.append(_row("picard-residual", "budget", report.residual, 1e-8,
-                     report.residual < 1e-8))
-    rows.append(_info("picard-C-fit", ana.C_fit))
-    return rows, ana
+        rows = [_info("picard-degenerate", 0.0, "first increment at round-off")]
+    else:
+        inc = report.increments
+        rows = [
+            _row("picard-increments-decreasing", "monotonicity",
+                 max(inc[k + 1] / inc[k] for k in range(1, len(inc) - 1))
+                 if len(inc) > 2 else 0.0,
+                 1.0, ana.increments_decreasing, "after the first increment"),
+            _row("picard-ratios-decreasing", "monotonicity",
+                 max(ana.ratios[k + 1] / ana.ratios[k] for k in range(len(ana.ratios) - 1))
+                 if len(ana.ratios) > 1 else 0.0,
+                 1.25, ana.ratios_decreasing, "25% noise headroom"),
+            _row("picard-factorial-envelope", "budget", float(ana.C_fit * report.T),
+                 float("inf"), ana.envelope_ok, "delta_k <= 1.25 delta_0 (C T)^k / k!"),
+            _row("picard-residual", "budget", report.residual, 1e-8, report.residual < 1e-8),
+            _info("picard-C-fit", ana.C_fit),
+        ]
+    rows.append(_info("picard-fixed-point-balance", norm_law_check(traj, params, kspec),
+                      "balance defect finite-differenced on the fixed point's nodes"))
+    return rows, {"picard": report.table()}
 
 
 def _order_and_budget(diffs):
@@ -331,7 +334,7 @@ def cross_method_check(ladders):
         _row("cross-method-agreement", "budget", dist, budget, dist <= budget,
              f"budgets {simpson_budget:.3e} + {step_budget:.3e}")
     )
-    return rows
+    return rows, {}
 
 
 # --------------------------------------------------------------------------
@@ -351,16 +354,14 @@ def norm_law_check(traj, params, kspec):
 def normalization_study(gspec, kspec, params, T, dt, sigma):
     """Unit-norm conservation and sub-unit norm growth along stepper runs.
 
-    Returns (rows, reports): the unit-L2 run must keep | ||psi||^2 - 1 |
-    below 1e-6 throughout; the half-norm run must show strictly positive
-    measured d/dt ||psi||^2 at every recorded node.
+    The unit-L2 run must keep | ||psi||^2 - 1 | below 1e-6 throughout, and
+    its report's table is the diagnostics table; the half-norm run must show
+    strictly positive measured d/dt ||psi||^2 at every recorded node.
     """
     rows = []
-    reports = {}
     cfg = StepConfig(dt=dt, T=T, kspec=kspec, params=params, snapshot_every=10**9)
     phi_unit = scaled_gaussian(gspec, sigma, l2_target=1.0)
     _, rep = evolve(phi_unit, cfg)
-    reports["unit"] = rep
     dev = float(np.max(np.abs(rep.l2**2 - 1.0)))
     rows.append(_row("norm-law-unit-sphere", "identity", dev, 1e-6,
                      rep.completed() and dev < 1e-6, f"T={T}, dt={dt}"))
@@ -369,13 +370,12 @@ def normalization_study(gspec, kspec, params, T, dt, sigma):
 
     phi_half = scaled_gaussian(gspec, sigma, l2_target=0.5)
     _, rep2 = evolve(phi_half, cfg)
-    reports["half"] = rep2
     deriv = np.gradient(rep2.l2**2, rep2.times, edge_order=2)
     min_deriv = float(np.min(deriv))
     rows.append(_row("norm-law-subunit-growth", "monotonicity", min_deriv, 0.0,
                      rep2.completed() and min_deriv > 0.0,
                      "d/dt ||psi||^2 > 0 below the unit sphere"))
-    return rows, reports
+    return rows, {"diagnostics": rep.table()}
 
 
 # --------------------------------------------------------------------------
@@ -389,9 +389,9 @@ def truncation_convergence(phi, base, a_list):
     decreasing) the same problem is solved with the
     inner-truncated kernel and E(a) = sup-node H1 distance to the full
     solution is recorded. E must be nonincreasing as a decreases; the
-    log-log slope is reported. Every solve is a cold march_solve, and each
-    truncated one is compared with the stored full one as it runs. Returns
-    (table, slope, rows) with table rows (a, E).
+    log-log slope is reported as an info row. Every solve is a cold
+    march_solve, and each truncated one is compared with the stored full one
+    as it runs. The truncation table has rows (a, E).
     """
     if base.kspec.variant != "full":
         raise ValueError("base configuration must use the full kernel")
@@ -410,11 +410,9 @@ def truncation_convergence(phi, base, a_list):
              max(e2 / e1 for e1, e2 in zip(errs, errs[1:])) if len(errs) > 1 else 0.0,
              1.0, monotone, "E(a) nonincreasing as a decreases")
     ]
-    slope = float("nan")
     if len(table) >= 2 and min(errs) > 0:
-        slope = loglog_slope([a for a, _ in table], errs)
-        rows.append(_info("truncation-slope", slope, "log-log E(a) vs a"))
-    return table, slope, rows
+        rows.append(_info("truncation-slope", loglog_slope(a_list, errs), "log-log E(a) vs a"))
+    return rows, {"truncation": (("a", "error"), table)}
 
 
 def continuous_dependence(phi, deltas, cfg, seed, base=None):
@@ -427,7 +425,8 @@ def continuous_dependence(phi, deltas, cfg, seed, base=None):
     ladder. The base solve is picard_solve, since its increments give
     C_fit; base, if given, is that solve's (trajectory, report) for phi
     under cfg. Each perturbed solve is a cold march_solve, compared with
-    the base node coefficients as it runs. Returns (table, rows).
+    the base node coefficients as it runs. The dependence table has rows
+    (delta, R(delta)).
     """
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -454,7 +453,7 @@ def continuous_dependence(phi, deltas, cfg, seed, base=None):
     spread = max(ratios) / min(ratios)
     rows.append(_row("dependence-stability", "stability", spread, 2.0, spread < 2.0,
                      "R(delta) spread across the ladder"))
-    return table, rows
+    return rows, {"dependence": (("delta", "ratio"), table)}
 
 
 # --------------------------------------------------------------------------
@@ -491,7 +490,6 @@ def inequality_battery(gspec, samples, seed):
     the same seed sequence), and (c) no single ratio exceeds 10x the running
     median. The interaction ratio ||g1(psi)|| / ||psi||_H1^2 additionally
     gets a growth exponent across ball radii (1 by homogeneity).
-    Returns (rows, data).
     """
     if samples < 50:
         raise ValueError(f"need at least 50 samples, got {samples}")
@@ -505,14 +503,12 @@ def inequality_battery(gspec, samples, seed):
     base = sample_fields(2 * samples)
     h1sq = np.array([h1_norm(f) ** 2 for f in base])
     rows = []
-    data = {}
 
     def family(name, ratios, detail=""):
         ratios = np.asarray(ratios)
         sup1 = float(ratios[:samples].max())
         sup2 = float(ratios.max())
         med = float(np.median(ratios))
-        data[name] = ratios
         rows.append(_info(f"{name}-sup", sup2, detail))
         growth = sup2 / sup1
         rows.append(_row(f"{name}-stability", "stability", growth, 2.0,
@@ -534,11 +530,12 @@ def inequality_battery(gspec, samples, seed):
         g1_l2.append(l2_norm(Field(gspec, f.values * pot.values)))
     family("riesz", riesz,
            detail=f"||K rho||_q / ||rho||_p at p={RIESZ_P}, q={RIESZ_Q}")
-    family("g1-ratio", np.array(g1_l2) / h1sq, detail="||g1(psi)||_L2 / ||psi||_H1^2")
+    g1_ratio = np.array(g1_l2) / h1sq
+    family("g1-ratio", g1_ratio, detail="||g1(psi)||_L2 / ||psi||_H1^2")
 
     # the M = 1 sample is base[:samples], whose ratios are already measured
     Ms = (0.5, 1.0, 2.0)
-    meds = [np.median(data["g1-ratio"][:samples]) if M == 1.0 else
+    meds = [np.median(g1_ratio[:samples]) if M == 1.0 else
             np.median([l2_norm(g1(f, kspec)) / h1_norm(f) ** 2
                        for f in sample_fields(samples, M=M)])
             for M in Ms]
@@ -546,7 +543,7 @@ def inequality_battery(gspec, samples, seed):
     rows.append(_row("g1-ratio-growth", "scaling-law", slope, 1.0,
                      abs(slope - 1.0) <= 0.5,
                      "degree-3 numerator over degree-2 denominator"))
-    return rows, data
+    return rows, {}
 
 
 def _g1_and_g2(psi, kspec):
@@ -568,7 +565,7 @@ def lipschitz_battery(M_list, pairs, seed, *, gspec):
     tolerance). Note g2 is degree-5 homogeneous, so its difference ratio
     scales exactly like M^4: this row measures 4.0 and fails by design —
     it is kept as a negative control for the cubic-growth hypothesis.
-    Returns (rows, probes), probes the rows of the probes table.
+    The probes table has one row per probe and radius.
     """
     if len(M_list) < 2 or min(M_list) <= 0:
         raise ValueError(f"need at least two positive ball radii, got {M_list}")
@@ -583,9 +580,7 @@ def lipschitz_battery(M_list, pairs, seed, *, gspec):
             psi = ball_field(gspec, rng, M)
             (g1_phi, g2_phi), (g1_psi, g2_psi) = (_g1_and_g2(f, kspec) for f in (phi, psi))
             d, dg1 = phi - psi, g1_phi - g1_psi
-            d_l2 = l2_norm(d)
-            if d_l2 == 0.0:
-                continue
+            d_l2 = l2_norm(d)  # two draws of one stream: never 0
             for which, ratio in zip(names, (l2_norm(dg1) / d_l2,
                                             lp_norm(dg1, RHO_PRIME) / lp_norm(d, R_ONE),
                                             l2_norm(g2_phi - g2_psi) / d_l2)):
@@ -603,7 +598,7 @@ def lipschitz_battery(M_list, pairs, seed, *, gspec):
     rows.append(_info("g1-mixed-lipschitz-slope", slopes["g1_in_Lrho"]))
     probes = [(which, float(M), seed, pairs, r, slopes[which])
               for which in names for M, r in zip(M_list, ratios[which])]
-    return rows, probes
+    return rows, {"probes": (("probe", "M", "seed", "pairs", "max_ratio", "fit_slope"), probes)}
 
 
 def domination_rows(gspec, a, samples, seed):
@@ -619,7 +614,7 @@ def domination_rows(gspec, a, samples, seed):
     return [
         _row("truncated-g1-domination", "bound", worst, 1e-10, worst <= 1e-10,
              f"max pointwise excess over {samples} samples, a={a:g}")
-    ]
+    ], {}
 
 
 # --------------------------------------------------------------------------
@@ -665,15 +660,14 @@ def _smooth_problem(cfg):
 
 # Each battery job is a generator function of the config (and its own
 # arguments) that yields (section, part) as it ends each section: part is a
-# cross_method_ladder result for "cross-method", else (rows, tables).
+# cross_method_ladder result for "cross-method", else the (rows, tables) the
+# section's study returns.
 
 def _oracle_job(cfg):
     L, seed = cfg.grid.L, cfg.experiment.seed
-    rows = oracle_equivalence_rows(L=L, n=8, seed=seed)
-    rows.append(gaussian_potential_row(L=L))
-    yield "kernel-oracle", (rows, {})
+    yield "kernel-oracle", oracle_equivalence_rows(L=L, n=8, seed=seed)
     # propagator exactness needs spectral headroom; cheap at n=32
-    yield "propagator", (propagator_rows(GridSpec(32, L), cfg.params.alpha1, seed=seed), {})
+    yield "propagator", propagator_rows(GridSpec(32, L), cfg.params.alpha1, seed=seed)
 
 
 def _tail_job(cfg):
@@ -692,13 +686,9 @@ def _contraction_job(cfg):
     dep_cfg = replace(pcfg, m=s["dep_m"])
     phi_dep = dependence_datum(cfg.grid.L)
     same = dep_cfg == pcfg and np.array_equal(phi_dep.values, phi.values)
-    rows, _ = contraction_rows(report)
-    rows.append(_info("picard-fixed-point-balance", norm_law_check(traj, cfg.params, cfg.kernel),
-                      "balance defect finite-differenced on the fixed point's nodes"))
-    yield "contraction", (rows, {"picard": report.table()})
-    table, rows = continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
-                                        base=(traj, report) if same else None)
-    yield "dependence", (rows, {"dependence": (("delta", "ratio"), table)})
+    yield "contraction", contraction_rows(traj, report, cfg.params, cfg.kernel)
+    yield "dependence", continuous_dependence(phi_dep, e.deltas, dep_cfg, seed=e.seed,
+                                              base=(traj, report) if same else None)
 
 
 def _ladder_job(cfg, which):
@@ -709,29 +699,23 @@ def _ladder_job(cfg, which):
 
 def _normalization_job(cfg):
     s = SCALES[cfg.experiment.scale]
-    rows, reports = normalization_study(cfg.grid, cfg.kernel, cfg.params, T=0.5,
-                                        dt=s["norm_dt"], sigma=s["sigma"])
-    yield "normalization", (rows, {"diagnostics": reports["unit"].table()})
+    yield "normalization", normalization_study(cfg.grid, cfg.kernel, cfg.params, T=0.5,
+                                               dt=s["norm_dt"], sigma=s["sigma"])
 
 
 def _truncation_job(cfg):
     phi, pcfg = _smooth_problem(cfg)
     trunc_cfg = replace(pcfg, T=0.15, m=SCALES[cfg.experiment.scale]["trunc_m"])
-    table, _, rows = truncation_convergence(phi, trunc_cfg, cfg.experiment.a_list)
-    yield "truncation", (rows, {"truncation": (("a", "error"), table)})
+    yield "truncation", truncation_convergence(phi, trunc_cfg, cfg.experiment.a_list)
 
 
 def _ball_job(cfg):
     e = cfg.experiment
     gspec = GridSpec(16, cfg.grid.L)
-    rows, _ = inequality_battery(gspec, samples=e.samples, seed=e.seed)
-    yield "inequalities", (rows, {})
-    rows, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=e.pairs, seed=e.seed, gspec=gspec)
-    yield "lipschitz", (rows, {"probes": (
-        ("probe", "M", "seed", "pairs", "max_ratio", "fit_slope"), probes)})
-    yield "domination", (domination_rows(gspec, a=0.2,
-                                         samples=SCALES[e.scale]["domination_samples"],
-                                         seed=e.seed), {})
+    yield "inequalities", inequality_battery(gspec, samples=e.samples, seed=e.seed)
+    yield "lipschitz", lipschitz_battery((0.5, 1.0, 2.0), pairs=e.pairs, seed=e.seed, gspec=gspec)
+    yield "domination", domination_rows(gspec, a=0.2, seed=e.seed,
+                                        samples=SCALES[e.scale]["domination_samples"])
 
 
 #: The battery's sections, in the order of its rows and stderr lines.
@@ -832,11 +816,9 @@ def verify_battery(cfg):
     rows, tables = [], {}
     for name in SECTIONS:
         found = [part for _, part, _ in parts[name]]
-        if name == "cross-method":
-            rows += cross_method_check(found)
-        else:
-            ((section_rows, section_tables),) = found
-            rows += section_rows
-            tables.update(section_tables)
+        section_rows, section_tables = cross_method_check(found) if name == "cross-method" \
+            else found[0]
+        rows += section_rows
+        tables.update(section_tables)
     tables["battery"] = check_table(rows)
     return VerifyResult(rows, tables, {"workers": workers, "sections": timing})

@@ -1,6 +1,7 @@
 """Hand-rolled SVG line charts: no dependencies, byte-deterministic output."""
 
 import math
+import sys
 
 PALETTE = (
     "#1f77b4",
@@ -18,11 +19,9 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 44
 
 
 def _nice_ticks(lo, hi):
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return []
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo else 1.0)
     raw = (hi - lo) / 5  # at most five steps
+    if not sys.float_info.min <= raw < math.inf:  # the steps would underflow or overflow
+        return []
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -40,6 +39,15 @@ def _nice_ticks(lo, hi):
 
 def _fmt(v):
     return "%.6g" % v
+
+
+def _half_axis(lo, hi, share):
+    """Half the axis range of data from lo to hi, so that no float overflows:
+    share of its width on each side, or half its magnitude (0.5 at 0) on each
+    side of a single value."""
+    lo, hi = lo / 2, hi / 2
+    pad = share * (hi - lo) if hi > lo else abs(lo) * 0.5 or 0.25
+    return lo - pad, hi + pad
 
 
 def line_chart(series, title="", xlabel="", ylabel=""):
@@ -63,25 +71,17 @@ def line_chart(series, title="", xlabel="", ylabel=""):
 
     xs_all = [x for _, pts in cleaned for x, _ in pts]
     ys_all = [y for _, pts in cleaned for _, y in pts]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        pad = abs(y_lo) * 0.5 if y_lo else 0.5
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _half_axis(min(xs_all), max(xs_all), 0.0)
+    y_lo, y_hi = _half_axis(min(ys_all), max(ys_all), 0.05)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(v):
-        return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (v / 2 - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(v):
-        return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi - v / 2) / (y_hi - y_lo) * plot_h
 
     out = []
     out.append(
@@ -98,7 +98,7 @@ def line_chart(series, title="", xlabel="", ylabel=""):
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    for v in _nice_ticks(x_lo, x_hi):
+    for v in _nice_ticks(2 * x_lo, 2 * x_hi):
         x = px(v)
         out.append(
             f'<line x1="{x:.2f}" y1="{MARGIN_T + plot_h}" x2="{x:.2f}" '
@@ -108,7 +108,7 @@ def line_chart(series, title="", xlabel="", ylabel=""):
             f'<text x="{x:.2f}" y="{MARGIN_T + plot_h + 16}" text-anchor="middle" '
             f'font-size="11" fill="#222222">{_fmt(v)}</text>'
         )
-    for v in _nice_ticks(y_lo, y_hi):
+    for v in _nice_ticks(2 * y_lo, 2 * y_hi):
         y = py(v)
         out.append(
             f'<line x1="{MARGIN_L - 4}" y1="{y:.2f}" x2="{MARGIN_L}" y2="{y:.2f}" '

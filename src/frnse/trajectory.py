@@ -12,7 +12,7 @@ from .propagate import free_phase
 class NodeFields(Sequence):
     """A Duhamel solve's node Fields, read from its interaction-picture
     coefficients U_j: node j is from_spectral(U_j e^{-i a1 t_j |k|^2}), built
-    each time it is read, node 0 the datum phi itself."""
+    each time it is read, node 0 the datum phi itself; a slice is a tuple."""
 
     def __init__(self, phi, times, coeffs, alpha1):
         self.phi, self.times, self.coeffs, self.alpha1 = phi, times, coeffs, alpha1
@@ -21,6 +21,8 @@ class NodeFields(Sequence):
         return len(self.coeffs)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self.coeffs))[i])
         j = range(len(self.coeffs))[i]  # from the end if negative; IndexError past it
         if j == 0:
             return self.phi

@@ -30,6 +30,19 @@ def pytest_configure(config):
         sys.settrace(None)
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(f"{os.path.relpath(f, src)}:{n}\n" for f, n in sorted(hits))
+        # executable lines: the line tables of every code object in each module
+        codes, executable = [], set()
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    codes.append(compile(fh.read(), os.path.join(src, name), "exec"))
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, type(code))]
+            executable |= {(code.co_filename, n) for *_, n in code.co_lines() if n}
+        missed = sorted(executable - hits)
+        print(f"\nfrnse lines never run: {len(missed)} of {len(executable)}")
+        print("".join(f"{os.path.relpath(f, src)}:{n}\n" for f, n in missed), end="")
 
     sys.settrace(lambda frame, *_: lines if frame.f_code.co_filename.startswith(src) else None)
     config.add_cleanup(write)

@@ -459,6 +459,11 @@ def test_out_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FRNSE_OUT", str(env_out))
     assert main(["picard", "--config", cfg]) == 0
     assert _run_dirs(env_out)
+    # a config's [output] dir wins over the environment
+    cfg_out = tmp_path / "from-config"
+    cfg = _write(tmp_path, PICARD + f"\n[output]\ndir = {cfg_out}\n", name="out.cfg")
+    assert main(["picard", "--config", cfg]) == 0
+    assert _run_dirs(cfg_out) and len(_run_dirs(env_out)) == 1
 
 
 def test_kernel_norms_command(tmp_path):

@@ -36,12 +36,13 @@ def test_loglog_slope_exact_on_power_law():
 
 
 def test_oracle_equivalence_rows_pass():
-    rows = oracle_equivalence_rows(1.6, 8, 0)
-    assert len(rows) == 3
-    assert {r.check for r in rows} == {
-        "kernel-oracle-full", "kernel-oracle-inner", "kernel-oracle-tail"}
+    rows, tables = oracle_equivalence_rows(1.6, 8, 0)
+    assert tables == {}
+    assert [r.check for r in rows] == ["kernel-oracle-full", "kernel-oracle-inner",
+                                       "kernel-oracle-tail", "kernel-gaussian-potential"]
     assert all(r.passed for r in rows)
-    assert all(r.measured < 1e-10 for r in rows)
+    assert all(r.measured < 1e-10 for r in rows[:3])
+    assert rows[3] == gaussian_potential_row(1.6)
 
 
 def test_gaussian_potential_row_is_spectrally_accurate():
@@ -56,7 +57,8 @@ def test_gaussian_potential_row_is_spectrally_accurate():
 
 
 def test_propagator_rows_pass(gspec32):
-    rows = propagator_rows(gspec32, 1.0, seed=0)
+    rows, tables = propagator_rows(gspec32, 1.0, seed=0)
+    assert tables == {}
     assert all(r.passed for r in rows)
     names = {r.check for r in rows}
     assert "propagator-gaussian-t0.002" in names
@@ -116,14 +118,15 @@ def test_contraction_rows_converged(gspec16, kfull):
     phi = _small_data(gspec16)
     cfg = PicardConfig(T=0.25, m=8, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="simpson", tol=1e-11)
-    _, report = picard_solve(phi, cfg)
-    rows, ana = contraction_rows(report)
+    traj, report = picard_solve(phi, cfg)
+    rows, tables = contraction_rows(traj, report, cfg.params, kfull)
     names = [r.check for r in rows]
     assert names == ["picard-increments-decreasing", "picard-ratios-decreasing",
                      "picard-factorial-envelope", "picard-residual",
-                     "picard-C-fit"]
+                     "picard-C-fit", "picard-fixed-point-balance"]
     assert all(r.passed for r in rows)
-    assert not ana.degenerate
+    assert rows[-1].measured == norm_law_check(traj, cfg.params, kfull)
+    np.testing.assert_equal(tables, {"picard": report.table()})  # NaN residuals
 
 
 def test_contraction_rows_degenerate(gspec8, rng, kfull):
@@ -131,10 +134,10 @@ def test_contraction_rows_degenerate(gspec8, rng, kfull):
 
     phi = random_band_limited(gspec8, rng)
     cfg = PicardConfig(T=0.3, m=4, kspec=kfull, params=PhysParams(1.0, 0.0))
-    _, report = picard_solve(phi, cfg)
-    rows, ana = contraction_rows(report)
-    assert ana.degenerate
-    assert rows[0].check == "picard-degenerate"
+    traj, report = picard_solve(phi, cfg)
+    rows, tables = contraction_rows(traj, report, cfg.params, kfull)
+    assert [r.check for r in rows] == ["picard-degenerate", "picard-fixed-point-balance"]
+    np.testing.assert_equal(tables, {"picard": report.table()})  # NaN residuals
 
 
 def test_norm_law_check(gspec8, kfull):
@@ -163,17 +166,25 @@ def test_quadrature_order_study_matches_whole_rungs(gspec8, kfull, quad):
     assert (order, budget) == _order_and_budget(diffs)
     last = NodeFields(phi, replace(cfg, m=ms[-1]).times, rungs[-1], cfg.params.alpha1)[-1]
     assert np.array_equal(final.values, last.values)
+    for ms in ((4, 8), (4, 8, 12)):
+        with pytest.raises(ValueError, match="at least 3 doubling node counts"):
+            quadrature_order_study(phi, cfg, ms)
 
 
 def test_normalization_study_quick(gspec16, kfull):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows, reports = normalization_study(
+        rows, tables = normalization_study(
             gspec16, kfull, PhysParams(1.0, 1.0), T=0.1, dt=2.5e-3, sigma=0.12)
+        # the diagnostics table is the unit-L2 run's report's own
+        cfg = StepConfig(dt=2.5e-3, T=0.1, kspec=kfull, params=PhysParams(1.0, 1.0),
+                         snapshot_every=10**9)
+        _, unit = evolve(scaled_gaussian(gspec16, 0.12, l2_target=1.0), cfg)
     by_name = {r.check: r for r in rows}
     assert by_name["norm-law-unit-sphere"].passed
     assert by_name["norm-law-subunit-growth"].passed
-    assert reports["unit"].completed()
+    assert unit.completed()
+    np.testing.assert_equal(tables, {"diagnostics": unit.table()})
 
 
 def test_truncation_convergence_guards(gspec16, kfull):
@@ -194,7 +205,9 @@ def test_truncation_convergence_below_grid_spacing(gspec16, kfull):
     phi = scaled_gaussian(gspec16, 0.15, l2_target=0.5)
     base = PicardConfig(T=0.15, m=16, kspec=kfull, params=PhysParams(0.05, 1.0),
                         quad="simpson", tol=1e-12)
-    table, _, rows = truncation_convergence(phi, base, a_list=(0.4, 0.2, 0.1, 0.05))
+    rows, tables = truncation_convergence(phi, base, a_list=(0.4, 0.2, 0.1, 0.05))
+    header, table = tables["truncation"]
+    assert header == ("a", "error")
     assert [a for a, _ in table] == [0.4, 0.2, 0.1, 0.05]
     errs = [e for _, e in table]
     assert errs == pytest.approx([0.913, 0.730, 0.314, 0.094], abs=1e-3)
@@ -205,10 +218,14 @@ def test_truncation_convergence_runs(gspec16, kfull):
     phi = _small_data(gspec16, h1_target=0.4)
     base = PicardConfig(T=0.1, m=8, kspec=kfull, params=PhysParams(1.0, 1.0),
                         quad="simpson", tol=1e-11)
-    table, slope, rows = truncation_convergence(phi, base, a_list=(0.4, 0.2))
+    rows, tables = truncation_convergence(phi, base, a_list=(0.4, 0.2))
+    (_, table), = tables.values()
     assert len(table) == 2
     assert table[0][1] >= table[1][1]  # error shrinks with a
     assert all(r.passed for r in rows if r.kind != "info")
+    # the slope is the truncation-slope row's, fitted on the table
+    assert rows[-1].check == "truncation-slope"
+    assert rows[-1].measured == loglog_slope([a for a, _ in table], [e for _, e in table])
 
 
 def test_continuous_dependence_guards(gspec8, kfull):
@@ -227,26 +244,30 @@ def test_continuous_dependence_runs(gspec16, kfull):
     phi = _small_data(gspec16)
     cfg = PicardConfig(T=0.1, m=8, kspec=kfull, params=PhysParams(1.0, 1.0),
                        quad="simpson", tol=1e-11)
-    table, rows = continuous_dependence(phi, (1e-2, 1e-3), cfg, seed=0)
-    assert len(table) == 2
+    rows, tables = continuous_dependence(phi, (1e-2, 1e-3), cfg, seed=0)
+    header, table = tables["dependence"]
+    assert header == ("delta", "ratio") and [d for d, _ in table] == [1e-2, 1e-3]
     assert all(r.passed for r in rows)
     # a base solved beforehand gives the same rows, bit for bit
     again = continuous_dependence(phi, (1e-2, 1e-3), cfg, seed=0,
                                   base=picard_solve(phi, cfg))
-    assert again == (table, rows)
+    assert again == (rows, tables)
 
 
 def test_inequality_battery(gspec8):
     with pytest.raises(ValueError):
         inequality_battery(gspec8, samples=10, seed=0)
-    rows, data = inequality_battery(gspec8, samples=50, seed=0)
+    rows, tables = inequality_battery(gspec8, samples=50, seed=0)
+    assert tables == {}
     assert all(r.passed for r in rows)
     assert any(r.check.startswith("riesz") for r in rows)
     assert any(r.check.startswith("g1-ratio") for r in rows)
 
 
 def test_lipschitz_battery_negative_control(gspec8):
-    rows, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=4, seed=0, gspec=gspec8)
+    rows, tables = lipschitz_battery((0.5, 1.0, 2.0), pairs=4, seed=0, gspec=gspec8)
+    header, probes = tables["probes"]
+    assert header == ("probe", "M", "seed", "pairs", "max_ratio", "fit_slope")
     by_name = {r.check: r for r in rows}
     red = by_name["g2-lipschitz-slope"]
     assert not red.passed
@@ -273,7 +294,7 @@ def test_lipschitz_battery_exact_scaling(gspec8):
     # same seed => pairs at radius 2 are exactly twice the pairs at 1, so
     # the ratio scales by 2^2 for g1 (both probes) and 2^4 for g2: exact,
     # not fitted
-    _, probes = lipschitz_battery((1.0, 2.0), pairs=6, seed=3, gspec=gspec8)
+    _, probes = lipschitz_battery((1.0, 2.0), pairs=6, seed=3, gspec=gspec8)[1]["probes"]
     ratio = {(which, M): r for which, M, _, _, r, _ in probes}
     for which, factor in (("g1_in_L2", 4.0), ("g1_in_Lrho", 4.0), ("g2_in_L2", 16.0)):
         assert ratio[which, 2.0] == pytest.approx(factor * ratio[which, 1.0], rel=1e-9)
@@ -298,8 +319,8 @@ def test_lipschitz_battery_one_potential_per_field(gspec8, monkeypatch):
 
 
 def test_domination_rows(gspec8):
-    rows = domination_rows(gspec8, a=0.4, samples=50, seed=0)
-    assert len(rows) == 1
+    rows, tables = domination_rows(gspec8, a=0.4, samples=50, seed=0)
+    assert len(rows) == 1 and tables == {}
     assert rows[0].passed
 
 
@@ -324,28 +345,15 @@ trials = 9
 """
 
 
-class _EmptyReport:
-    """A solver report stub with an empty table; picklable, as its calls are
-    recorded from worker processes."""
-
-    def table(self):
-        return (), []
-
-
 def _stub_sections(monkeypatch, log):
     """Replace every battery section by a recorder that writes each call to
-    log and returns an empty result of the section's shape."""
-    report = _EmptyReport()
-    returns = {
-        "oracle_equivalence_rows": [], "propagator_rows": [],
-        "kernel_norm_study": ([], {}), "picard_solve": (None, report),
-        "contraction_rows": ([], None), "norm_law_check": 0.0,
-        "cross_method_ladder": ("simpson", 4.0, 0.0, None), "cross_method_check": [],
-        "normalization_study": ([], {"unit": report}),
-        "truncation_convergence": ([], 0.0, []), "continuous_dependence": ([], []),
-        "inequality_battery": ([], {}), "lipschitz_battery": ([], []),
-        "domination_rows": [],
-    }
+    log and returns an empty result: ([], {}) for each section's study."""
+    studies = ("oracle_equivalence_rows", "propagator_rows", "kernel_norm_study",
+               "contraction_rows", "cross_method_check", "normalization_study",
+               "truncation_convergence", "continuous_dependence", "inequality_battery",
+               "lipschitz_battery", "domination_rows")
+    returns = dict.fromkeys(studies, ([], {}))
+    returns.update(picard_solve=(None, None), cross_method_ladder=("simpson", 4.0, 0.0, None))
     for name, value in returns.items():
         def record(*args, _name=name, _value=value, **kwargs):
             log.put((_name, args, kwargs))

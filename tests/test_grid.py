@@ -163,6 +163,7 @@ def test_boundary_decay_reads_all_six_faces(gspec32):
     f = gaussian_field(gspec32, sigma, center=center)
     expected = np.exp(-((14 * h) ** 2) / (2.0 * sigma**2))
     assert boundary_decay(f) == pytest.approx(expected, rel=1e-9)
+    assert boundary_decay(f * 0.0) == 0.0  # a zero field has no peak to compare with
 
 
 def test_warn_if_cramped_only_when_called():

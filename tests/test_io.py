@@ -57,6 +57,13 @@ def test_field_header_corruption_raises(tmp_path, gspec8, rng):
         fh.write(b"FRNSE-WRONG" + blob[11:])
     with pytest.raises(ValueError):
         read_field(bad)
+    # the keys in another order: n, L and t are read by position
+    header, payload = blob.split(b"\n", 1)
+    magic, version, n, L, t = header.split()
+    with open(bad, "wb") as fh:
+        fh.write(b" ".join((magic, version, L, n, t)) + b"\n" + payload)
+    with pytest.raises(ValueError, match="expected n= in header"):
+        read_field(bad)
 
 
 def test_field_payload_length_enforced(tmp_path, gspec8, rng):

@@ -327,6 +327,9 @@ def test_tail_norm_estimate_below_grid_spacing(gspec16):
         warnings.simplefilter("error")
         est, = tail_norm_estimates(gspec16, (a,), p=2.0, trials=2, seed=0, iters=200)
     assert 0.9 * tail_norm_bound(a) <= est <= (1.0 + 1e-12) * tail_norm_bound(a)
+    for p in (1.0, 0.5):
+        with pytest.raises(ValueError, match="need p > 1"):
+            tail_norm_estimates(gspec16, (a,), p=p, trials=2, seed=0)
 
 
 def test_lp_tail_norm_estimates_equal_a_loop_per_radius(gspec16):

@@ -125,7 +125,7 @@ def test_truncated_g1_dominated(gspec16, rng):
 def test_lipschitz_growth_slopes(gspec8):
     # g1 is degree-3 and g2 degree-5 homogeneous, so the fitted growth of
     # their max Lipschitz ratios across ball radii is exactly 2 and 4
-    _, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=5, seed=0, gspec=gspec8)
+    _, probes = lipschitz_battery((0.5, 1.0, 2.0), pairs=5, seed=0, gspec=gspec8)[1]["probes"]
     slope = {which: s for which, _, _, _, _, s in probes}
     assert all(np.isfinite(s) for *_, s in probes)
     assert slope["g1_in_L2"] == pytest.approx(2.0, abs=1e-8)

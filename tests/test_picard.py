@@ -41,6 +41,11 @@ def test_config_validation(kfull):
         PicardConfig(T=1.0, m=5, kspec=kfull, params=params, quad="simpson")
     with pytest.raises(ValueError):
         PicardConfig(T=1.0, m=4, kspec=kfull, params=params, quad="gauss")
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        PicardConfig(T=1.0, m=4, kspec=kfull, params=params, max_iter=0)
+    for tol in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            PicardConfig(T=1.0, m=4, kspec=kfull, params=params, tol=tol)
     cfg = PicardConfig(T=1.0, m=4, kspec=kfull, params=params)
     assert np.allclose(cfg.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -284,6 +289,12 @@ def test_contraction_report_shape(gspec16, kfull):
     assert con.C_fit * report.T < 0.5  # small-data contraction regime
     assert con.envelope_ok
     assert con.increments_decreasing
+    # increments at or below 1e-13 of the first are round-off: the fit
+    # stops before them
+    tail = replace(report, increments=report.increments + (1e-13 * report.increments[0], 1.0))
+    assert contraction_report(tail) == con
+    with pytest.raises(ValueError, match="report holds no increments"):
+        contraction_report(replace(report, increments=()))
 
 
 def test_contraction_degenerate_free_case(gspec8, rng, kfull):

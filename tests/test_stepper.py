@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import warnings
+from dataclasses import replace
 
 from frnse.errors import DivergenceDetected
 from frnse.grid import (Field, from_spectral, h1_norm, random_band_limited, scaled_gaussian,
@@ -71,6 +72,12 @@ def test_step_fourth_order(gspec8, kfull):
     order, budget, _ = stepper_order_study(phi, cfg, steps=(32, 64, 128))
     assert order == pytest.approx(4.0, rel=0.25)
     assert budget > 0.0
+    for steps in ((32, 64), (32, 64, 96)):
+        with pytest.raises(ValueError, match="at least 3 doubling step counts"):
+            stepper_order_study(phi, cfg, steps=steps)
+    # a rung that ends early (here its first stage overflows) has no final state
+    with pytest.raises(RuntimeError, match="reference run with 32 steps did not complete"):
+        stepper_order_study(phi, replace(cfg, params=PhysParams(1.0, 1e308)), (32, 64, 128))
 
 
 def test_evolve_diagnostics_aligned(gspec8, kfull):

@@ -21,14 +21,17 @@ def test_trajectory_validation(gspec8, rng):
     other = Field(GridSpec(8, 2.0), np.zeros((8, 8, 8), complex))
     with pytest.raises(ValueError):
         Trajectory([0.0, 1.0], [f, other])  # mixed grids
+    with pytest.raises(ValueError, match="at least one node"):
+        Trajectory([], [])
     traj = Trajectory([0.0, 0.5, 1.0], [f, f, f])
     assert len(traj) == 3
     assert traj.final() is traj.fields[-1]
 
 
-def test_node_fields_built_when_read(gspec8, rng):
+def test_node_fields_built_when_read(gspec8, rng, kfull):
     # a Duhamel trajectory keeps coefficients: node j reads as the Field of
-    # U_j e^{-i a1 t_j |k|^2}, bit for bit, node 0 as phi itself
+    # U_j e^{-i a1 t_j |k|^2}, bit for bit, node 0 as phi itself; a slice
+    # reads its nodes as indexing does
     phi = random_band_limited(gspec8, rng)
     times = np.linspace(0.0, 0.3, 4)
     coeffs = [to_spectral(phi)] + [to_spectral(random_band_limited(gspec8, rng))
@@ -39,6 +42,19 @@ def test_node_fields_built_when_read(gspec8, rng):
         want = from_spectral(gspec8, coeffs[j] * free_phase(gspec8, times[j], 0.7))
         assert np.array_equal(traj.fields[j].values, want.values)
     assert np.array_equal(traj.final().values, traj.fields[3].values)
+    for part, nodes in ((slice(1, 3), [1, 2]), (slice(None, None, -2), [3, 1]),
+                        (slice(-1, None), [3]), (slice(5, 9), [])):
+        got = traj.fields[part]
+        assert isinstance(got, tuple) and len(got) == len(nodes)
+        for f, j in zip(got, nodes):
+            assert np.array_equal(f.values, traj.fields[j].values)
+    assert traj.fields[:1][0] is phi
+    # a Picard solve's trajectory slices into a trajectory of its own
+    cfg = PicardConfig(T=0.2, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
+    solved, _ = picard_solve(phi * (0.4 / h1_norm(phi)), cfg)
+    part = Trajectory(solved.times[1:3], solved.fields[1:3])
+    assert part.times == solved.times[1:3] and len(part) == 2
+    assert np.array_equal(part.final().values, solved.fields[2].values)
 
 
 def _solves(gspec8, kfull):
