@@ -254,16 +254,12 @@ def cmd_sweep(ctx):
     print(f"sweep: {len(tasks)} {sw.command} runs over {', '.join(keys)}")
     results = []
     run_jobs(_sweep_worker, tasks, results.append)
-    by_index = {i: (h8, code) for i, h8, code in results}
-    entries = []
-    for i, _, overrides, _, _ in tasks:
-        h8, code = by_index[i]
-        entries.append({
-            "run": f"run-{i:03d}-{h8}" if h8 else f"run-{i:03d} (not started)",
-            "config_hash8": h8,
-            "overrides": list(overrides),
-            "exit": code,
-        })
+    entries = [{
+        "run": f"run-{i:03d}-{h8}" if h8 else f"run-{i:03d} (not started)",
+        "config_hash8": h8,
+        "overrides": list(tasks[i][2]),
+        "exit": code,
+    } for i, h8, code in sorted(results)]
     entries.sort(key=lambda r: r["config_hash8"] or "")
     ctx.summary = {"command": sw.command, "runs": entries}
     worst = max(code for _, _, code in results)
@@ -400,7 +396,3 @@ def main(argv=None):
     run_dir = _make_run_dir(root, config_hash(cfg)[:8])
     print(f"run directory: {run_dir}")
     return _execute(args.command, cfg, run_dir)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -115,14 +115,14 @@ def oracle_equivalence_rows(L, n, seed):
             _row(f"kernel-oracle-{kspec.variant}", "identity", err, 1e-10, err < 1e-10,
                  f"n={n} seeded density")
         )
-    rows.append(gaussian_potential_row(L=L))
+    rows.append(gaussian_potential_row(L))
     return rows, {}
 
 
-def gaussian_potential_row(L, n=32):
+def gaussian_potential_row(L):
     """Relative L2 error of the full kernel against the Newton potential of a
-    centered Gaussian, (2 pi sigma^2)^{3/2} erf(r / (sqrt(2) sigma)) / r."""
-    sigma = 0.12
+    centered Gaussian on a 32^3 grid, (2 pi sigma^2)^{3/2} erf(r / (sqrt(2) sigma)) / r."""
+    n, sigma = 32, 0.12
     gspec = GridSpec(n, L)
     r2 = min_image_r2(gspec)
     r = np.sqrt(r2)
@@ -220,15 +220,13 @@ def contraction_rows(traj, report, params, kspec):
     if ana.degenerate:
         rows = [_info("picard-degenerate", 0.0, "first increment at round-off")]
     else:
-        inc = report.increments
+        inc = report.increments[:len(ana.ratios) + 1]  # the 3 or more the fit read
         rows = [
             _row("picard-increments-decreasing", "monotonicity",
-                 max(inc[k + 1] / inc[k] for k in range(1, len(inc) - 1))
-                 if len(inc) > 2 else 0.0,
+                 max(inc[k + 1] / inc[k] for k in range(1, len(inc) - 1)),
                  1.0, ana.increments_decreasing, "after the first increment"),
             _row("picard-ratios-decreasing", "monotonicity",
-                 max(ana.ratios[k + 1] / ana.ratios[k] for k in range(len(ana.ratios) - 1))
-                 if len(ana.ratios) > 1 else 0.0,
+                 max(ana.ratios[k + 1] / ana.ratios[k] for k in range(len(ana.ratios) - 1)),
                  1.25, ana.ratios_decreasing, "25% noise headroom"),
             _row("picard-factorial-envelope", "budget", float(ana.C_fit * report.T),
                  float("inf"), ana.envelope_ok, "delta_k <= 1.25 delta_0 (C T)^k / k!"),
@@ -292,8 +290,9 @@ def stepper_order_study(phi, cfg, steps):
     return order, budget, final
 
 
-#: The refinement ladders of the cross-method check, in the order of its rows.
-LADDERS = ("simpson", "trapezoid", "ifrk4")
+#: The refinement ladders of the cross-method check by name, with the
+#: nominal order of each, in the order of its rows.
+LADDERS = {"simpson": 4.0, "trapezoid": 2.0, "ifrk4": 4.0}
 
 
 def cross_method_ladder(which, phi, pcfg, ms, steps):
@@ -311,23 +310,19 @@ def cross_method_ladder(which, phi, pcfg, ms, steps):
 def cross_method_check(ladders):
     """Fixed-point vs time-stepper agreement within measured error budgets.
 
-    ladders holds the cross_method_ladder results in LADDERS order: the
-    node-doubling studies of both quadrature rules and the stepper's
-    dt-halving. Checks each observed order against its nominal value
-    (tolerance 20%), then requires the terminal H1 distance between the
-    finest Simpson and IFRK4 solutions to sit below the sum of their
-    Richardson budgets.
+    ladders holds the three cross_method_ladder results in any order, each
+    matched by its name: the node-doubling studies of both quadrature rules
+    and the stepper's dt-halving. Checks each observed order against its
+    nominal value in LADDERS (tolerance 20%), then requires the terminal H1
+    distance between the finest Simpson and IFRK4 solutions to sit below the
+    sum of their Richardson budgets.
     """
-    (_, simpson_order, simpson_budget, simpson_final), (_, trap_order, _, _), \
-        (_, step_order, step_budget, step_final) = ladders
-    rows = [
-        _row("simpson-order", "scaling-law", simpson_order, 4.0,
-             0.8 * 4.0 <= simpson_order <= 1.2 * 4.0, "tolerance 20%"),
-        _row("trapezoid-order", "scaling-law", trap_order, 2.0,
-             0.8 * 2.0 <= trap_order <= 1.2 * 2.0, "tolerance 20%"),
-        _row("ifrk4-order", "scaling-law", step_order, 4.0,
-             0.8 * 4.0 <= step_order <= 1.2 * 4.0, "tolerance 20%"),
-    ]
+    found = {which: rest for which, *rest in ladders}
+    rows = [_row(f"{which}-order", "scaling-law", found[which][0], nominal,
+                 0.8 * nominal <= found[which][0] <= 1.2 * nominal, "tolerance 20%")
+            for which, nominal in LADDERS.items()]
+    (_, simpson_budget, simpson_final), (_, step_budget, step_final) = \
+        found["simpson"], found["ifrk4"]
     dist = h1_norm(simpson_final - step_final)
     budget = simpson_budget + step_budget
     rows.append(
@@ -660,8 +655,8 @@ def _smooth_problem(cfg):
 
 # Each battery job is a generator function of the config (and its own
 # arguments) that yields (section, part) as it ends each section: part is a
-# cross_method_ladder result for "cross-method", else the (rows, tables) the
-# section's study returns.
+# cross_method_ladder result for "cross-method", which cross_method_check
+# matches by its name, else the (rows, tables) the section's study returns.
 
 def _oracle_job(cfg):
     L, seed = cfg.grid.L, cfg.experiment.seed
@@ -787,11 +782,12 @@ def verify_battery(cfg):
     The jobs run on one worker process per CPU (run_jobs), and the rows and
     tables come out in SECTIONS order whatever order the jobs end in. Once a
     section and every section before it are done, the warnings its job
-    raised are raised again here, and one stderr line gives the seconds its
-    job spent on it (cross-method: the sum of its three ladders).
+    raised are raised again here, its rows and tables join the result, and
+    one stderr line gives the seconds its job spent on it (cross-method: the
+    sum of its three ladders).
     """
     parts = {name: [] for name in SECTIONS}
-    timing = []
+    rows, tables, timing = [], {}, []
     registry = {}  # "default" warnings show once per battery
 
     def collect(result):
@@ -802,23 +798,19 @@ def verify_battery(cfg):
             done = parts[name]
             if len(done) < (len(LADDERS) if name == "cross-method" else 1):
                 return
-            if name == "cross-method":
-                done.sort(key=lambda p: LADDERS.index(p[1][0]))
             for _, _, caught in done:
                 for message, category, filename, lineno in caught:
                     warnings.warn_explicit(message, category, filename, lineno,
                                            registry=registry)
+            found = [part for _, part, _ in done]
+            section_rows, section_tables = cross_method_check(found) if name == "cross-method" \
+                else found[0]
+            rows.extend(section_rows)  # in place: the closure must not rebind rows
+            tables.update(section_tables)
             seconds = round(sum(s for s, _, _ in done), 2)
             print(f"verify: {name} {seconds:.2f} s", file=sys.stderr, flush=True)
             timing.append((name, seconds))
 
     workers = run_jobs(_run_job, [(fn, cfg, *args) for fn, *args in _JOBS], collect)
-    rows, tables = [], {}
-    for name in SECTIONS:
-        found = [part for _, part, _ in parts[name]]
-        section_rows, section_tables = cross_method_check(found) if name == "cross-method" \
-            else found[0]
-        rows += section_rows
-        tables.update(section_tables)
     tables["battery"] = check_table(rows)
     return VerifyResult(rows, tables, {"workers": workers, "sections": timing})

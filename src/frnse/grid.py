@@ -159,17 +159,16 @@ def lp_norm(f, p):
     return float(peak * total ** (1.0 / p))
 
 
-def random_band_limited(spec, rng, band_fraction=2.0 / 3.0):
+def random_band_limited(spec, rng):
     """Random complex Gaussian field with the top wavenumbers zeroed.
 
-    Modes with per-axis index magnitude above band_fraction * n/2 are removed
-    so spectral derivatives stay well resolved.
+    Modes with per-axis index magnitude above 2/3 of n/2 are removed so
+    spectral derivatives stay well resolved.
     """
     n = spec.n
     coeffs = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     m = np.abs(np.fft.fftfreq(n, d=1.0 / n))  # per-axis index magnitude
-    cut = band_fraction * (n / 2.0)
-    keep = m <= cut
+    keep = m <= 2.0 / 3.0 * (n / 2.0)
     mask = (
         keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
     )

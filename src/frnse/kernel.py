@@ -241,13 +241,13 @@ def tail_norm_bound(a):
     return 2.0 * np.pi * a**2
 
 
-def _power_estimate(gspec, kspec, seed, iters):
-    """Power iteration on the symmetric restricted operator of kspec from a
-    seeded nonnegative field: its L^2 operator norm from below."""
+def _power_estimate(gspec, kspec, seed):
+    """At most 200 power steps on the symmetric restricted operator of kspec
+    from a seeded nonnegative field: its L^2 operator norm from below."""
     rng = np.random.default_rng(seed)
     f = Field(gspec, np.abs(rng.standard_normal((gspec.n,) * 3)) + 0.1)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         g = apply_kernel(kspec, f)
         nrm = l2_norm(g)
         if nrm == 0.0:
@@ -275,7 +275,7 @@ def _trial_ratios(task):
     return [lp_norm(Field(gspec, x + 1j * y), p) / denom for x, y in zip(re, im)]
 
 
-def tail_norm_estimates(gspec, a_list, p, trials, seed, iters=200):
+def tail_norm_estimates(gspec, a_list, p, trials, seed):
     """Empirical lower estimates of the L^p operator norm of the tail
     kernel, one per radius in a_list.
 
@@ -293,7 +293,7 @@ def tail_norm_estimates(gspec, a_list, p, trials, seed, iters=200):
         raise ValueError(f"need p > 1, got {p}")
     kspecs = [KernelSpec("tail", a=a) for a in a_list]
     if p == 2.0:
-        return [_power_estimate(gspec, kspec, seed, iters) for kspec in kspecs]
+        return [_power_estimate(gspec, kspec, seed) for kspec in kspecs]
     for kspec in kspecs:
         kernel_multiplier(gspec, kspec)  # cached before the fork
     ratios = [[0.0] * len(kspecs)]  # a floor of 0, then one row per trial

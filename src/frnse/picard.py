@@ -120,7 +120,7 @@ def _predict(u, W, j, b, dt):
 
 def _solve_nodes(spec, phi_hat, cfg, start=None, w0=None):
     """Walk the node equations U_j = phi_hat + P_j(W) in blocks from node 1
-    and yield (block, its U values, change, integrands evaluated) per block.
+    and yield (block, its U values, change) per block.
 
     Simpson's nodes 1 and 2 form one block, since P_1 reads W_2; every other
     node is its own. A pass over a block takes its integrands at its U_j,
@@ -146,7 +146,7 @@ def _solve_nodes(spec, phi_hat, cfg, start=None, w0=None):
             U = {j: _predict(u, W, j, block[0] - 1, dt) if start is None else start[j]
                  for j in block}
             W.pop(block[0] - 4, None)  # read by _predict only
-            for passes in range(1, (cfg.max_iter if start is None else 1) + 1):
+            for _ in range(cfg.max_iter if start is None else 1):
                 for j in block:
                     W[j] = integrand(spec, times[j], U[j], *args)
                 change = 0.0
@@ -161,7 +161,7 @@ def _solve_nodes(spec, phi_hat, cfg, start=None, w0=None):
                     break
         P.pop(block[-1] - 2, None)
         u = U[block[-1]]
-        yield block, [U[j] for j in block], change, passes * len(block)
+        yield block, [U[j] for j in block], change
 
 
 def duhamel_map(spec, coeffs, phi_hat, cfg, w0=None):
@@ -175,7 +175,7 @@ def duhamel_map(spec, coeffs, phi_hat, cfg, w0=None):
     if len(coeffs) != cfg.m + 1:
         raise ValueError("node count does not match the configuration")
     delta = excursion = 0.0
-    for block, values, change, _ in _solve_nodes(spec, phi_hat, cfg, coeffs, w0):
+    for block, values, change in _solve_nodes(spec, phi_hat, cfg, coeffs, w0):
         delta = max(delta, change)
         for j, new in zip(block, values):
             excursion = max(excursion, spectral_h1_norm(spec, new - phi_hat))
@@ -241,7 +241,7 @@ def picard_solve(phi, cfg):
             if delta < cfg.tol:
                 break
     converged, left_ball = increments[-1] < cfg.tol, excursion > phi_h1 > 0.0
-    residual = (max(change for _, _, change, _ in _solve_nodes(spec, phi_hat, cfg, cur, w0))
+    residual = (max(change for _, _, change in _solve_nodes(spec, phi_hat, cfg, cur, w0))
                 if converged else increments[-1])
     if left_ball:
         warnings.warn(
@@ -276,7 +276,7 @@ def march_solve(phi, cfg):
     """
     phi_hat = to_spectral(phi)
     yield phi_hat
-    for block, values, change, _ in _solve_nodes(phi.spec, phi_hat, cfg):
+    for block, values, change in _solve_nodes(phi.spec, phi_hat, cfg):
         if not change < cfg.tol:
             raise NonConvergence(
                 f"increment {change:.3e} still above tol {cfg.tol:.1e} after {cfg.max_iter} "

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import warnings
 from dataclasses import replace
@@ -9,15 +11,15 @@ from frnse import experiments, kernel, nonlinear
 from frnse.config import parse_config
 
 from frnse.experiments import (_order_and_budget, ball_field, contraction_rows,
-                               continuous_dependence, domination_rows,
+                               continuous_dependence, cross_method_check, domination_rows,
                                gaussian_potential_row,
                                inequality_battery, kernel_norm_study,
                                lipschitz_battery, loglog_slope,
                                norm_law_check, normalization_study,
                                oracle_equivalence_rows, propagator_rows,
                                quadrature_order_study, truncation_convergence)
-from frnse.grid import GridSpec, scaled_gaussian
-from frnse.kernel import KernelSpec, kernel_table
+from frnse.grid import Field, GridSpec, h1_norm, min_image_r2, scaled_gaussian
+from frnse.kernel import KernelSpec, apply_kernel, kernel_table
 from frnse.nonlinear import PhysParams
 from frnse.picard import PicardConfig, march_solve, picard_solve
 from frnse.stepper import StepConfig, evolve
@@ -49,11 +51,17 @@ def test_gaussian_potential_row_is_spectrally_accurate():
     # the closed-form Newton potential of a Gaussian: the error falls from
     # 1.5e-6 at n=16 to the Gaussian's own e^-22 floor at the box face
     row = gaussian_potential_row(1.6)
-    assert (row.check, row.kind, row.threshold) == ("kernel-gaussian-potential",
-                                                    "identity", 1e-8)
+    assert (row.check, row.kind, row.threshold, row.detail) == (
+        "kernel-gaussian-potential", "identity", 1e-8, "n=32, sigma=0.12")
     assert row.passed and row.measured < 1e-9
-    coarse = gaussian_potential_row(1.6, n=16)
-    assert 1e-7 < coarse.measured < 1e-5
+    # the same comparison on a 16^3 grid, the closed form taken here
+    gspec, sigma = GridSpec(16, 1.6), 0.12
+    r = np.sqrt(min_image_r2(gspec))
+    erf = np.vectorize(math.erf)(r / (math.sqrt(2.0) * sigma))
+    ref = np.full_like(r, 4.0 * np.pi * sigma**2)  # the limit at r = 0
+    np.divide((2.0 * np.pi * sigma**2) ** 1.5 * erf, r, out=ref, where=r > 0.0)
+    pot = apply_kernel(KernelSpec("full"), Field(gspec, np.exp(-r**2 / (2.0 * sigma**2))))
+    assert 1e-7 < np.linalg.norm(pot.values - ref) / np.linalg.norm(ref) < 1e-5
 
 
 def test_propagator_rows_pass(gspec32):
@@ -127,6 +135,51 @@ def test_contraction_rows_converged(gspec16, kfull):
     assert all(r.passed for r in rows)
     assert rows[-1].measured == norm_law_check(traj, cfg.params, kfull)
     np.testing.assert_equal(tables, {"picard": report.table()})  # NaN residuals
+
+
+def test_increments_row_reads_the_increments_its_verdict_reads(gspec8, kfull):
+    # contraction_report fits only the increments above its round-off floor
+    # (1e-13 of the first); the row's measured value comes from those too
+    phi = _small_data(gspec8)
+    cfg = PicardConfig(T=0.25, m=4, kspec=kfull, params=PhysParams(1.0, 1.0))
+    traj, report = picard_solve(phi, cfg)
+    report = replace(report, increments=(1e-1, 1e-3, 1e-6, 1e-16, 1e-15))
+    row = contraction_rows(traj, report, cfg.params, kfull)[0][0]
+    assert row.check == "picard-increments-decreasing"
+    assert row.measured == pytest.approx(1e-3, rel=1e-12)
+    assert row.passed and row.measured <= row.threshold == 1.0
+
+
+def _ladder_results(gspec8):
+    phi = _small_data(gspec8)
+    return [("simpson", 4.1, 1e-3, phi), ("trapezoid", 1.9, 2e-3, phi * 1.5),
+            ("ifrk4", 3.9, 3e-3, phi * 1.002)]
+
+
+def test_cross_method_check_matches_ladders_by_name(gspec8):
+    ladders = _ladder_results(gspec8)
+    rows, tables = cross_method_check(ladders)
+    assert tables == {}
+    assert [(r.check, r.measured, r.threshold) for r in rows[:3]] == [
+        ("simpson-order", 4.1, 4.0), ("trapezoid-order", 1.9, 2.0), ("ifrk4-order", 3.9, 4.0)]
+    assert rows[3].check == "cross-method-agreement"
+    assert rows[3].measured == pytest.approx(0.002 * h1_norm(ladders[0][3]), rel=1e-12)
+    assert rows[3].threshold == 1e-3 + 3e-3
+    for order in itertools.permutations(ladders):
+        assert cross_method_check(list(order)) == (rows, {})
+
+
+def test_cross_method_order_band_edges(gspec8):
+    # each order row passes on 0.8 * nominal <= order <= 1.2 * nominal,
+    # tested at the band's edges and one ulp outside them
+    ladders = _ladder_results(gspec8)
+    for i, nominal in enumerate((4.0, 2.0, 4.0)):
+        for edge in (0.8 * nominal, 1.2 * nominal):
+            for order in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                case = list(ladders)
+                case[i] = (case[i][0], order, *case[i][2:])
+                row = cross_method_check(case)[0][i]
+                assert row.passed == (0.8 * nominal <= order <= 1.2 * nominal)
 
 
 def test_contraction_rows_degenerate(gspec8, rng, kfull):

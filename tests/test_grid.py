@@ -129,13 +129,14 @@ def test_norm_scaling(re, im):
 
 
 def test_band_limited_band(gspec16, rng):
-    f = random_band_limited(gspec16, rng, band_fraction=0.5)
+    # the band keeps |m| <= 2/3 of n/2 per axis: at n=16 modes with |m| >= 6 vanish
+    f = random_band_limited(gspec16, rng)
     coeffs = to_spectral(f)
     m = np.fft.fftfreq(16, d=1.0 / 16)  # integer mode numbers
-    outside = np.abs(m) > 0.5 * 16 / 2
+    outside = np.abs(m) >= 6
     mask = outside[:, None, None] | outside[None, :, None] | outside[None, None, :]
     assert np.max(np.abs(coeffs[mask])) < 1e-15
-    assert l2_norm(f) > 0
+    assert np.min(np.abs(coeffs[~mask])) > 0
 
 
 def test_gaussian_field(gspec32):

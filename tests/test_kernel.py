@@ -309,8 +309,7 @@ def test_tail_norm_estimate_below_bound(gspec32):
     # its zero frequency 2 pi a^2 (the table's sum), and so under the l1
     # mass of the table (Young), which the negative lobes make larger
     a_list = (0.4, 0.2)
-    for a, est in zip(a_list, tail_norm_estimates(gspec32, a_list, p=2.0, trials=8, seed=0,
-                                                  iters=120)):
+    for a, est in zip(a_list, tail_norm_estimates(gspec32, a_list, p=2.0, trials=8, seed=0)):
         mult = kernel_multiplier(gspec32, KernelSpec("tail", a=a))
         table = kernel_table(gspec32, KernelSpec("tail", a=a))
         assert mult[0, 0, 0] == pytest.approx(table.sum(), rel=1e-14)
@@ -325,7 +324,7 @@ def test_tail_norm_estimate_below_grid_spacing(gspec16):
     a = gspec16.h / 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est, = tail_norm_estimates(gspec16, (a,), p=2.0, trials=2, seed=0, iters=200)
+        est, = tail_norm_estimates(gspec16, (a,), p=2.0, trials=2, seed=0)
     assert 0.9 * tail_norm_bound(a) <= est <= (1.0 + 1e-12) * tail_norm_bound(a)
     for p in (1.0, 0.5):
         with pytest.raises(ValueError, match="need p > 1"):

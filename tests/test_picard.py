@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import warnings
 
-from frnse import nonlinear
+from frnse import nonlinear, picard
 from frnse.errors import DivergenceDetected, NonConvergence
 from frnse.grid import (GridSpec, h1_norm, random_band_limited, scaled_gaussian,
                         spectral_h1_norm, to_spectral)
 from frnse.kernel import _workspace, kernel_multiplier
 from frnse.nonlinear import PhysParams, integrand
-from frnse.picard import (PicardConfig, _node_integral, _solve_nodes,
-                          contraction_report, duhamel_map, march_solve, picard_solve)
+from frnse.picard import (PicardConfig, _node_integral, contraction_report, duhamel_map,
+                          march_solve, picard_solve)
 from frnse.trajectory import sup_h1_distance
 
 
@@ -330,20 +330,23 @@ def test_march_lands_on_picard_fixed_point(kfull, n, m, quad):
 @pytest.mark.parametrize("quad", ["simpson", "trapezoid"])
 def test_march_kernel_apply_count(gspec8, kfull, monkeypatch, quad):
     # node 0's integrand once, then one per iteration at every later node;
-    # the last integrand of a node is kept, not evaluated again
-    calls = []
-    real = nonlinear.apply_kernel
+    # the last integrand of a node is kept, not evaluated again. Each pass
+    # takes one integrand and one node integral per node of its block, so
+    # the integrands after node 0 equal the node integrals
+    calls = {"apply": 0, "integral": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(key, real):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return counted
 
     phi, cfg = _march_case(gspec8, kfull, quad)
-    evaluated = sum(n for *_, n in _solve_nodes(gspec8, to_spectral(phi), cfg))
-    assert evaluated >= 2 * cfg.m
-    monkeypatch.setattr(nonlinear, "apply_kernel", counted)
+    monkeypatch.setattr(nonlinear, "apply_kernel", counting("apply", nonlinear.apply_kernel))
+    monkeypatch.setattr(picard, "_node_integral", counting("integral", _node_integral))
     deque(march_solve(phi, cfg), maxlen=0)
-    assert len(calls) == 1 + evaluated
+    assert calls["integral"] >= 2 * cfg.m
+    assert calls["apply"] == 1 + calls["integral"]
 
 
 def test_march_nonconvergence_names_the_block(gspec8, kfull):

@@ -1,6 +1,7 @@
 """The package exports no name that only the tests use, no module of it
 imports another's private name, no function of it has a default that no
-call overrides, and no test module imports a name it never reads."""
+call in the program (the package and perfbench) overrides, and no test
+module imports a name it never reads."""
 
 import ast
 import math
@@ -45,6 +46,7 @@ def test_scan_ignores_definitions_and_docstrings(tmp_path):
 
 
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unpassed_defaults(src, callers):
@@ -87,7 +89,8 @@ def unpassed_defaults(src, callers):
 
 
 def test_every_default_is_overridden_somewhere():
-    assert unpassed_defaults(SRC, [SRC, TESTS]) == []
+    # a knob that only a test sets is not a knob of the program
+    assert unpassed_defaults(SRC, [SRC, PERFBENCH]) == []
 
 
 def test_default_scan(tmp_path):
