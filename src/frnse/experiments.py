@@ -23,6 +23,7 @@ spent on it, and the timings never reach the tables.
 import math
 import multiprocessing
 import os
+import statistics
 import sys
 import time
 import warnings
@@ -489,50 +490,40 @@ def inequality_battery(gspec, samples, seed):
     if samples < 50:
         raise ValueError(f"need at least 50 samples, got {samples}")
     kspec = KernelSpec("full")
+    families = {f"sobolev-p{p}": f"||psi||_Lp^2 / ||psi||_H1^2 at p={p}" for p in (2, 3, 4, 6)}
+    families["riesz"] = f"||K rho||_q / ||rho||_p at p={RIESZ_P}, q={RIESZ_Q}"
+    families["g1-ratio"] = "||g1(psi)||_L2 / ||psi||_H1^2"
+    ratios = {name: [] for name in families}
 
-    def sample_fields(count, M=1.0):
-        return [
-            ball_field(gspec, np.random.default_rng([seed, i]), M) for i in range(count)
-        ]
+    def field(i, M):
+        return ball_field(gspec, np.random.default_rng([seed, i]), M)
 
-    base = sample_fields(2 * samples)
-    h1sq = np.array([h1_norm(f) ** 2 for f in base])
-    rows = []
-
-    def family(name, ratios, detail=""):
-        ratios = np.asarray(ratios)
-        sup1 = float(ratios[:samples].max())
-        sup2 = float(ratios.max())
-        med = float(np.median(ratios))
-        rows.append(_info(f"{name}-sup", sup2, detail))
-        growth = sup2 / sup1
-        rows.append(_row(f"{name}-stability", "stability", growth, 2.0,
-                         np.isfinite(sup2) and growth < 2.0,
-                         f"sup growth under sample doubling ({samples} -> {2*samples})"))
-        spread = sup2 / med
-        rows.append(_row(f"{name}-spread", "stability", spread, 10.0, spread < 10.0,
-                         "max ratio vs running median"))
-
-    for p in (2, 3, 4, 6):
-        family(f"sobolev-p{p}", np.array([lp_norm(f, p) ** 2 for f in base]) / h1sq,
-               detail=f"||psi||_Lp^2 / ||psi||_H1^2 at p={p}")
-    # one potential per base field serves the Riesz ratio and ||g1||
-    riesz, g1_l2 = [], []
-    for f in base:
+    # one pass: a field's H1 norm and potential serve all its ratios, and no field is held
+    for i in range(2 * samples):
+        f = field(i, 1.0)
+        h1sq = h1_norm(f) ** 2
         rho = density(f)
         pot = apply_kernel(kspec, rho)
-        riesz.append(lp_norm(pot, RIESZ_Q) / lp_norm(rho, RIESZ_P))
-        g1_l2.append(l2_norm(Field(gspec, f.values * pot.values)))
-    family("riesz", riesz,
-           detail=f"||K rho||_q / ||rho||_p at p={RIESZ_P}, q={RIESZ_Q}")
-    g1_ratio = np.array(g1_l2) / h1sq
-    family("g1-ratio", g1_ratio, detail="||g1(psi)||_L2 / ||psi||_H1^2")
-
-    # the M = 1 sample is base[:samples], whose ratios are already measured
+        for p in (2, 3, 4, 6):
+            ratios[f"sobolev-p{p}"].append(lp_norm(f, p) ** 2 / h1sq)
+        ratios["riesz"].append(lp_norm(pot, RIESZ_Q) / lp_norm(rho, RIESZ_P))
+        ratios["g1-ratio"].append(l2_norm(Field(gspec, f.values * pot.values)) / h1sq)
+    rows = []
+    for name, detail in families.items():
+        r = ratios[name]
+        sup = max(r)
+        growth, spread = sup / max(r[:samples]), sup / statistics.median(r)
+        rows += [_info(f"{name}-sup", sup, detail),
+                 _row(f"{name}-stability", "stability", growth, 2.0,
+                      math.isfinite(sup) and growth < 2.0,
+                      f"sup growth under sample doubling ({samples} -> {2*samples})"),
+                 _row(f"{name}-spread", "stability", spread, 10.0, spread < 10.0,
+                      "max ratio vs running median")]
+    # the M = 1 sample is the first `samples` fields, whose ratios are already measured
     Ms = (0.5, 1.0, 2.0)
-    meds = [np.median(g1_ratio[:samples]) if M == 1.0 else
-            np.median([l2_norm(g1(f, kspec)) / h1_norm(f) ** 2
-                       for f in sample_fields(samples, M=M)])
+    meds = [statistics.median(ratios["g1-ratio"][:samples]) if M == 1.0 else
+            statistics.median(l2_norm(g1(f, kspec)) / h1_norm(f) ** 2
+                              for f in (field(i, M) for i in range(samples)))
             for M in Ms]
     slope = loglog_slope(Ms, meds)
     rows.append(_row("g1-ratio-growth", "scaling-law", slope, 1.0,

@@ -333,7 +333,8 @@ def contraction_report(report):
             f"need at least 3 increments above the round-off floor, got {len(usable)}"
         )
     ratios = tuple(usable[k + 1] / usable[k] for k in range(len(usable) - 1))
-    C_fit = float(np.median([(k + 1) * r for k, r in enumerate(ratios)]) / report.T)
+    import statistics  # here, so that solve and the solver stack's import never load it
+    C_fit = statistics.median((k + 1) * r for k, r in enumerate(ratios)) / report.T
     ct = C_fit * report.T
     envelope_ok = all(
         usable[k] <= 1.25 * usable[0] * ct**k / math.factorial(k)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import Future
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -175,11 +176,12 @@ def test_picard_divergence_exits_1_with_no_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, text", [("solve", SOLVE), ("picard", PICARD)])
 def test_solvers_load_neither_battery_nor_pool(tmp_path, command, text):
-    # a fresh interpreter, so that no other test's imports are seen
-    cfg = _write(tmp_path, text)
+    # a fresh interpreter, so that no other test's imports are seen; the run
+    # interacts, so that picard's contraction fit takes its median
+    cfg = _write(tmp_path, text.replace("alpha2 = 0.0", "alpha2 = 1.0"))
     script = ("import sys; from frnse.cli import main; code = main(sys.argv[1:]); "
               "print(sorted(set(sys.modules) & {'frnse.experiments', 'frnse.svg', "
-              "'concurrent.futures', 'multiprocessing'})); sys.exit(code)")
+              "'concurrent.futures', 'multiprocessing', 'numpy.ma'})); sys.exit(code)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", script, command, "--config", cfg, "--out", str(tmp_path)],
@@ -453,6 +455,23 @@ def test_seed_flag_wins_over_set(tmp_path):
     assert "seed = 7" in _manifest(run_dir)["config"]
 
 
+def test_run_dir_taken_in_the_same_microsecond_is_retried(tmp_path, monkeypatch):
+    # the clock repeats the stamp of a directory that already exists, then moves on
+    taken, free = (datetime(2026, 1, 2, 3, 4, 5, us, tzinfo=timezone.utc) for us in (6, 7))
+    stamps = iter([taken, taken, free])
+
+    class Clock:
+        @staticmethod
+        def now(tz):
+            return next(stamps)
+
+    monkeypatch.setattr(cli, "datetime", Clock)
+    (tmp_path / "20260102T030405.000006Z-abcd1234").mkdir()
+    path = cli._make_run_dir(str(tmp_path), "abcd1234")
+    assert path == str(tmp_path / "20260102T030405.000007Z-abcd1234")
+    assert os.path.isdir(path) and next(stamps, None) is None
+
+
 def test_out_env_fallback(tmp_path, monkeypatch):
     cfg = _write(tmp_path, PICARD)
     env_out = tmp_path / "from-env"
@@ -624,6 +643,20 @@ def test_crash_still_writes_manifest(tmp_path, monkeypatch, capsys):
     assert error["message"] == "battery exploded"
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["verify crashed: RuntimeError: battery exploded"]
+
+
+def test_verify_with_every_check_passing_exits_0(tmp_path, monkeypatch, capsys):
+    rows = [experiments.CheckRow("a", "bound", 1.0, 2.0, True, ""),
+            experiments.CheckRow("b", "info", 3.0, float("nan"), True, "")]
+    monkeypatch.setattr(experiments, "verify_battery",
+                        lambda cfg: experiments.VerifyResult(rows, {}, {"sections": []}))
+    cfg = _write(tmp_path, VERIFY)
+    out = tmp_path / "runs"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all 2 checks passed"
+    (run_dir,) = _run_dirs(out)
+    man = _manifest(run_dir)
+    assert (man["status"], man["errors"], man["summary"]["failed"]) == ("ok", [], [])
 
 
 def test_verify_times_sections_and_reraises_worker_warnings(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -315,6 +316,18 @@ def test_inequality_battery(gspec8):
     assert all(r.passed for r in rows)
     assert any(r.check.startswith("riesz") for r in rows)
     assert any(r.check.startswith("g1-ratio") for r in rows)
+
+
+def test_inequality_battery_holds_no_fields():
+    # one pass draws, measures and drops each field; held, the 100 fields
+    # of a 16^3 grid would take over 6 MiB
+    tracemalloc.start()
+    try:
+        inequality_battery(GridSpec(16, 1.6), samples=50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_lipschitz_battery_negative_control(gspec8):
